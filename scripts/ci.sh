@@ -9,6 +9,9 @@
 # differences between the column and blocked sedimentation solvers
 # would surface as bitwise-equivalence failures.
 #
+# Release additionally checks that the advection bin loops still
+# vectorize (run_vec_check).
+#
 # Usage: scripts/ci.sh [Debug|Release|tsan]     (no argument = Debug+Release)
 
 set -euo pipefail
@@ -23,6 +26,35 @@ run_matrix_config() {
     -DWRF_WERROR=ON
   cmake --build "${build_dir}" -j "$(nproc)"
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
+}
+
+run_vec_check() {
+  # The bin loops of dyn::rk_scalar_tend_bins (one per vertical-flux
+  # case, each marked `#pragma GCC ivdep`) are fast only because GCC
+  # vectorizes them, and a later edit could silently undo that.  Compile
+  # the file with the Release build's flags (compiler: $CXX, as CMake
+  # picks it, else g++) plus -fopt-info-vec-optimized, and require a
+  # "loop vectorized" report on the loop line after every ivdep pragma.
+  echo "=== advection vectorization ==="
+  local src="src/dyn/advection.cpp"
+  local report
+  report="$("${CXX:-g++}" -std=c++20 -O3 -DNDEBUG -Wall -Wextra -Werror \
+    -Isrc -fopt-info-vec-optimized -c "${src}" -o /dev/null 2>&1)"
+  local loops
+  loops="$(grep -n '^#pragma GCC ivdep' "${src}" | cut -d: -f1)"
+  if [ "$(wc -w <<< "${loops}")" -lt 3 ]; then
+    echo "vec check: expected 3 ivdep bin loops in ${src}"
+    return 1
+  fi
+  local line
+  for line in ${loops}; do
+    if ! grep -q "^${src}:$((line + 1)):[0-9]*: optimized: loop vectorized" \
+        <<< "${report}"; then
+      echo "vec check: ${src}:$((line + 1)) is no longer vectorized"
+      return 1
+    fi
+  done
+  echo "vec check: all $(wc -w <<< "${loops}") bin loops vectorized"
 }
 
 run_tsan() {
@@ -136,6 +168,7 @@ run_tune_smoke() {
 if [ $# -eq 0 ]; then
   run_matrix_config Debug
   run_matrix_config Release
+  run_vec_check
   run_bench_smoke
   run_obs_smoke
   run_tune_smoke
@@ -143,9 +176,13 @@ elif [ "${1}" = "tsan" ]; then
   run_tsan
 elif [ "${1}" = "bench" ]; then
   run_matrix_config Release
+  run_vec_check
   run_bench_smoke
   run_obs_smoke
   run_tune_smoke
 else
   run_matrix_config "${1}"
+  if [ "${1}" = "Release" ]; then
+    run_vec_check
+  fi
 fi

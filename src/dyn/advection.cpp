@@ -114,52 +114,76 @@ AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex, const grid::Patch& patch,
         const double vv = winds.v(i, k, j);
         const double wm = winds.w(i, k, j);
         const double wp = winds.w(i, k + 1, j);
-        const bool z_full = (k > klo + 1 && k < khi - 1);
-        const bool z_edge = (k > klo && k < khi);
-        // Slices for the stencil neighborhoods (bin-fastest layout).
-        const float* xs[6];
-        const float* xs1[6];
-        const float* ys[6];
-        const float* ys1[6];
-        for (int m = 0; m < 6; ++m) {
-          xs[m] = q.slice(i - 3 + m, k, j);
-          xs1[m] = q.slice(i - 2 + m, k, j);
-          ys[m] = q.slice(i, k, j - 3 + m);
-          ys1[m] = q.slice(i, k, j - 2 + m);
-        }
-        const float* zs[4] = {nullptr, nullptr, nullptr, nullptr};
-        const float* zs1[4] = {nullptr, nullptr, nullptr, nullptr};
-        if (z_full) {
-          for (int m = 0; m < 4; ++m) {
-            zs[m] = q.slice(i, k - 2 + m, j);
-            zs1[m] = q.slice(i, k - 1 + m, j);
+        const double dx = cfg.dx;
+        const double dy = cfg.dy;
+        const double dz = cfg.dz;
+        // The 13 slices of the horizontal stencil (bin-fastest layout):
+        // x at i-3..i+3 and y at j-3..j+3, sharing the center c.
+        const float* const xm3 = q.slice(i - 3, k, j);
+        const float* const xm2 = q.slice(i - 2, k, j);
+        const float* const xm1 = q.slice(i - 1, k, j);
+        const float* const c = q.slice(i, k, j);
+        const float* const xp1 = q.slice(i + 1, k, j);
+        const float* const xp2 = q.slice(i + 2, k, j);
+        const float* const xp3 = q.slice(i + 3, k, j);
+        const float* const ym3 = q.slice(i, k, j - 3);
+        const float* const ym2 = q.slice(i, k, j - 2);
+        const float* const ym1 = q.slice(i, k, j - 1);
+        const float* const yp1 = q.slice(i, k, j + 1);
+        const float* const yp2 = q.slice(i, k, j + 2);
+        const float* const yp3 = q.slice(i, k, j + 3);
+        // -(fxp - fxm)/dx - (fyp - fym)/dy of bin b: the leading terms
+        // of the tendency, in the order rk_scalar_tend evaluates them.
+        auto horizontal = [&](int b) {
+          const double sxm[6] = {xm3[b], xm2[b], xm1[b], c[b], xp1[b], xp2[b]};
+          const double sxp[6] = {xm2[b], xm1[b], c[b], xp1[b], xp2[b], xp3[b]};
+          const double sym[6] = {ym3[b], ym2[b], ym1[b], c[b], yp1[b], yp2[b]};
+          const double syp[6] = {ym2[b], ym1[b], c[b], yp1[b], yp2[b], yp3[b]};
+          const double fxm = flux5(uu, sxm);
+          const double fxp = flux5(uu, sxp);
+          const double fym = flux5(vv, sym);
+          const double fyp = flux5(vv, syp);
+          return -(fxp - fxm) / dx - (fyp - fym) / dy;
+        };
+        float* const out = tend.slice(i, k, j);
+        // The vertical-flux case depends only on k, so each case is its
+        // own bin loop.  `tend` and `q` are always distinct fields.
+        if (k > klo + 1 && k < khi - 1) {
+          // 3rd-order upwind.
+          const float* const zm2 = q.slice(i, k - 2, j);
+          const float* const zm1 = q.slice(i, k - 1, j);
+          const float* const zp1 = q.slice(i, k + 1, j);
+          const float* const zp2 = q.slice(i, k + 2, j);
+#pragma GCC ivdep
+          for (int b = 0; b < n; ++b) {
+            const double ht = horizontal(b);
+            const double tm[4] = {zm2[b], zm1[b], c[b], zp1[b]};
+            const double tp[4] = {zm1[b], c[b], zp1[b], zp2[b]};
+            const double fzm = flux3(wm, tm);
+            const double fzp = flux3(wp, tp);
+            out[b] = static_cast<float>(ht - (fzp - fzm) / dz);
           }
-        }
-        float* out = tend.slice(i, k, j);
-        for (int b = 0; b < n; ++b) {
-          double s[6];
-          for (int m = 0; m < 6; ++m) s[m] = xs[m][b];
-          const double fxm = flux5(uu, s);
-          for (int m = 0; m < 6; ++m) s[m] = xs1[m][b];
-          const double fxp = flux5(uu, s);
-          for (int m = 0; m < 6; ++m) s[m] = ys[m][b];
-          const double fym = flux5(vv, s);
-          for (int m = 0; m < 6; ++m) s[m] = ys1[m][b];
-          const double fyp = flux5(vv, s);
-          double fzm = 0.0, fzp = 0.0;
-          if (z_full) {
-            double t4[4];
-            for (int m = 0; m < 4; ++m) t4[m] = zs[m][b];
-            fzm = flux3(wm, t4);
-            for (int m = 0; m < 4; ++m) t4[m] = zs1[m][b];
-            fzp = flux3(wp, t4);
-          } else if (z_edge) {
-            fzm = wm > 0 ? wm * q(b, i, k - 1, j) : wm * q(b, i, k, j);
-            fzp = wp > 0 ? wp * q(b, i, k, j) : wp * q(b, i, k + 1, j);
+        } else if (k > klo && k < khi) {
+          // 1st-order upwind near the vertical boundaries: the upwind
+          // level of each interface is fixed by the sign of w there.
+          const float* const zm = wm > 0 ? q.slice(i, k - 1, j) : c;
+          const float* const zp = wp > 0 ? c : q.slice(i, k + 1, j);
+#pragma GCC ivdep
+          for (int b = 0; b < n; ++b) {
+            const double ht = horizontal(b);
+            const double fzm = wm * zm[b];
+            const double fzp = wp * zp[b];
+            out[b] = static_cast<float>(ht - (fzp - fzm) / dz);
           }
-          out[b] = static_cast<float>(-(fxp - fxm) / cfg.dx -
-                                      (fyp - fym) / cfg.dy -
-                                      (fzp - fzm) / cfg.dz);
+        } else {
+          // Zero flux through the domain top and bottom.
+          const double fzm = 0.0;
+          const double fzp = 0.0;
+#pragma GCC ivdep
+          for (int b = 0; b < n; ++b) {
+            const double ht = horizontal(b);
+            out[b] = static_cast<float>(ht - (fzp - fzm) / dz);
+          }
         }
         pt.cells += static_cast<std::uint64_t>(n);
       });

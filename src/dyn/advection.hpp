@@ -93,7 +93,11 @@ inline AdvStats rk_scalar_tend(const grid::Patch& patch,
 
 /// Same tendency for every bin of a 4-D distribution (bin-fastest);
 /// the inner bin loop amortizes stencil index math as WRF's chem loop
-/// does.  Sub-range variant first, full-range wrappers below.
+/// does.  The vertical-flux case is chosen per cell, outside the bin
+/// loop, so each case's bin loop vectorizes (scripts/ci.sh checks the
+/// compiler report) while computing every bin bitwise as
+/// rk_scalar_tend would.  `q` and `tend` must be distinct fields.
+/// Sub-range variant first, full-range wrappers below.
 AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex, const grid::Patch& patch,
                              const exec::Range3& r, const Field4D<float>& q,
                              const AnalyticWinds& winds, const AdvConfig& cfg,

@@ -34,31 +34,13 @@ double BinGrid::bulk_density(Species s) {
   return c::kRhoWater;
 }
 
-BinGrid::BinGrid(int nkr) : nkr_(nkr), dln_(std::log(2.0)) {
-  if (nkr < 4) throw ConfigError("BinGrid: nkr must be >= 4");
-  // m0: 2 um radius water drop.
-  const double r0 = 2.0e-6;
-  const double m0 = 4.0 / 3.0 * c::kPi * c::kRhoWater * r0 * r0 * r0;
-  mass_.resize(static_cast<std::size_t>(nkr));
-  for (int k = 0; k < nkr; ++k) {
-    mass_[static_cast<std::size_t>(k)] = m0 * std::ldexp(1.0, k);
-  }
-  for (int s = 0; s < kNumSpecies; ++s) {
-    const double rho = bulk_density(static_cast<Species>(s));
-    auto& rad = radius_[static_cast<std::size_t>(s)];
-    rad.resize(static_cast<std::size_t>(nkr));
-    for (int k = 0; k < nkr; ++k) {
-      rad[static_cast<std::size_t>(k)] =
-          std::cbrt(3.0 * mass_[static_cast<std::size_t>(k)] /
-                    (4.0 * c::kPi * rho));
-    }
-  }
-}
+namespace {
 
-double BinGrid::terminal_velocity_base(Species s, int k) const {
-  // Piecewise power laws v = a * (r / r_ref)^b, capped, per class —
-  // Stokes regime for droplets, Best-number-like fits for precipitation.
-  const double r = radius(s, k);
+/// Capped power-law fall speed at reference air density of a particle
+/// of species s and radius r.  Piecewise power laws v = a * (r / r_ref)^b,
+/// capped, per class — Stokes regime for droplets, Best-number-like fits
+/// for precipitation.
+double power_law_fall_speed(Species s, double r) {
   double v;
   switch (s) {
     case Species::kLiquid:
@@ -95,13 +77,46 @@ double BinGrid::terminal_velocity_base(Species s, int k) const {
   return v;
 }
 
-double BinGrid::density_correction(double rho_air) {
-  // Air-density correction: falls faster in thin air.  rho0 = 1.225.
-  return std::sqrt(1.225 / (rho_air > 0.05 ? rho_air : 0.05));
-}
+}  // namespace
 
-double BinGrid::terminal_velocity(Species s, int k, double rho_air) const {
-  return terminal_velocity_base(s, k) * density_correction(rho_air);
+BinGrid::BinGrid(int nkr) : nkr_(nkr), dln_(std::log(2.0)) {
+  if (nkr < 4) throw ConfigError("BinGrid: nkr must be >= 4");
+  // m0: 2 um radius water drop.
+  const double r0 = 2.0e-6;
+  const double m0 = 4.0 / 3.0 * c::kPi * c::kRhoWater * r0 * r0 * r0;
+  mass_.resize(static_cast<std::size_t>(nkr));
+  for (int k = 0; k < nkr; ++k) {
+    mass_[static_cast<std::size_t>(k)] = m0 * std::ldexp(1.0, k);
+  }
+  for (int s = 0; s < kNumSpecies; ++s) {
+    const double rho = bulk_density(static_cast<Species>(s));
+    auto& rad = radius_[static_cast<std::size_t>(s)];
+    rad.resize(static_cast<std::size_t>(nkr));
+    auto& tv = tv_base_[static_cast<std::size_t>(s)];
+    tv.resize(static_cast<std::size_t>(nkr));
+    for (int k = 0; k < nkr; ++k) {
+      rad[static_cast<std::size_t>(k)] =
+          std::cbrt(3.0 * mass_[static_cast<std::size_t>(k)] /
+                    (4.0 * c::kPi * rho));
+      tv[static_cast<std::size_t>(k)] = power_law_fall_speed(
+          static_cast<Species>(s), rad[static_cast<std::size_t>(k)]);
+    }
+  }
+  coal_dest_.reserve(static_cast<std::size_t>(nkr) *
+                     static_cast<std::size_t>(nkr));
+  for (int i = 0; i < nkr; ++i) {
+    for (int j = 0; j < nkr; ++j) {
+      const double m_new = mass(i) + mass(j);
+      const int kd = bin_floor(m_new);
+      double f = 0.0;
+      if (kd < nkr - 1) {
+        const double mk = mass(kd);
+        const double mk1 = mass(kd + 1);
+        f = (m_new - mk) / (mk1 - mk);
+      }
+      coal_dest_.push_back(CoalDest{kd, f});
+    }
+  }
 }
 
 int BinGrid::bin_floor(double m) const {

@@ -11,6 +11,7 @@
 // tables pressure-dependent (the 750 mb / 500 mb tables of Listing 3).
 
 #include <array>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -68,27 +69,53 @@ class BinGrid {
   /// tables.
   ///
   /// Factored as terminal_velocity_base(s, k) * density_correction(rho):
-  /// the base power-law is the expensive part (pow/sqrt on the radius)
-  /// and depends only on (species, bin), while the correction depends
-  /// only on the level's air density.  The blocked sedimentation solver
-  /// exploits the split — one base lookup per bin per block, one
+  /// the base power law depends only on (species, bin) and is tabulated
+  /// at construction, so a lookup is one table read plus the sqrt of the
+  /// correction, which depends only on the level's air density.  The
+  /// blocked sedimentation solver additionally shares that sqrt — one
   /// correction per (level, column) per block — and the product is
   /// evaluated with exactly the same operations as this function, so
   /// both paths are bitwise identical.
-  double terminal_velocity(Species s, int k, double rho_air) const;
+  double terminal_velocity(Species s, int k, double rho_air) const {
+    return terminal_velocity_base(s, k) * density_correction(rho_air);
+  }
 
   /// The capped power-law fall speed of bin k of species s at reference
   /// air density (1.225 kg/m^3) — terminal_velocity without the density
-  /// correction.
-  double terminal_velocity_base(Species s, int k) const;
+  /// correction.  A read of the table filled at construction.
+  double terminal_velocity_base(Species s, int k) const {
+    return tv_base_[static_cast<std::size_t>(s)]
+                   [static_cast<std::size_t>(k)];
+  }
 
   /// The (rho0/rho)^0.5 air-density correction factor (falls faster in
-  /// thin air); rho is floored at 0.05 kg/m^3.
-  static double density_correction(double rho_air);
+  /// thin air); rho is floored at 0.05 kg/m^3.  rho0 = 1.225.
+  static double density_correction(double rho_air) {
+    return std::sqrt(1.225 / (rho_air > 0.05 ? rho_air : 0.05));
+  }
 
   /// Index of the largest bin whose mass is <= m (clamped to [0,nkr-1]).
-  /// Used by the collision gain term to place coalesced mass.
+  /// Places condensational growth of arbitrary mass and fills the
+  /// coalescence destination table below.
   int bin_floor(double m) const;
+
+  /// Where the coalesced mass of a (bin i, bin j) collision lands: bin
+  /// kd = bin_floor(mass(i) + mass(j)) and, when kd < nkr-1, the
+  /// fraction f = (m_new - m_kd) / (m_kd+1 - m_kd) of the two-bin split
+  /// that goes to bin kd+1 (f is 0 and unused when kd == nkr-1).
+  struct CoalDest {
+    int kd;
+    double f;
+  };
+
+  /// Destination of the (i, j) collision, tabulated at construction with
+  /// exactly the expressions above — the collision gain term reads it
+  /// instead of taking a log2 per interaction.
+  const CoalDest& coal_dest(int i, int j) const {
+    return coal_dest_[static_cast<std::size_t>(i) *
+                          static_cast<std::size_t>(nkr_) +
+                      static_cast<std::size_t>(j)];
+  }
 
   /// Effective bulk density of species s, kg/m^3.
   static double bulk_density(Species s);
@@ -98,6 +125,8 @@ class BinGrid {
   double dln_;
   std::vector<double> mass_;
   std::array<std::vector<double>, kNumSpecies> radius_;
+  std::array<std::vector<double>, kNumSpecies> tv_base_;
+  std::vector<CoalDest> coal_dest_;  ///< nkr x nkr, row i = collected bin
 };
 
 }  // namespace wrf::fsbm

@@ -58,15 +58,16 @@ CoalStats collect_pair(const BinGrid& bins, CollisionPair pair,
       gb[j] = static_cast<float>(gb[j] - dmb);
 
       // Coalesced particles of mass mi+mj: number-and-mass-conserving
-      // two-bin split on the destination grid (Kovetz-Olund placement).
-      const double m_new = mi + mj;
-      const int kd = bins.bin_floor(m_new);
+      // two-bin split on the destination grid (Kovetz-Olund placement),
+      // read from the grid's (i, j) destination table.
+      const BinGrid::CoalDest& dest = bins.coal_dest(i, j);
+      const int kd = dest.kd;
       if (kd >= nkr - 1) {
         gd[nkr - 1] = static_cast<float>(gd[nkr - 1] + dma + dmb);
       } else {
         const double mk = bins.mass(kd);
         const double mk1 = bins.mass(kd + 1);
-        const double f = (m_new - mk) / (mk1 - mk);
+        const double f = dest.f;
         const double n_new = dn;
         gd[kd] = static_cast<float>(gd[kd] + n_new * (1.0 - f) * mk);
         gd[kd + 1] = static_cast<float>(gd[kd + 1] + n_new * f * mk1);

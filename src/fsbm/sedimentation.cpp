@@ -85,7 +85,7 @@ SedStats sediment_block(const BinGrid& bins, Species sp, float* g_blk,
   st.corr_evals += static_cast<std::uint64_t>(nz) * static_cast<std::uint64_t>(ncol);
 
   for (int k = 0; k < nkr; ++k) {
-    // One power-law lookup per bin per block: the amortization win.
+    // One base-table read per bin per block: the amortization win.
     const double base = bins.terminal_velocity_base(sp, k);
     ++st.tv_lookups;
 

@@ -8,15 +8,16 @@
 //
 //   * sediment_column — one column at a time, the shape of FSBM's
 //     original fall-speed loops.  Terminal velocities are looked up per
-//     (bin, level, substep), which is the unamortized cost the paper's
-//     hotspot analysis flags; it stays as the oracle the blocked solver
-//     is tested against.
+//     (bin, level, substep): each lookup is a read of the BinGrid's
+//     tabulated power law plus one sqrt for the level's density
+//     correction.  It stays as the oracle the blocked solver is tested
+//     against.
 //   * sediment_block — a tile of `ncol` columns at once in SoA layout
-//     (see below).  The per-bin terminal-velocity power law is hoisted
-//     out of the column/level/substep loops (one lookup per bin per
-//     block) and the per-level density corrections are computed once per
-//     block and shared across all bins, so lookups are amortized by the
-//     block width and more.  Bitwise identical to sediment_column per
+//     (see below).  The per-bin base-table read is hoisted out of the
+//     column/level/substep loops (one lookup per bin per block) and the
+//     per-level density corrections are computed once per block and
+//     shared across all bins, so the sqrts are amortized by the number
+//     of bins and substeps.  Bitwise identical to sediment_column per
 //     column (asserted in tests/test_fsbm_properties.cpp).
 //
 // SoA block layout (column-minor, so the inner loop vectorizes across
@@ -66,9 +67,10 @@ struct SedStats {
   /// column path; the per-block worst case summed over bins for the
   /// blocked path (<= substeps, since N columns share each march).
   std::uint64_t lockstep_substeps = 0;
-  /// Terminal-velocity power-law evaluations.  The column solver pays
-  /// one per (bin, level, substep); the blocked solver one per bin per
-  /// block — the amortization the bench sweep reports.
+  /// Terminal-velocity base lookups (reads of the BinGrid's tabulated
+  /// power law).  The column solver pays one per (bin, level, substep);
+  /// the blocked solver one per bin per block — the amortization the
+  /// bench sweep reports.
   std::uint64_t tv_lookups = 0;
   /// Air-density correction (sqrt) evaluations.  One per tv lookup in
   /// the column solver; one per (level, column) per block — shared

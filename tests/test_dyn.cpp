@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "dyn/advection.hpp"
 #include "dyn/rk3.hpp"
@@ -106,27 +108,43 @@ TEST(Advection, UpdateArithmetic) {
   EXPECT_EQ(st.cells, static_cast<std::uint64_t>(10) * 5 * 8);
 }
 
-TEST(Advection, BinsVariantMatchesScalarPerBin) {
+// Bitwise gate for the bin-vectorized tendency: every bin of
+// rk_scalar_tend_bins must reproduce rk_scalar_tend on that bin's 3-D
+// field bit for bit.  nz = 6 puts every vertical-flux case in the column
+// (zero flux at k = 1, 6; 1st-order upwind at k = 2, 5; 3rd order at
+// k = 3, 4), both signs of w run both arms of the 1st-order edge flux,
+// and the bin counts cover a single bin, a vector tail and WRF's 33.
+// The split variant computes the tendency the way halo=overlap
+// dispatches it: the interior range, then the four shell pieces.
+void expect_bins_match_scalar(int nb, double w_max, bool split) {
   const grid::Patch p = make_patch(16, 6, 12);
-  const int nb = 5;
   Field4D<float> q4(nb, p.im, p.k, p.jm);
   Field4D<float> tend4(nb, p.im, p.k, p.jm);
   Field3D<float> q3(p.im, p.k, p.jm);
   Field3D<float> tend3(p.im, p.k, p.jm);
-  // Bin b carries a shifted pattern.
+  // Bin b carries a shifted pattern that varies along all three axes.
   for (int j = p.jm.lo; j <= p.jm.hi; ++j) {
     for (int k = p.k.lo; k <= p.k.hi; ++k) {
       for (int i = p.im.lo; i <= p.im.hi; ++i) {
         for (int b = 0; b < nb; ++b) {
-          q4(b, i, k, j) =
-              static_cast<float>(std::sin(0.3 * i + 0.2 * j + b) + 2.0);
+          q4(b, i, k, j) = static_cast<float>(
+              std::sin(0.3 * i + 0.2 * j + 0.5 * k + b) + 2.0);
         }
       }
     }
   }
-  const AnalyticWinds winds = uniform_winds(p, 7.0, 3.0, 2.0);
+  const AnalyticWinds winds = uniform_winds(p, 7.0, 3.0, w_max);
   AdvConfig cfg;
-  rk_scalar_tend_bins(p, q4, winds, cfg, tend4);
+  const exec::Range3 comp{p.ip, p.k, p.jp};
+  if (split) {
+    rk_scalar_tend_bins(exec::serial(), p, comp.interior(kStencilWidth), q4,
+                        winds, cfg, tend4);
+    for (const auto& piece : comp.shell(kStencilWidth)) {
+      rk_scalar_tend_bins(exec::serial(), p, piece, q4, winds, cfg, tend4);
+    }
+  } else {
+    rk_scalar_tend_bins(p, q4, winds, cfg, tend4);
+  }
   for (int b = 0; b < nb; ++b) {
     for (int j = p.jm.lo; j <= p.jm.hi; ++j) {
       for (int k = p.k.lo; k <= p.k.hi; ++k) {
@@ -139,9 +157,22 @@ TEST(Advection, BinsVariantMatchesScalarPerBin) {
     for (int j = p.jp.lo; j <= p.jp.hi; ++j) {
       for (int k = p.k.lo; k <= p.k.hi; ++k) {
         for (int i = p.ip.lo; i <= p.ip.hi; ++i) {
-          EXPECT_FLOAT_EQ(tend4(b, i, k, j), tend3(i, k, j))
-              << b << " " << i << " " << k << " " << j;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(tend4(b, i, k, j)),
+                    std::bit_cast<std::uint32_t>(tend3(i, k, j)))
+              << "nb=" << nb << " w_max=" << w_max << " split=" << split
+              << " at b=" << b << " i=" << i << " k=" << k << " j=" << j
+              << ": " << tend4(b, i, k, j) << " vs " << tend3(i, k, j);
         }
+      }
+    }
+  }
+}
+
+TEST(Advection, BinsVariantMatchesScalarPerBin) {
+  for (const int nb : {1, 5, 33}) {
+    for (const double w_max : {2.0, -2.0}) {
+      for (const bool split : {false, true}) {
+        expect_bins_match_scalar(nb, w_max, split);
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include <cmath>
@@ -74,6 +76,30 @@ TEST(BinFloor, ClampsAtEnds) {
   EXPECT_EQ(bins.bin_floor(bins.mass(32) * 100.0), 32);
 }
 
+TEST(CoalDest, TableMatchesBinFloorAndSplitFormula) {
+  // The collision gain term reads coal_dest(i, j) instead of calling
+  // bin_floor per interaction; the table must be exactly what the
+  // per-interaction computation would give, for every (i, j).
+  for (const int nkr : {4, 33, 64}) {
+    const BinGrid bins(nkr);
+    for (int i = 0; i < nkr; ++i) {
+      for (int j = 0; j < nkr; ++j) {
+        const double m_new = bins.mass(i) + bins.mass(j);
+        const int kd = bins.bin_floor(m_new);
+        const BinGrid::CoalDest& d = bins.coal_dest(i, j);
+        ASSERT_EQ(d.kd, kd) << "nkr " << nkr << " (" << i << "," << j << ")";
+        if (kd >= nkr - 1) continue;  // top bin: f is unused
+        const double mk = bins.mass(kd);
+        const double mk1 = bins.mass(kd + 1);
+        const double f = (m_new - mk) / (mk1 - mk);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(d.f),
+                  std::bit_cast<std::uint64_t>(f))
+            << "nkr " << nkr << " (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
 class TerminalVelocitySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TerminalVelocitySweep, PositiveAndBounded) {
@@ -102,6 +128,25 @@ TEST_P(TerminalVelocitySweep, NonDecreasingWithSize) {
   for (int k = 1; k < 33; ++k) {
     EXPECT_GE(bins.terminal_velocity(s, k, 1.0),
               bins.terminal_velocity(s, k - 1, 1.0) * 0.999);
+  }
+}
+
+TEST_P(TerminalVelocitySweep, FactoredProductIsBitwise) {
+  // The blocked sedimentation solver multiplies the base table by a
+  // shared correction; the column solver calls terminal_velocity.  Both
+  // must round identically for every bin and density, including
+  // densities below the 0.05 kg/m^3 floor.
+  const BinGrid bins(33);
+  const auto s = static_cast<Species>(GetParam());
+  for (int k = 0; k < bins.nkr(); ++k) {
+    for (double rho = 0.01; rho < 1.5; rho += 0.0173) {
+      const double v = bins.terminal_velocity(s, k, rho);
+      const double split = bins.terminal_velocity_base(s, k) *
+                           BinGrid::density_correction(rho);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+                std::bit_cast<std::uint64_t>(split))
+          << species_name(s) << " bin " << k << " rho " << rho;
+    }
   }
 }
 
