@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/passgraph.hpp"
@@ -209,6 +211,290 @@ TEST(Fusion, ScheduleRecordsAnalyzerBackedDecisions) {
       EXPECT_FALSE(d.fused);
       EXPECT_EQ(d.reason, "fuse=off");
     }
+  }
+}
+
+// ------------------------------------------------ transfer/launch ledger
+
+/// What one run moved and launched: the FsbmStats transfer ledger (the
+/// final snapshot's pre-output flush included, as in run_single), the
+/// launch count, a digest of every launch's KernelStats name,
+/// iterations, fused_passes, flops and occupancy, and the final-state
+/// hash.  Modeled milliseconds and cache hit rates are left out: the
+/// cache model replays real heap addresses, so they drift run to run.
+struct Ledger {
+  std::uint64_t h2d_bytes, d2h_bytes, h2d_transfers, d2h_transfers;
+  std::uint64_t launches, launch_digest, state_hash;
+
+  bool operator==(const Ledger& o) const {
+    return h2d_bytes == o.h2d_bytes && d2h_bytes == o.d2h_bytes &&
+           h2d_transfers == o.h2d_transfers &&
+           d2h_transfers == o.d2h_transfers && launches == o.launches &&
+           launch_digest == o.launch_digest && state_hash == o.state_hash;
+  }
+};
+
+std::string launch_line(const gpu::KernelStats& k) {
+  const gpu::Occupancy& o = k.occupancy;
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "%s it=%lld fused=%d flops=%a occ=%d/%a/%a/%a/%a/%s",
+                k.name.c_str(), static_cast<long long>(k.iterations),
+                k.fused_passes, k.flops, o.blocks_per_sm_resource,
+                o.blocks_per_sm_achieved, o.resident_warps_per_sm,
+                o.theoretical, o.achieved, o.limiter);
+  return buf;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Runs `cfg` on one rank the way run_single does, keeping the rank's
+/// device so its launch list can be read; `lines` receives one
+/// launch_line per launch (printed when a row mismatches).
+Ledger run_ledger(const model::RunConfig& cfg, std::string* lines) {
+  const auto patches = grid::decompose(cfg.domain(), 1, 1, cfg.halo);
+  model::RankModel rank(cfg, patches[0], nullptr);
+  rank.init();
+  prof::Profiler prof;
+  model::RunResult r;
+  for (int s = 0; s < cfg.nsteps; ++s) r.totals.merge(rank.step(prof));
+  const gpu::TransferStats t0 = rank.device()->transfers();
+  r.snapshots.push_back(rank.snapshot());
+  r.totals.fsbm.charge_transfer_delta(t0, rank.device()->transfers());
+  lines->clear();
+  for (const gpu::KernelStats& k : rank.device()->launches()) {
+    *lines += launch_line(k) + "\n";
+  }
+  const fsbm::FsbmStats& f = r.totals.fsbm;
+  return {f.h2d_bytes,       f.d2h_bytes,       f.h2d_transfers,
+          f.d2h_transfers,   f.kernel_launches, fnv1a(*lines),
+          model::state_hash(r)};
+}
+
+struct LedgerRow {
+  const char* label;
+  Ledger expect;
+};
+
+// Captured from the hand-written offload passes the pass executor
+// replaced; any drift in bytes, transfer counts, launches or state is a
+// behaviour change, not noise.
+const LedgerRow kLedger[] = {
+    {"v2-offload-collapse2/res=step/exec=serial/fuse=off/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 2u, 0x664646e39050e263ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=serial/fuse=off/cond=device",
+     {11848320u, 11765952u, 42u, 34u, 4u, 0xc8a5a770d4f7c5dbull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=serial/fuse=auto/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 2u, 0x664646e39050e263ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=serial/fuse=auto/cond=device",
+     {11848320u, 11765952u, 42u, 34u, 4u, 0xc8a5a770d4f7c5dbull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=device/fuse=off/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 6u, 0x4aa8677d3ae5c6d7ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=device/fuse=off/cond=device",
+     {11848320u, 11765952u, 42u, 34u, 6u, 0x33bd81d2af501fe7ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=device/fuse=auto/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 6u, 0x4aa8677d3ae5c6d7ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=device/fuse=auto/cond=device",
+     {11848320u, 11765952u, 42u, 34u, 6u, 0x33bd81d2af501fe7ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=hetero:2/fuse=off/cond=host",
+     {2866176u, 2838528u, 20u, 14u, 2u, 0x664646e39050e263ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=hetero:2/fuse=off/cond=device",
+     {8803008u, 8750016u, 42u, 34u, 4u, 0xc8a5a770d4f7c5dbull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=hetero:2/fuse=auto/cond=host",
+     {2866176u, 2838528u, 20u, 14u, 2u, 0x664646e39050e263ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=step/exec=hetero:2/fuse=auto/cond=device",
+     {8803008u, 8750016u, 42u, 34u, 4u, 0xc8a5a770d4f7c5dbull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=serial/fuse=off/cond=host",
+     {5898816u, 2838528u, 19u, 14u, 2u, 0x664646e39050e263ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=serial/fuse=off/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0xc8a5a770d4f7c5dbull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=serial/fuse=auto/cond=host",
+     {5898816u, 2838528u, 19u, 14u, 2u, 0x664646e39050e263ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=serial/fuse=auto/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0xc8a5a770d4f7c5dbull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=device/fuse=off/cond=host",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0x4aa8677d3ae5c6d7ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=device/fuse=off/cond=device",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0x33bd81d2af501fe7ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=device/fuse=auto/cond=host",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0x4aa8677d3ae5c6d7ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=device/fuse=auto/cond=device",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0x33bd81d2af501fe7ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=hetero:2/fuse=off/cond=host",
+     {2860032u, 2838528u, 19u, 14u, 2u, 0x664646e39050e263ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=hetero:2/fuse=off/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0xc8a5a770d4f7c5dbull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=hetero:2/fuse=auto/cond=host",
+     {2860032u, 2838528u, 19u, 14u, 2u, 0x664646e39050e263ull, 0xcb681b805842d6ffull}},
+    {"v2-offload-collapse2/res=persist/exec=hetero:2/fuse=auto/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0xc8a5a770d4f7c5dbull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=serial/fuse=off/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=serial/fuse=off/cond=device",
+     {11848320u, 11765952u, 42u, 34u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=serial/fuse=auto/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=serial/fuse=auto/cond=device",
+     {5936832u, 5911488u, 22u, 20u, 2u, 0x34e83d77200bfdbfull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=device/fuse=off/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 6u, 0xde9546b952b6fee1ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=device/fuse=off/cond=device",
+     {11848320u, 11765952u, 42u, 34u, 6u, 0xd443a32a33e663cdull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=device/fuse=auto/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 6u, 0xde9546b952b6fee1ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=device/fuse=auto/cond=device",
+     {5936832u, 5911488u, 22u, 20u, 4u, 0x7c2ae470a9a03c8full, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=hetero:2/fuse=off/cond=host",
+     {2866176u, 2838528u, 20u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=hetero:2/fuse=off/cond=device",
+     {8803008u, 8750016u, 42u, 34u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=hetero:2/fuse=auto/cond=host",
+     {2866176u, 2838528u, 20u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=step/exec=hetero:2/fuse=auto/cond=device",
+     {8803008u, 8750016u, 42u, 34u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=serial/fuse=off/cond=host",
+     {5898816u, 2838528u, 19u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=serial/fuse=off/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=serial/fuse=auto/cond=host",
+     {5898816u, 2838528u, 19u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=serial/fuse=auto/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 2u, 0x34e83d77200bfdbfull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=device/fuse=off/cond=host",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0xde9546b952b6fee1ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=device/fuse=off/cond=device",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0xd443a32a33e663cdull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=device/fuse=auto/cond=host",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0xde9546b952b6fee1ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=device/fuse=auto/cond=device",
+     {2968416u, 2955744u, 11u, 10u, 4u, 0x7c2ae470a9a03c8full, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=hetero:2/fuse=off/cond=host",
+     {2860032u, 2838528u, 19u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=hetero:2/fuse=off/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=hetero:2/fuse=auto/cond=host",
+     {2860032u, 2838528u, 19u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-offload-collapse3/res=persist/exec=hetero:2/fuse=auto/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=serial/fuse=off/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=serial/fuse=off/cond=device",
+     {11848320u, 11765952u, 42u, 34u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=serial/fuse=auto/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=serial/fuse=auto/cond=device",
+     {5936832u, 5911488u, 22u, 20u, 2u, 0x34e83d77200bfdbfull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=device/fuse=off/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 6u, 0xde9546b952b6fee1ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=device/fuse=off/cond=device",
+     {11848320u, 11765952u, 42u, 34u, 6u, 0xd443a32a33e663cdull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=device/fuse=auto/cond=host",
+     {5911488u, 5854464u, 20u, 14u, 6u, 0xde9546b952b6fee1ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=device/fuse=auto/cond=device",
+     {5936832u, 5911488u, 22u, 20u, 4u, 0x7c2ae470a9a03c8full, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=hetero:2/fuse=off/cond=host",
+     {2866176u, 2838528u, 20u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=hetero:2/fuse=off/cond=device",
+     {8803008u, 8750016u, 42u, 34u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=hetero:2/fuse=auto/cond=host",
+     {2866176u, 2838528u, 20u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=step/exec=hetero:2/fuse=auto/cond=device",
+     {8803008u, 8750016u, 42u, 34u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=serial/fuse=off/cond=host",
+     {5898816u, 2838528u, 19u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=serial/fuse=off/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=serial/fuse=auto/cond=host",
+     {5898816u, 2838528u, 19u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=serial/fuse=auto/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 2u, 0x34e83d77200bfdbfull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=device/fuse=off/cond=host",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0xde9546b952b6fee1ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=device/fuse=off/cond=device",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0xd443a32a33e663cdull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=device/fuse=auto/cond=host",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0xde9546b952b6fee1ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=device/fuse=auto/cond=device",
+     {2968416u, 2955744u, 11u, 10u, 4u, 0x7c2ae470a9a03c8full, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=hetero:2/fuse=off/cond=host",
+     {2860032u, 2838528u, 19u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=hetero:2/fuse=off/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=hetero:2/fuse=auto/cond=host",
+     {2860032u, 2838528u, 19u, 14u, 2u, 0x2676482a6e818773ull, 0xcb681b805842d6ffull}},
+    {"v3-naive-collapse3/res=persist/exec=hetero:2/fuse=auto/cond=device",
+     {5908320u, 5895648u, 19u, 18u, 4u, 0x4b7fe42db7fd3a95ull, 0xcb681b805842d6ffull}},
+    {"phys=hybrid/v3/res=persist/exec=device/cond=device/fuse=off",
+     {2968416u, 2955744u, 11u, 10u, 8u, 0xef44c399d07a6537ull, 0x7e7ec7a8572b3b9dull}},
+    {"phys=hybrid/v3/res=persist/exec=device/cond=device/fuse=auto",
+     {2968416u, 2955744u, 11u, 10u, 6u, 0x99621302a248ab07ull, 0x7e7ec7a8572b3b9dull}},
+};
+
+TEST(Fusion, TransferAndLaunchLedgerIsPinned) {
+  // version x res x exec x fuse x offload_condensation, plus phys=hybrid
+  // on v3/device/persist with cond offloaded (the bulk cond lane).
+  exec::ExecConfig serial;
+  exec::ExecConfig dev;
+  dev.kind = exec::ExecKind::kDevice;
+  exec::ExecConfig het2;
+  het2.kind = exec::ExecKind::kHetero;
+  het2.nthreads = 2;
+  std::vector<std::pair<std::string, model::RunConfig>> cells;
+  for (const fsbm::Version v :
+       {fsbm::Version::kV2Offload2, fsbm::Version::kV3Offload3,
+        fsbm::Version::kV3NaiveCollapse3}) {
+    for (const mem::ResidencyMode res :
+         {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
+      for (const exec::ExecConfig& e : {serial, dev, het2}) {
+        for (const exec::FuseMode fuse :
+             {exec::FuseMode::kOff, exec::FuseMode::kAuto}) {
+          for (const bool cond : {false, true}) {
+            model::RunConfig cfg = fusion_case(v, fuse, res, e);
+            cfg.fsbm_params.offload_condensation = cond;
+            cells.emplace_back(std::string(fsbm::version_name(v)) +
+                                   "/res=" + mem::residency_name(res) +
+                                   "/exec=" + e.describe() +
+                                   "/fuse=" + exec::fuse_name(fuse) +
+                                   (cond ? "/cond=device" : "/cond=host"),
+                               cfg);
+          }
+        }
+      }
+    }
+  }
+  for (const exec::FuseMode fuse :
+       {exec::FuseMode::kOff, exec::FuseMode::kAuto}) {
+    model::RunConfig cfg = fusion_case(fsbm::Version::kV3Offload3, fuse,
+                                       mem::ResidencyMode::kPersist, dev);
+    cfg.phys = fsbm::PhysScheme::kHybrid;
+    cells.emplace_back(std::string("phys=hybrid/v3/res=persist/exec=device"
+                                   "/cond=device/fuse=") +
+                           exec::fuse_name(fuse),
+                       cfg);
+  }
+
+  const std::size_t nrows = sizeof(kLedger) / sizeof(kLedger[0]);
+  EXPECT_EQ(nrows, cells.size());
+  for (std::size_t n = 0; n < cells.size(); ++n) {
+    std::string lines;
+    const Ledger got = run_ledger(cells[n].second, &lines);
+    const bool ok = n < nrows && cells[n].first == kLedger[n].label &&
+                    got == kLedger[n].expect;
+    EXPECT_TRUE(ok) << "row " << n << " " << cells[n].first
+                    << "\n    {\"" << cells[n].first << "\",\n     {"
+                    << got.h2d_bytes << "u, " << got.d2h_bytes << "u, "
+                    << got.h2d_transfers << "u, " << got.d2h_transfers
+                    << "u, " << got.launches << "u, 0x" << std::hex
+                    << got.launch_digest << "ull, 0x" << got.state_hash
+                    << std::dec << "ull}},\nlaunches:\n"
+                    << lines;
   }
 }
 
