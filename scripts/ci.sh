@@ -77,7 +77,11 @@ run_tsan() {
   # and test_svc's trace mode has scheduler lanes emitting while the
   # dispatcher records lifecycle instants), and the autotuner (test_tune
   # — the tuner's measured rungs and the tuned-scheduler test run
-  # threaded configs and scheduler lanes under tuned knob application).
+  # threaded configs and scheduler lanes under tuned knob application),
+  # and the pass executor (test_fusion, test_residency — their
+  # fused/unfused x exec=hetero:2 cells run the device shard's kernel
+  # and the host shard concurrently through run_device_group and
+  # pass_coal_hetero).
   local build_dir="build-ci-tsan"
   echo "=== ThreadSanitizer ==="
   cmake -B "${build_dir}" -S . \
@@ -85,10 +89,10 @@ run_tsan() {
     -DWRF_TSAN=ON
   cmake --build "${build_dir}" -j "$(nproc)" \
     --target test_par test_exec test_halo_overlap test_fsbm_properties \
-    test_svc test_hybrid test_obs test_tune
+    test_svc test_hybrid test_obs test_tune test_fusion test_residency
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "${build_dir}" --output-on-failure \
-      -R '^(test_par|test_exec|test_halo_overlap|test_fsbm_properties|test_svc|test_hybrid|test_obs|test_tune)$'
+      -R '^(test_par|test_exec|test_halo_overlap|test_fsbm_properties|test_svc|test_hybrid|test_obs|test_tune|test_fusion|test_residency)$'
 }
 
 run_obs_smoke() {

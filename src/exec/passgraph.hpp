@@ -23,6 +23,12 @@
 // tests and benches can assert the reason came from the analyzer
 // rather than a hand-coded blocklist.
 //
+// A node carries no dispatch tag: the caller keeps its own table
+// indexed by node id (FastSbm pairs each node with a host pass function
+// or a device lane descriptor) and runs any group from it — a fused
+// group is its members' lanes composed per cell, not a special kernel,
+// so there is no whitelist of fusible pairs.
+//
 // Determinism: fusion never changes the tile cut (the fused launch uses
 // the shared plan) and the legality proof is exactly the pointwise
 // condition under which lane-by-lane back-to-back execution is bitwise
@@ -68,7 +74,6 @@ struct PassNode {
   /// passes without one (host physics) are never fusion candidates.
   const std::string* kernel_src = nullptr;
   std::string procedure;
-  int tag = 0;  ///< caller-private id (FastSbm's pass dispatch)
 };
 
 /// Legality callback verdict.

@@ -21,10 +21,34 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// PassNode tags: which FastSbm pass a graph node dispatches to.
-constexpr int kTagPre = 1;   ///< cond kernel or host physics
-constexpr int kTagCoal = 2;  ///< offloaded collision pass
-constexpr int kTagSed = 3;   ///< sedimentation
+bool offloaded_version(Version v) {
+  return v == Version::kV2Offload2 || v == Version::kV3Offload3 ||
+         v == Version::kV3NaiveCollapse3;
+}
+
+/// Group the pass chain under `mode`.  Legality comes from the analyzer:
+/// each candidate pair's embedded kernel sources run through the
+/// dependence analysis, memoized process-wide per (pass pair, collapse
+/// depth) — every rank asks about the same keys, so each distinct
+/// analysis runs once.
+exec::Schedule fuse_schedule(const exec::PassGraph& graph,
+                             exec::FuseMode mode) {
+  return graph.schedule(
+      mode, [](const exec::PassNode& a, const exec::PassNode& b,
+               int collapse) {
+        static analyzer::FusionOracle oracle;
+        const analyzer::FusionVerdict v =
+            oracle.check({a.name, a.kernel_src, a.procedure},
+                         {b.name, b.kernel_src, b.procedure}, collapse);
+        exec::FusionCheck check;
+        check.fusible = v.fusible;
+        for (const auto& blk : v.blockers) {
+          if (!check.reason.empty()) check.reason += "; ";
+          check.reason += blk;
+        }
+        return check;
+      });
+}
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -206,9 +230,7 @@ FastSbm::FastSbm(const grid::Patch& patch, int nkr, Version version,
       throw ConfigError("FastSbm: hybrid demote_patience outside [1, 255]");
     }
   }
-  const bool offloaded = version_ == Version::kV2Offload2 ||
-                         version_ == Version::kV3Offload3 ||
-                         version_ == Version::kV3NaiveCollapse3;
+  const bool offloaded = offloaded_version(version_);
   if (offloaded && device_ == nullptr) {
     throw ConfigError("FastSbm: offloaded versions need a gpu::Device");
   }
@@ -268,75 +290,144 @@ FastSbm::FastSbm(const grid::Patch& patch, int nkr, Version version,
     device_->enter_data_alloc(pool_bytes_);
   }
 
-  // --- the per-step pass chain and its fusion schedule ---------------
-  // Footprints and tile plans are static per run, so the graph is built
-  // once here.  Legality comes from the analyzer: each candidate pair's
-  // embedded kernel sources run through the dependence analysis,
-  // memoized process-wide per (pass pair, collapse depth).
-  const exec::Range3 cell_range{patch_.ip, patch_.k, patch_.jp};
+  cond_cfg_ = params_.cond;
+  cond_cfg_.dt = params_.dt;
+  nucl_cfg_ = params_.nucl;
+  nucl_cfg_.dt = params_.dt;
+  coal_cfg_ = params_.coal;
+  coal_cfg_.dt = params_.dt;
+  // The per-step pass chain and its fusion schedule: footprints and tile
+  // plans are static per run, so both are built once here.
+  PassChain chain = declare_passes(
+      patch_, nkr, version_, params_, exec_device_,
+      hetero_ != nullptr && device_space_ == &hetero_->device_shard());
+  graph_ = std::move(chain.graph);
+  impls_ = std::move(chain.impls);
+  schedule_ = fuse_schedule(graph_, params_.fuse);
+}
+
+FastSbm::PassChain FastSbm::declare_passes(const grid::Patch& patch, int nkr,
+                                           Version version,
+                                           const FsbmParams& params,
+                                           bool exec_device,
+                                           bool split_coal) {
+  const bool offloaded = offloaded_version(version);
+  const exec::Range3 cell_range{patch.ip, patch.k, patch.jp};
+  PassChain chain;
   {
     exec::PassNode pre;
-    pre.tag = kTagPre;
     pre.collapse = 3;
     pre.range = cell_range;
     pre.reads = {"temp", "qv", "pres", "ff"};
     pre.writes = {"temp", "qv", "call_coal", "ff"};
-    if (offloaded && params_.offload_condensation) {
+    PassImpl impl;
+    if (offloaded && params.offload_condensation) {
+      // §VIII: the condensation loops offloaded "using a similar
+      // approach" — fissioned behind their own predicate, one lane per
+      // cell, stack workspaces (condensation's automatic arrays fit the
+      // register/stack budget, so no pooled variant).
       pre.name = "onecond_loop";
       pre.device = true;
       pre.kernel_src = &analyzer::sources::cond_kernel();
       pre.procedure = "cond_kernel";
+      impl.lane = {
+          .stem = "onecond",
+          .regs_per_thread = params.cond_regs_per_thread,
+          .run = &FastSbm::cond_run_cell,
+          .trace = &FastSbm::emit_cond_trace,
+          .flops =
+              [](const LaneCounters& c) {
+                return static_cast<double>(c.flops_milli.load() +
+                                           c.bulk_flops_milli.load()) /
+                       1000.0;
+              },
+          .fold =
+              [](const LaneCounters& c, double /*flops*/, FsbmStats& st) {
+                st.cells_active += c.active.load();
+                st.cells_coal += c.coal_cells.load();
+                st.cond_flops +=
+                    static_cast<double>(c.flops_milli.load()) / 1000.0;
+                st.bulk_flops +=
+                    static_cast<double>(c.bulk_flops_milli.load()) / 1000.0;
+              },
+      };
     } else {
-      pre.name = "pass_physics";
-      pre.device = false;  // host nest (inline coal for v0/v1)
+      pre.name = "pass_physics";  // host nest (inline coal for v0/v1)
+      impl.host = &FastSbm::pass_physics;
     }
-    graph_.add(std::move(pre));
+    chain.graph.add(std::move(pre));
+    chain.impls.push_back(impl);
   }
   if (offloaded) {
+    // Listing 6: the isolated collision loop behind the predicate array.
     exec::PassNode coal;
-    coal.tag = kTagCoal;
     coal.name = "coal_bott_new_loop";
     coal.device = true;
-    coal.split = hetero_ != nullptr && device_space_ == &hetero_->device_shard();
-    coal.collapse = version_ == Version::kV2Offload2 ? 2 : 3;
+    coal.split = split_coal;
+    coal.collapse = version == Version::kV2Offload2 ? 2 : 3;
     coal.range = cell_range;
-    coal.reads = {"call_coal", "temp", "pres", "ff"};
+    coal.reads = {"call_coal", "ff", "temp", "pres"};
     coal.writes = {"ff"};
     coal.kernel_src = &analyzer::sources::coal_kernel();
     coal.procedure = "coal_kernel";
-    graph_.add(std::move(coal));
+    chain.graph.add(std::move(coal));
+    PassImpl impl;
+    impl.lane = {
+        .stem = "coal",
+        .regs_per_thread = params.coal_regs_per_thread,
+        // v3's pools replace the automatic arrays; v2 and the naive
+        // collapse(3) keep them on the device heap.
+        .workspace_bytes_per_thread =
+            version == Version::kV3Offload3
+                ? 0
+                : static_cast<std::uint64_t>(params.automatic_array_count) *
+                      static_cast<std::uint64_t>(nkr) * sizeof(float),
+        .run = &FastSbm::coal_run_cell,
+        .trace = &FastSbm::emit_coal_trace,
+        // 24 flops per interaction + 4 per kernel lookup.
+        .flops =
+            [](const LaneCounters& c) {
+              return 24.0 * static_cast<double>(c.interactions.load()) +
+                     4.0 * static_cast<double>(c.lookups.load());
+            },
+        .fold =
+            [](const LaneCounters& c, double flops, FsbmStats& st) {
+              st.coal_interactions += c.interactions.load();
+              st.kernel_entries += c.lookups.load();
+              st.coal_flops += flops;
+            },
+        .collision = true,
+    };
+    chain.impls.push_back(impl);
   }
   {
     exec::PassNode sed;
-    sed.tag = kTagSed;
     sed.name = "sedimentation";
-    sed.device = exec_device_;  // modeled as a device nest under exec=device
+    sed.device = exec_device;  // modeled as a device nest under exec=device
     sed.collapse = 2;
-    sed.range = exec::Range3{patch_.ip, Range{0, 0}, patch_.jp};
-    sed.grain = patch_.ip.size();
+    sed.range = exec::Range3{patch.ip, Range{0, 0}, patch.jp};
+    sed.grain = patch.ip.size();
     sed.reads = {"ff", "rho"};
     sed.writes = {"ff", "precip"};
     sed.kernel_src = &analyzer::sources::sed_kernel();
     sed.procedure = "sed_kernel";
-    graph_.add(std::move(sed));
+    chain.graph.add(std::move(sed));
+    PassImpl impl;
+    impl.host = &FastSbm::pass_sedimentation;
+    chain.impls.push_back(impl);
   }
-  schedule_ = graph_.schedule(
-      params_.fuse,
-      [](const exec::PassNode& a, const exec::PassNode& b, int collapse) {
-        // Process-wide verdict cache: every rank asks about the same
-        // (pair, depth) keys, so each distinct analysis runs once.
-        static analyzer::FusionOracle oracle;
-        const analyzer::FusionVerdict v =
-            oracle.check({a.name, a.kernel_src, a.procedure},
-                         {b.name, b.kernel_src, b.procedure}, collapse);
-        exec::FusionCheck check;
-        check.fusible = v.fusible;
-        for (const auto& blk : v.blockers) {
-          if (!check.reason.empty()) check.reason += "; ";
-          check.reason += blk;
-        }
-        return check;
-      });
+  return chain;
+}
+
+exec::Schedule FastSbm::plan_schedule(const grid::Patch& patch, int nkr,
+                                      Version version,
+                                      const FsbmParams& params,
+                                      exec::ExecKind exec) {
+  const PassChain chain =
+      declare_passes(patch, nkr, version, params,
+                     exec == exec::ExecKind::kDevice,
+                     exec == exec::ExecKind::kHetero);
+  return fuse_schedule(chain.graph, params.fuse);
 }
 
 void FastSbm::load_workspace(const MicroState& s, int i, int k, int j,
@@ -365,36 +456,23 @@ void FastSbm::store_workspace(MicroState& s, int i, int k, int j,
   std::memcpy(s.ff[6].slice(i, k, j), w.g5, sz);
 }
 
-void FastSbm::coal_cell_stack(MicroState& state, int i, int k, int j,
-                              const KernelSource& ks, CoalStats& cst) {
+void FastSbm::coal_cell(MicroState& state, int i, int k, int j,
+                        const KernelSource& ks, CoalStats& cst) {
   StackWorkspace sw;
-  const CoalWorkspace w = sw.view(bins_.nkr());
-  load_workspace(state, i, k, j, w);
-  CoalConfig cfg = params_.coal;
-  cfg.dt = params_.dt;
-  const CoalStats one =
-      coal_bott_new(bins_, state.temp(i, k, j), ks, w, cfg);
-  store_workspace(state, i, k, j, w);
-  cst.kernel_lookups += one.kernel_lookups;
-  cst.interactions += one.interactions;
-  cst.pairs_active += one.pairs_active;
-  cst.flops += one.flops;
-}
-
-void FastSbm::coal_cell_pooled(MicroState& state, int i, int k, int j,
-                               const KernelSource& ks, CoalStats& cst) {
-  // Listing 8: pointers into pooled slabs indexed by the grid point.
   CoalWorkspace w;
-  w.fl1 = pool_fl1_->slice(i, k, j);
-  w.g2 = pool_g2_->slice(i, k, j);
-  w.g3 = pool_g3_->slice(i, k, j);
-  w.g4 = pool_g4_->slice(i, k, j);
-  w.g5 = pool_g5_->slice(i, k, j);
+  if (pool_fl1_ != nullptr) {
+    // Listing 8: pointers into pooled slabs indexed by the grid point.
+    w.fl1 = pool_fl1_->slice(i, k, j);
+    w.g2 = pool_g2_->slice(i, k, j);
+    w.g3 = pool_g3_->slice(i, k, j);
+    w.g4 = pool_g4_->slice(i, k, j);
+    w.g5 = pool_g5_->slice(i, k, j);
+  } else {
+    w = sw.view(bins_.nkr());
+  }
   load_workspace(state, i, k, j, w);
-  CoalConfig cfg = params_.coal;
-  cfg.dt = params_.dt;
   const CoalStats one =
-      coal_bott_new(bins_, state.temp(i, k, j), ks, w, cfg);
+      coal_bott_new(bins_, state.temp(i, k, j), ks, w, coal_cfg_);
   store_workspace(state, i, k, j, w);
   cst.kernel_lookups += one.kernel_lookups;
   cst.interactions += one.interactions;
@@ -403,24 +481,33 @@ void FastSbm::coal_cell_pooled(MicroState& state, int i, int k, int j,
 }
 
 void FastSbm::coal_run_cell(MicroState& state, int i, int k, int j,
-                            bool pooled, CoalCounters& c) {
+                            LaneCounters& c) {
   if (call_coal_(i, k, j) == 0) return;
   // Device code path: nvfortran-style FMA contraction (see get_cw_device).
   const KernelSource ks(tables_, state.pres(i, k, j), /*device_fma=*/true);
   CoalStats cst;
-  if (pooled) {
-    coal_cell_pooled(state, i, k, j, ks, cst);
-  } else {
-    coal_cell_stack(state, i, k, j, ks, cst);
-  }
+  coal_cell(state, i, k, j, ks, cst);
   c.interactions.fetch_add(cst.interactions, std::memory_order_relaxed);
   c.lookups.fetch_add(cst.kernel_lookups, std::memory_order_relaxed);
-  c.cells.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::vector<mem::FieldId> FastSbm::fields_of(
+    const std::vector<std::string>& names) const {
+  std::vector<mem::FieldId> out;
+  if (region_ == nullptr) return out;
+  for (const std::string& n : names) {
+    for (mem::FieldId f = 0; f < region_->fields(); ++f) {
+      const std::string& fn = region_->name(f);
+      if (fn == n || fn.rfind(n + "_", 0) == 0) out.push_back(f);
+    }
+  }
+  return out;
 }
 
 void FastSbm::mark_written(const std::vector<mem::FieldId>& ids,
-                           bool on_device) {
+                           bool on_device, FsbmStats* st) {
   if (!persist()) return;
+  const gpu::TransferStats t0 = device_->transfers();
   for (const mem::FieldId f : ids) {
     if (f == mem::kInvalidField) continue;
     if (on_device) {
@@ -439,25 +526,11 @@ void FastSbm::mark_written(const std::vector<mem::FieldId>& ids,
       region_->mark_host_dirty(f);
     }
   }
-}
-
-void FastSbm::mark_transport_writes(FsbmStats* st) {
-  if (!persist()) return;
-  const gpu::TransferStats t0 = device_->transfers();
-  std::vector<mem::FieldId> w{ids_.qv};
-  w.insert(w.end(), ids_.ff.begin(), ids_.ff.end());
-  mark_written(w, exec_device_);
   if (st != nullptr) st->charge_transfer_delta(t0, device_->transfers());
 }
 
-void FastSbm::mark_pass_writes(FsbmStats& st, bool on_device, bool thermo) {
-  if (!persist()) return;
-  const gpu::TransferStats t0 = device_->transfers();
-  std::vector<mem::FieldId> w;
-  if (thermo) w = {ids_.temp, ids_.qv, ids_.call_coal};
-  w.insert(w.end(), ids_.ff.begin(), ids_.ff.end());
-  mark_written(w, on_device);
-  st.charge_transfer_delta(t0, device_->transfers());
+void FastSbm::mark_transport_writes(FsbmStats* st) {
+  mark_written(fields_of({"qv", "ff"}), exec_device_, st);
 }
 
 void FastSbm::mark_coal_writes(const MicroState& state) {
@@ -628,16 +701,13 @@ void FastSbm::pass_fidelity(MicroState& state, FsbmStats& st,
   // only when some cell was or became bulk.  Under the all-bin override
   // nothing is written, so the device traffic stays identical to
   // phys=bin — part of the bitwise regression gate.
-  if (persist() && (sum.cells_bulk > 0 || sum.promotions > 0)) {
-    const gpu::TransferStats t0 = device_->transfers();
-    mark_written({ids_.ff[0]}, exec_device_);
-    st.charge_transfer_delta(t0, device_->transfers());
+  if (sum.cells_bulk > 0 || sum.promotions > 0) {
+    mark_written({ids_.ff[0]}, exec_device_, &st);
   }
 }
 
 void FastSbm::cond_run_cell(MicroState& state, int i, int k, int j,
-                            const CondConfig& cond_cfg,
-                            const NuclConfig& nucl_cfg, CondCounters& cnt) {
+                            LaneCounters& cnt) {
   call_coal_(i, k, j) = 0;
   if (params_.phys != PhysScheme::kBin &&
       fidelity_(i, k, j) == kFidelityBulk) {
@@ -658,10 +728,10 @@ void FastSbm::cond_run_cell(MicroState& state, int i, int k, int j,
   double qv = state.qv(i, k, j);
   const double pres = state.pres(i, k, j);
   load_workspace(state, i, k, j, w);
-  const NuclStats ns = jernucl01_ks(bins_, temp, qv, pres, w, nucl_cfg);
+  const NuclStats ns = jernucl01_ks(bins_, temp, qv, pres, w, nucl_cfg_);
   const CondStats cs = temp >= c::kT0
-                           ? onecond1(bins_, temp, qv, pres, w, cond_cfg)
-                           : onecond2(bins_, temp, qv, pres, w, cond_cfg);
+                           ? onecond1(bins_, temp, qv, pres, w, cond_cfg_)
+                           : onecond2(bins_, temp, qv, pres, w, cond_cfg_);
   state.temp(i, k, j) = static_cast<float>(temp);
   state.qv(i, k, j) = static_cast<float>(qv);
   store_workspace(state, i, k, j, w);
@@ -702,103 +772,11 @@ void FastSbm::emit_cond_trace(const MicroState& state, int i, int k, int j,
   }
 }
 
-void FastSbm::pass_cond_offload(MicroState& state, FsbmStats& st,
-                                prof::Profiler& prof) {
-  // §VIII: the condensation loops offloaded "using a similar approach" —
-  // loop fission with a per-cell predicate, one device lane per cell,
-  // stack workspaces (condensation's automatic arrays are smaller than
-  // coal_bott_new's, so no pooled variant is needed).
-  prof::ScopedRange cr(prof, "onecond_loop");
-  const int ni = patch_.ip.size();
-  const int nk = patch_.k.size();
-  const int nj = patch_.jp.size();
-
-  CondConfig cond_cfg = params_.cond;
-  cond_cfg.dt = params_.dt;
-  NuclConfig nucl_cfg = params_.nucl;
-  nucl_cfg.dt = params_.dt;
-
-  CondCounters cnt;
-
-  gpu::KernelDesc desc;
-  desc.name = "onecond_loop";
-  desc.collapse = 3;
-  desc.iterations = static_cast<std::int64_t>(ni) * nk * nj;
-  desc.regs_per_thread = params_.cond_regs_per_thread;
-  desc.workspace_bytes_per_thread = 0;  // fits in registers/stack budget
-  desc.body = [&](std::int64_t it) {
-    const int i = patch_.ip.lo + static_cast<int>(it % ni);
-    const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-    const int j =
-        patch_.jp.lo +
-        static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-    cond_run_cell(state, i, k, j, cond_cfg, nucl_cfg, cnt);
-  };
-  desc.flops_total = [&]() {
-    return static_cast<double>(cnt.flops_milli.load() +
-                               cnt.bulk_flops_milli.load()) /
-           1000.0;
-  };
-  desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-    const int i = patch_.ip.lo + static_cast<int>(it % ni);
-    const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-    const int j =
-        patch_.jp.lo +
-        static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-    emit_cond_trace(state, i, k, j, out);
-  };
-  {
-    // The condensation kernel consumes the thermo + bin fields.
-    // res=persist brings the resident operands current (dirty bytes
-    // only); res=step opens a per-launch `target data` region like the
-    // coal pass, so the two modes stay comparable for this launch too.
-    const gpu::TransferStats t0 = device_->transfers();
-    if (persist()) {
-      region_->update_to(ids_.temp);
-      region_->update_to(ids_.qv);
-      region_->update_to(ids_.pres);
-      for (const mem::FieldId f : ids_.ff) region_->update_to(f);
-    } else {
-      region_->map_to(ids_.temp);
-      region_->map_to(ids_.qv);
-      region_->map_to(ids_.pres);
-      region_->map_to(ids_.call_coal);
-      for (const mem::FieldId f : ids_.ff) region_->map_to(f);
-    }
-    st.charge_transfer_delta(t0, device_->transfers());
-  }
-  st.cond_kernel = device_space_->launch(desc);
-  if (persist()) {
-    // Kernel writes: thermo state, bins, and the refilled predicate
-    // advance the device copy (operands were flushed above, so the
-    // read-coherence flush inside moves nothing here).
-    mark_pass_writes(st, /*on_device=*/true, /*thermo=*/true);
-  } else {
-    // Close the per-launch region: the kernel's outputs map back d2h.
-    const gpu::TransferStats t0 = device_->transfers();
-    region_->map_from(ids_.temp);
-    region_->map_from(ids_.qv);
-    region_->map_from(ids_.call_coal);
-    for (const mem::FieldId f : ids_.ff) region_->map_from(f);
-    region_->unmap_all();
-    st.charge_transfer_delta(t0, device_->transfers());
-  }
-  st.cells_active += cnt.active.load();
-  st.cells_coal += cnt.coal_cells.load();
-  st.cond_flops += static_cast<double>(cnt.flops_milli.load()) / 1000.0;
-  st.bulk_flops += static_cast<double>(cnt.bulk_flops_milli.load()) / 1000.0;
-}
-
 void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
                            prof::Profiler& prof) {
   const bool inline_coal = version_ == Version::kV0Baseline ||
                            version_ == Version::kV1LookupOnDemand;
   const int nkr = bins_.nkr();
-
-  CondConfig cond_cfg = params_.cond;
-  cond_cfg.dt = params_.dt;
-  NuclConfig nucl_cfg = params_.nucl;
-  nucl_cfg.dt = params_.dt;
 
   // Listing 1's j/k/i nest, dispatched through the execution space.
   // Every cell touches only its own state, so the nest parallelizes over
@@ -820,14 +798,15 @@ void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
         load_workspace(state, i, k, j, w);
 
         // Nucleation.
-        const NuclStats ns = jernucl01_ks(bins_, temp, qv, pres, w, nucl_cfg);
+        const NuclStats ns =
+            jernucl01_ks(bins_, temp, qv, pres, w, nucl_cfg_);
         pt.nucl_flops += ns.flops;
 
         // Condensation: warm path above freezing, mixed-phase below.
         const CondStats cs =
             temp >= c::kT0
-                ? onecond1(bins_, temp, qv, pres, w, cond_cfg)
-                : onecond2(bins_, temp, qv, pres, w, cond_cfg);
+                ? onecond1(bins_, temp, qv, pres, w, cond_cfg_)
+                : onecond2(bins_, temp, qv, pres, w, cond_cfg_);
         pt.cond_flops += cs.flops;
 
         state.temp(i, k, j) = static_cast<float>(temp);
@@ -857,10 +836,10 @@ void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
             pt.kernel_entries += tables_.kernals_ks(pres, *cw);
             ++pt.kernel_table_fills;
             const KernelSource ks(*cw);
-            coal_cell_stack(state, i, k, j, ks, cst);
+            coal_cell(state, i, k, j, ks, cst);
           } else {
             const KernelSource ks(tables_, pres);
-            coal_cell_stack(state, i, k, j, ks, cst);
+            coal_cell(state, i, k, j, ks, cst);
             pt.kernel_entries += cst.kernel_lookups;
           }
           pt.coal_interactions += cst.interactions;
@@ -922,14 +901,9 @@ void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
                         sum.wall_coal_sec);
   }
   st.merge(sum);
-  // Residency: this pass rewrote the thermo state, the bins, and the
-  // predicate — host-side under a host space (device copy stale), as a
-  // device kernel under exec=device (device copy advanced).
-  mark_pass_writes(st, exec_device_, /*thermo=*/true);
 }
 
 void FastSbm::emit_coal_trace(const MicroState& state, int i, int k, int j,
-                              bool pooled,
                               std::vector<gpu::AccessEvent>& out) const {
   auto addr = [](const void* p) {
     return reinterpret_cast<std::uint64_t>(p);
@@ -940,6 +914,7 @@ void FastSbm::emit_coal_trace(const MicroState& state, int i, int k, int j,
   out.push_back({addr(&state.pres(i, k, j)), 4, false});
 
   const int nkr = bins_.nkr();
+  const bool pooled = pool_fl1_ != nullptr;
   // Workspace copy-in: bin-strided reads of the ff slices; pooled runs
   // also write the pool slabs (global memory), stack runs keep the
   // workspace in thread-local storage invisible to the DRAM counters.
@@ -997,247 +972,129 @@ void FastSbm::emit_coal_trace(const MicroState& state, int i, int k, int j,
   }
 }
 
-void FastSbm::pass_coal_offload(MicroState& state, FsbmStats& st,
-                                prof::Profiler& prof) {
-  prof::ScopedRange cr(prof, "coal_bott_new_loop");
+void FastSbm::run_device_group(const std::vector<std::size_t>& group,
+                               MicroState& state, FsbmStats& st,
+                               prof::Profiler& prof) {
+  const auto has = [](const std::vector<mem::FieldId>& set, mem::FieldId f) {
+    return std::find(set.begin(), set.end(), f) != set.end();
+  };
+  // Compose the group: its lanes in chain order, the kernel resources,
+  // and the union footprint — every field touched, every field written,
+  // and the external reads (those no earlier member writes).
+  const exec::PassNode& head = graph_.node(group.front());
+  const bool fused = group.size() > 1;
+  gpu::KernelDesc desc;
+  desc.name = fused ? "" : head.name;
+  desc.collapse = head.collapse;
+  desc.fused_passes = static_cast<int>(group.size());
+  desc.regs_per_thread = 0;
+  std::vector<const Lane*> lanes;
+  std::vector<mem::FieldId> touched, written, external;
+  bool collision = false;
+  for (const std::size_t id : group) {
+    const exec::PassNode& node = graph_.node(id);
+    const Lane& lane = impls_[id].lane;
+    if (lane.run == nullptr) {
+      throw Error("FastSbm: pass " + node.name + " has no device lane");
+    }
+    lanes.push_back(&lane);
+    if (fused) desc.name += std::string(lane.stem) + "_";
+    desc.regs_per_thread = std::max(desc.regs_per_thread, lane.regs_per_thread);
+    desc.workspace_bytes_per_thread = std::max(
+        desc.workspace_bytes_per_thread, lane.workspace_bytes_per_thread);
+    collision |= lane.collision;
+    for (const mem::FieldId f : fields_of(node.reads)) {
+      if (!has(written, f) && !has(external, f)) external.push_back(f);
+      if (!has(touched, f)) touched.push_back(f);
+    }
+    for (const mem::FieldId f : fields_of(node.writes)) {
+      if (!has(touched, f)) touched.push_back(f);
+      if (!has(written, f)) written.push_back(f);
+    }
+  }
+  if (fused) desc.name += "fused";
+  prof::ScopedRange cr(prof, desc.name);
   const auto t0 = Clock::now();
 
-  const int nkr = bins_.nkr();
-  const int ni = patch_.ip.size();
-  const int nk = patch_.k.size();
-  const int nj = patch_.jp.size();
-  const bool pooled = version_ == Version::kV3Offload3;
-  const bool collapse3 = version_ != Version::kV2Offload2;
-
-  // Host -> device: bin distributions, thermodynamic fields, predicate.
-  // res=step opens a per-launch `target data` region — allocate + upload
-  // every field through the capacity check, the paper's as-ported
-  // behavior.  res=persist issues `target update to` of only the dirty
-  // bytes: halo shell strips and whatever host-side passes wrote since
-  // the device copy was last current.
-  {
-    const gpu::TransferStats t0 = device_->transfers();
-    if (persist()) {
-      region_->update_to(ids_.call_coal);
-      for (const mem::FieldId f : ids_.ff) region_->update_to(f);
-      region_->update_to(ids_.temp);
-      region_->update_to(ids_.pres);
-    } else {
-      region_->map_to(ids_.call_coal);
-      for (const mem::FieldId f : ids_.ff) region_->map_to(f);
-      region_->map_to(ids_.temp);
-      region_->map_to(ids_.pres);
-    }
-    st.charge_transfer_delta(t0, device_->transfers());
-  }
-
-  CoalCounters cnt;
-
-  gpu::KernelDesc desc;
-  desc.name = "coal_bott_new_loop";
-  desc.collapse = collapse3 ? 3 : 2;
-  desc.iterations = collapse3 ? static_cast<std::int64_t>(ni) * nk * nj
-                              : static_cast<std::int64_t>(nk) * nj;
-  desc.regs_per_thread = params_.coal_regs_per_thread;
-  desc.workspace_bytes_per_thread =
-      pooled ? 0
-             : static_cast<std::uint64_t>(params_.automatic_array_count) *
-                   static_cast<std::uint64_t>(nkr) * sizeof(float);
-  desc.double_precision = false;
-
-  auto run_cell = [&](int i, int k, int j) {
-    coal_run_cell(state, i, k, j, pooled, cnt);
-  };
-
-  if (collapse3) {
-    // Listing 6 with full collapse: one device lane per grid cell.
-    desc.body = [&](std::int64_t it) {
-      const int i = patch_.ip.lo + static_cast<int>(it % ni);
-      const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-      const int j = patch_.jp.lo + static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-      run_cell(i, k, j);
-    };
-  } else {
-    // collapse(2): lanes over (k, j); the i loop stays inside the lane.
-    desc.body = [&](std::int64_t it) {
-      const int k = patch_.k.lo + static_cast<int>(it % nk);
-      const int j = patch_.jp.lo + static_cast<int>(it / nk);
-      for (int i = patch_.ip.lo; i <= patch_.ip.hi; ++i) run_cell(i, k, j);
-    };
-  }
-  desc.flops_total = [&]() {
-    return coal_flops_model(cnt.interactions.load(), cnt.lookups.load());
-  };
-  desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-    if (collapse3) {
-      const int i = patch_.ip.lo + static_cast<int>(it % ni);
-      const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-      const int j = patch_.jp.lo + static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-      emit_coal_trace(state, i, k, j, pooled, out);
-    } else {
-      const int k = patch_.k.lo + static_cast<int>(it % nk);
-      const int j = patch_.jp.lo + static_cast<int>(it / nk);
-      for (int i = patch_.ip.lo; i <= patch_.ip.hi; ++i) {
-        emit_coal_trace(state, i, k, j, pooled, out);
-      }
-    }
-  };
-
-  st.coal_kernel = device_space_->launch(desc);
-
-  // Device -> host: updated distributions.  res=step closes the data
-  // region (full bin-field map(from:) + delete).  res=persist marks the
-  // kernel's writes device-dirty at bin-slice granularity through the
-  // predicate array and flushes exactly those slices d2h here (host
-  // passes consume them next), while under exec=device the fields stay
-  // resident (the next consumer is another device-dispatched nest).
-  {
-    const gpu::TransferStats t0 = device_->transfers();
-    if (persist()) {
-      if (exec_device_) {
-        for (const mem::FieldId f : ids_.ff) region_->mark_device_dirty(f);
-      } else {
-        mark_coal_writes(state);
-        for (const mem::FieldId f : ids_.ff) region_->update_from(f);
-      }
-    } else {
-      for (const mem::FieldId f : ids_.ff) region_->map_from(f);
-      region_->unmap_all();
-    }
-    st.charge_transfer_delta(t0, device_->transfers());
-  }
-
-  st.coal_interactions += cnt.interactions.load();
-  st.kernel_entries += cnt.lookups.load();
-  st.coal_flops += desc.flops_total();
-  st.wall_coal_sec += seconds_since(t0);
-}
-
-void FastSbm::pass_cond_coal_fused(MicroState& state, FsbmStats& st,
-                                   prof::Profiler& prof) {
-  // One launch for cond + coal: each lane runs the condensation body
-  // for its cell, then — gated by the predicate the lane itself just
-  // wrote — the collision body for the SAME cell.  Legal because the
-  // analyzer proved every shared field pointwise over the collapsed
-  // loop variables (the ctor's schedule), which makes lane-sequential
-  // execution bitwise identical to the two sequential full passes.
-  // The win: one launch latency instead of two, and no inter-pass
-  // transfer round-trip (coal's upload + cond's bin-field download).
-  prof::ScopedRange cr(prof, "onecond_coal_fused");
-  const auto t0 = Clock::now();
-  const int ni = patch_.ip.size();
-  const int nk = patch_.k.size();
-  const int nj = patch_.jp.size();
-  const int nkr = bins_.nkr();
-  const bool pooled = version_ == Version::kV3Offload3;
-
-  CondConfig cond_cfg = params_.cond;
-  cond_cfg.dt = params_.dt;
-  NuclConfig nucl_cfg = params_.nucl;
-  nucl_cfg.dt = params_.dt;
-
-  CondCounters ccnt;
-  CoalCounters kcnt;
-
-  gpu::KernelDesc desc;
-  desc.name = "onecond_coal_fused";
-  desc.collapse = 3;
-  desc.fused_passes = 2;
-  desc.iterations = static_cast<std::int64_t>(ni) * nk * nj;
-  // The fused lane carries both bodies: register pressure is the max of
-  // the two, workspace demand the coal kernel's (cond fits in stack).
-  desc.regs_per_thread =
-      std::max(params_.cond_regs_per_thread, params_.coal_regs_per_thread);
-  desc.workspace_bytes_per_thread =
-      pooled ? 0
-             : static_cast<std::uint64_t>(params_.automatic_array_count) *
-                   static_cast<std::uint64_t>(nkr) * sizeof(float);
-  desc.double_precision = false;
-  desc.body = [&](std::int64_t it) {
-    const int i = patch_.ip.lo + static_cast<int>(it % ni);
-    const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-    const int j =
-        patch_.jp.lo +
-        static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-    cond_run_cell(state, i, k, j, cond_cfg, nucl_cfg, ccnt);
-    coal_run_cell(state, i, k, j, pooled, kcnt);
-  };
-  desc.flops_total = [&]() {
-    return static_cast<double>(ccnt.flops_milli.load() +
-                               ccnt.bulk_flops_milli.load()) /
-               1000.0 +
-           coal_flops_model(kcnt.interactions.load(), kcnt.lookups.load());
-  };
-  desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-    const int i = patch_.ip.lo + static_cast<int>(it % ni);
-    const int k = patch_.k.lo + static_cast<int>((it / ni) % nk);
-    const int j =
-        patch_.jp.lo +
-        static_cast<int>(it / (static_cast<std::int64_t>(ni) * nk));
-    emit_cond_trace(state, i, k, j, out);
-    emit_coal_trace(state, i, k, j, pooled, out);
-  };
-
-  // Prologue: exactly the standalone cond launch's — the fused kernel's
-  // operands are cond's operand set (coal reads a subset plus the
-  // predicate cond writes).  Coal's separate upload is the h2d saving.
-  {
-    const gpu::TransferStats tx0 = device_->transfers();
-    if (persist()) {
-      region_->update_to(ids_.temp);
-      region_->update_to(ids_.qv);
-      region_->update_to(ids_.pres);
-      for (const mem::FieldId f : ids_.ff) region_->update_to(f);
-    } else {
-      region_->map_to(ids_.temp);
-      region_->map_to(ids_.qv);
-      region_->map_to(ids_.pres);
-      region_->map_to(ids_.call_coal);
-      for (const mem::FieldId f : ids_.ff) region_->map_to(f);
-    }
-    st.charge_transfer_delta(tx0, device_->transfers());
-  }
-
-  // The fused launch reports under the coal slot (the dominant body);
-  // cond_kernel stays unset — per-pass kernel stats are a property of
-  // the unfused layout.
-  st.coal_kernel = device_space_->launch(desc);
-
+  // Prologue: a per-launch `target data` region (res=step), or the
+  // resident operands brought current, dirty bytes only (res=persist).
+  const gpu::TransferStats x0 = device_->transfers();
   if (persist()) {
-    // Kernel writes: thermo + predicate + bins advance the device copy
-    // (operands were flushed above).  Then, like the standalone coal
-    // epilogue, flush the bin fields d2h when the next consumer is a
-    // host pass; under exec=device they stay resident.
-    mark_pass_writes(st, /*on_device=*/true, /*thermo=*/true);
-    if (!exec_device_) {
-      const gpu::TransferStats tx0 = device_->transfers();
-      mark_coal_writes(state);
-      for (const mem::FieldId f : ids_.ff) region_->update_from(f);
-      st.charge_transfer_delta(tx0, device_->transfers());
+    for (const mem::FieldId f : external) region_->update_to(f);
+  } else {
+    for (const mem::FieldId f : touched) region_->map_to(f);
+  }
+  st.charge_transfer_delta(x0, device_->transfers());
+
+  // Collapse-order lane decode: a collapse(3) lane is one cell; a
+  // collapse(2) lane is one (k, j) row with the i loop inside (v2).
+  const exec::Range3& r = head.range;
+  const exec::Range3 lane_range =
+      head.collapse == 3 ? r : exec::Range3{Range{r.i.lo, r.i.lo}, r.k, r.j};
+  const auto each_cell = [&](std::int64_t it, const auto& fn) {
+    const exec::Range3::Cell c = lane_range.cell(it);
+    if (head.collapse == 3) {
+      fn(c.i, c.k, c.j);
+    } else {
+      for (int i = r.i.lo; i <= r.i.hi; ++i) fn(i, c.k, c.j);
+    }
+  };
+  std::vector<LaneCounters> cnt(lanes.size());
+  desc.iterations = lane_range.size();
+  desc.body = [&](std::int64_t it) {
+    each_cell(it, [&](int i, int k, int j) {
+      for (std::size_t l = 0; l < lanes.size(); ++l) {
+        (this->*lanes[l]->run)(state, i, k, j, cnt[l]);
+      }
+    });
+  };
+  desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
+    each_cell(it, [&](int i, int k, int j) {
+      for (const Lane* lane : lanes) (this->*lane->trace)(state, i, k, j, out);
+    });
+  };
+  desc.flops_total = [&]() {
+    double flops = 0.0;
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      flops += lanes[l]->flops(cnt[l]);
+    }
+    return flops;
+  };
+  (collision ? st.coal_kernel : st.cond_kernel) = device_space_->launch(desc);
+
+  // Epilogue: close the per-launch region (res=step), or advance the
+  // device copies and hand the next pass its operands when it runs on
+  // the host (res=persist; a device consumer reads them in place).
+  if (persist()) {
+    for (std::size_t g = 0; g < group.size(); ++g) {
+      if (lanes[g]->collision) {
+        mark_coal_writes(state);
+      } else {
+        mark_written(fields_of(graph_.node(group[g]).writes),
+                     /*on_device=*/true, &st);
+      }
+    }
+    const std::size_t next = group.back() + 1;
+    if (next < graph_.size() && !graph_.node(next).device) {
+      const gpu::TransferStats x1 = device_->transfers();
+      const std::vector<mem::FieldId> needed =
+          fields_of(graph_.node(next).reads);
+      for (const mem::FieldId f : written) {
+        if (has(needed, f)) region_->update_from(f);
+      }
+      st.charge_transfer_delta(x1, device_->transfers());
     }
   } else {
-    // Close the one per-launch region: cond's output set maps back d2h
-    // ONCE (the unfused layout paid a second full bin-field download
-    // after the coal launch — that is the d2h saving).
-    const gpu::TransferStats tx0 = device_->transfers();
-    region_->map_from(ids_.temp);
-    region_->map_from(ids_.qv);
-    region_->map_from(ids_.call_coal);
-    for (const mem::FieldId f : ids_.ff) region_->map_from(f);
+    const gpu::TransferStats x1 = device_->transfers();
+    for (const mem::FieldId f : written) region_->map_from(f);
     region_->unmap_all();
-    st.charge_transfer_delta(tx0, device_->transfers());
+    st.charge_transfer_delta(x1, device_->transfers());
   }
 
-  st.cells_active += ccnt.active.load();
-  st.cells_coal += ccnt.coal_cells.load();
-  st.cond_flops += static_cast<double>(ccnt.flops_milli.load()) / 1000.0;
-  st.bulk_flops +=
-      static_cast<double>(ccnt.bulk_flops_milli.load()) / 1000.0;
-  st.coal_interactions += kcnt.interactions.load();
-  st.kernel_entries += kcnt.lookups.load();
-  st.coal_flops +=
-      coal_flops_model(kcnt.interactions.load(), kcnt.lookups.load());
-  st.wall_coal_sec += seconds_since(t0);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    lanes[l]->fold(cnt[l], lanes[l]->flops(cnt[l]), st);
+  }
+  if (collision) st.wall_coal_sec += seconds_since(t0);
 }
 
 void FastSbm::shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
@@ -1264,31 +1121,26 @@ void FastSbm::shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
   }
 }
 
-void FastSbm::pass_coal_hetero(MicroState& state, FsbmStats& st,
-                               prof::Profiler& prof) {
-  prof::ScopedRange cr(prof, "coal_bott_new_loop");
+void FastSbm::pass_coal_hetero(std::size_t id, MicroState& state,
+                               FsbmStats& st, prof::Profiler& prof) {
+  const exec::PassNode& node = graph_.node(id);
+  const Lane& lane = impls_[id].lane;
+  prof::ScopedRange cr(prof, node.name);
   const auto t0 = Clock::now();
-
-  const int nkr = bins_.nkr();
-  const int ni = patch_.ip.size();
-  const bool pooled = version_ == Version::kV3Offload3;
-  const bool collapse3 = version_ != Version::kV2Offload2;
+  const bool collapse3 = node.collapse == 3;
 
   // Predicate split over row tiles (one i-row per tile): the coal gate
   // is altitude-shaped — whole upper-level rows are predicate-false —
   // so row granularity is what lets the cheap remainder stay off the
   // device.  The cut is a pure function of (range, grain, call_coal_),
   // identical across shard concurrencies.
+  const exec::Range3& range = node.range;
   exec::LaunchParams lp;
-  lp.name = "coal_bott_new_loop";
-  lp.collapse = collapse3 ? 3 : 2;
-  lp.grain = ni;
-  lp.regs_per_thread = params_.coal_regs_per_thread;
-  lp.workspace_bytes_per_thread =
-      pooled ? 0
-             : static_cast<std::uint64_t>(params_.automatic_array_count) *
-                   static_cast<std::uint64_t>(nkr) * sizeof(float);
-  const exec::Range3 range{patch_.ip, patch_.k, patch_.jp};
+  lp.name = node.name.c_str();
+  lp.collapse = node.collapse;
+  lp.grain = range.i.size();
+  lp.regs_per_thread = lane.regs_per_thread;
+  lp.workspace_bytes_per_thread = lane.workspace_bytes_per_thread;
   const exec::TilePlan plan = exec::ExecSpace::plan_for(range, lp);
   const exec::SplitPlan sp = exec::split_plan(
       range, plan,
@@ -1323,86 +1175,64 @@ void FastSbm::pass_coal_hetero(MicroState& state, FsbmStats& st,
     host_wall = seconds_since(h0);
   });
 
-  CoalCounters cnt;
+  LaneCounters cnt;
   const auto d0 = Clock::now();
   try {
     if (!sp.device_tiles.empty()) {
-      // Shard-granular h2d under BOTH residency modes: a res=step launch
-      // map_allocs per-launch transients (fully host-dirty, so the
-      // ranged update moves exactly the shard's rows — never the
-      // predicate-false remainder), and res=persist moves the host-dirty
-      // bytes inside the shard rows only, leaving the rest marked for
-      // whoever needs them later.  One row walk, scaled per field
-      // footprint.
+      // Shard-granular h2d of the pass's reads under BOTH residency
+      // modes: a res=step launch map_allocs per-launch transients (fully
+      // host-dirty, so the ranged update moves exactly the shard's rows —
+      // never the predicate-false remainder), and res=persist moves the
+      // host-dirty bytes inside the shard rows only, leaving the rest
+      // marked for whoever needs them later.  One row walk, scaled per
+      // field to its per-cell bytes.
       std::vector<mem::ByteRange> cell_rows;
       shard_rows(sp, range, &cell_rows);
-      auto scaled = [&](std::uint64_t elem_bytes) {
-        std::vector<mem::ByteRange> rows;
-        rows.reserve(cell_rows.size());
-        for (const mem::ByteRange& r : cell_rows) {
-          rows.push_back({r.off * elem_bytes, r.len * elem_bytes});
-        }
-        return rows;
-      };
-      const std::vector<mem::ByteRange> rows_bins =
-          scaled(static_cast<std::uint64_t>(nkr) * sizeof(float));
-      const std::vector<mem::ByteRange> rows_scalar = scaled(sizeof(float));
       {
         const gpu::TransferStats tx0 = device_->transfers();
-        region_->update_to_ranges(ids_.call_coal, cell_rows);  // 1 B/cell
-        for (const mem::FieldId f : ids_.ff) {
-          region_->update_to_ranges(f, rows_bins);
+        for (const mem::FieldId f : fields_of(node.reads)) {
+          const std::uint64_t per_cell = region_->bytes(f) / call_coal_.size();
+          std::vector<mem::ByteRange> rows;
+          rows.reserve(cell_rows.size());
+          for (const mem::ByteRange& r : cell_rows) {
+            rows.push_back({r.off * per_cell, r.len * per_cell});
+          }
+          region_->update_to_ranges(f, rows);
         }
-        region_->update_to_ranges(ids_.temp, rows_scalar);
-        region_->update_to_ranges(ids_.pres, rows_scalar);
         st.charge_transfer_delta(tx0, device_->transfers());
       }
 
-      auto run_cell = [&](int i, int k, int j) {
-        coal_run_cell(state, i, k, j, pooled, cnt);
+      // Device-shard lanes: collapse(3) runs one lane per shard cell,
+      // collapse(2) one per shard (k, j) row with i inside.
+      const auto each_cell = [&](std::int64_t it, const auto& fn) {
+        if (collapse3) {
+          const exec::Range3::Cell c = range.cell(sp.device_flat(it));
+          fn(c.i, c.k, c.j);
+          return;
+        }
+        const std::int64_t t = sp.device_tiles[static_cast<std::size_t>(it)];
+        const exec::Range3::Cell c = range.cell(sp.plan.tile_begin(t));
+        for (int i = range.i.lo; i <= range.i.hi; ++i) fn(i, c.k, c.j);
       };
-
       gpu::KernelDesc desc;
-      desc.name = "coal_bott_new_loop";
-      desc.regs_per_thread = params_.coal_regs_per_thread;
-      desc.workspace_bytes_per_thread = lp.workspace_bytes_per_thread;
-      desc.double_precision = false;
-      desc.collapse = lp.collapse;
-      if (collapse3) {
-        // One device lane per device-shard cell.
-        desc.iterations = sp.device_cells;
-        desc.body = [&](std::int64_t it) {
-          const exec::Range3::Cell c = range.cell(sp.device_flat(it));
-          run_cell(c.i, c.k, c.j);
-        };
-        desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-          const exec::Range3::Cell c = range.cell(sp.device_flat(it));
-          emit_coal_trace(state, c.i, c.k, c.j, pooled, out);
-        };
-      } else {
-        // collapse(2): one lane per device-shard (k, j) row, i inside.
-        desc.iterations = static_cast<std::int64_t>(sp.device_tiles.size());
-        desc.body = [&](std::int64_t it) {
-          const std::int64_t t =
-              sp.device_tiles[static_cast<std::size_t>(it)];
-          const exec::Range3::Cell c = range.cell(sp.plan.tile_begin(t));
-          for (int i = range.i.lo; i <= range.i.hi; ++i) {
-            run_cell(i, c.k, c.j);
-          }
-        };
-        desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-          const std::int64_t t =
-              sp.device_tiles[static_cast<std::size_t>(it)];
-          const exec::Range3::Cell c = range.cell(sp.plan.tile_begin(t));
-          for (int i = range.i.lo; i <= range.i.hi; ++i) {
-            emit_coal_trace(state, i, c.k, c.j, pooled, out);
-          }
-        };
-      }
-      desc.flops_total = [&]() {
-        return coal_flops_model(cnt.interactions.load(), cnt.lookups.load());
+      desc.name = node.name;
+      desc.collapse = node.collapse;
+      desc.regs_per_thread = lane.regs_per_thread;
+      desc.workspace_bytes_per_thread = lane.workspace_bytes_per_thread;
+      desc.iterations =
+          collapse3 ? sp.device_cells
+                    : static_cast<std::int64_t>(sp.device_tiles.size());
+      desc.body = [&](std::int64_t it) {
+        each_cell(it, [&](int i, int k, int j) {
+          (this->*lane.run)(state, i, k, j, cnt);
+        });
       };
-
+      desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
+        each_cell(it, [&](int i, int k, int j) {
+          (this->*lane.trace)(state, i, k, j, out);
+        });
+      };
+      desc.flops_total = [&]() { return lane.flops(cnt); };
       st.coal_kernel = device_space_->launch(desc);
 
       // d2h: the kernel's writes at bin-slice granularity through the
@@ -1412,7 +1242,9 @@ void FastSbm::pass_coal_hetero(MicroState& state, FsbmStats& st,
       {
         const gpu::TransferStats tx0 = device_->transfers();
         mark_coal_writes(state);
-        for (const mem::FieldId f : ids_.ff) region_->update_from(f);
+        for (const mem::FieldId f : fields_of(node.writes)) {
+          region_->update_from(f);
+        }
         if (!persist()) region_->unmap_all();
         st.charge_transfer_delta(tx0, device_->transfers());
       }
@@ -1431,10 +1263,7 @@ void FastSbm::pass_coal_hetero(MicroState& state, FsbmStats& st,
                 "host shard");
   }
 
-  st.coal_interactions += cnt.interactions.load();
-  st.kernel_entries += cnt.lookups.load();
-  st.coal_flops += coal_flops_model(cnt.interactions.load(),
-                                    cnt.lookups.load());
+  lane.fold(cnt, lane.flops(cnt), st);
   st.wall_coal_sec += seconds_since(t0);
 }
 
@@ -1514,9 +1343,6 @@ void FastSbm::pass_sedimentation(MicroState& state, FsbmStats& st,
         }
       });
   st.merge(sum);
-  // Residency: sedimentation rewrote every bin column (host-side under a
-  // host space; modeled as a device kernel under exec=device).
-  mark_pass_writes(st, exec_device_, /*thermo=*/false);
 }
 
 void FastSbm::pass_sedimentation_blocked(MicroState& state, FsbmStats& st,
@@ -1691,8 +1517,6 @@ void FastSbm::pass_sedimentation_blocked(MicroState& state, FsbmStats& st,
   FsbmStats sum;
   for (const FsbmStats& part : parts) sum.merge(part);
   st.merge(sum);
-  // Residency: same dirty marks as the per-column path (see above).
-  mark_pass_writes(st, exec_device_, /*thermo=*/false);
 }
 
 FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
@@ -1702,10 +1526,6 @@ FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
             {"groups", schedule_.groups.size()}});
   const auto t0 = Clock::now();
   FsbmStats st;
-  // Walk the fusion schedule: a two-pass group is the fused cond+coal
-  // launch; singleton groups dispatch their pass exactly as the
-  // pre-graph step() did (each node's device/split flags encode the
-  // old offloaded/hetero conditions).
   const std::size_t launches0 =
       device_ != nullptr ? device_->launches().size() : 0;
   // The fidelity sweep is a step prologue, not a PassGraph node: it
@@ -1715,36 +1535,21 @@ FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
   // launches, no extra stats, bitwise-identical behavior to builds
   // without the knob.
   if (params_.phys != PhysScheme::kBin) pass_fidelity(state, st, prof);
+  // Walk the fusion schedule: host passes dispatch as themselves, the
+  // predicate-split collision pass through its shards, and every other
+  // group — one pass or a fused run of them — as one device launch.
   for (const auto& group : schedule_.groups) {
-    const exec::PassNode& head = graph_.node(group[0]);
-    if (group.size() == 2) {
-      if (head.tag != kTagPre || graph_.node(group[1]).tag != kTagCoal) {
-        throw Error("FastSbm: unexpected fused group (only cond+coal has a "
-                    "fused kernel)");
-      }
-      pass_cond_coal_fused(state, st, prof);
-      continue;
-    }
-    switch (head.tag) {
-      case kTagPre:
-        if (head.device) {
-          pass_cond_offload(state, st, prof);
-        } else {
-          pass_physics(state, st, prof);
-        }
-        break;
-      case kTagCoal:
-        if (head.split) {
-          pass_coal_hetero(state, st, prof);
-        } else {
-          pass_coal_offload(state, st, prof);
-        }
-        break;
-      case kTagSed:
-        pass_sedimentation(state, st, prof);
-        break;
-      default:
-        throw Error("FastSbm: unknown pass tag in schedule");
+    const std::size_t id = group.front();
+    const exec::PassNode& node = graph_.node(id);
+    if (impls_[id].host != nullptr) {
+      (this->*impls_[id].host)(state, st, prof);
+      // Residency: the nest's writes stale the device copy under a host
+      // space, or advance it under exec=device (modeled device kernel).
+      mark_written(fields_of(node.writes), exec_device_, &st);
+    } else if (node.split) {
+      pass_coal_hetero(id, state, st, prof);
+    } else {
+      run_device_group(group, state, st, prof);
     }
   }
   if (device_ != nullptr) {

@@ -261,6 +261,15 @@ class FastSbm {
   const exec::PassGraph& pass_graph() const noexcept { return graph_; }
   const exec::Schedule& schedule() const noexcept { return schedule_; }
 
+  /// The fusion schedule a scheme constructed with these arguments runs
+  /// under exec kind `exec` — the same pass-chain declaration and
+  /// analyzer verdicts as the constructor's, without building a scheme
+  /// or a device.  The tuner asks it whether fuse=auto can fire.
+  static exec::Schedule plan_schedule(const grid::Patch& patch, int nkr,
+                                      Version version,
+                                      const FsbmParams& params,
+                                      exec::ExecKind exec);
+
   /// res=persist: the dynamics transport (an RK3 stage update) rewrote
   /// qv and every bin field — stale the device copies (host exec
   /// spaces) or advance them (exec=device models the tendency/update
@@ -271,10 +280,6 @@ class FastSbm {
   void mark_transport_writes(FsbmStats* st = nullptr);
 
  private:
-  struct CellRef {
-    int i, k, j;
-  };
-
   /// Step prologue under phys=bulk|hybrid: resolve each cell's fidelity
   /// for this step (promote/demote transitions with hysteresis, or the
   /// override), apply the bin<->bulk transforms, and re-collapse cells
@@ -305,38 +310,98 @@ class FastSbm {
   /// predicate for v2/v3 or runs collisions inline for v0/v1.
   void pass_physics(MicroState& state, FsbmStats& st, prof::Profiler& prof);
 
-  /// Pass 2 (v2/v3): the isolated, offloaded collision loop (Listing 6).
-  void pass_coal_offload(MicroState& state, FsbmStats& st,
-                         prof::Profiler& prof);
+  /// Per-launch counters of one device lane; relaxed atomics so lanes
+  /// may run on any shard or pool thread.  Each lane counts its subset.
+  struct LaneCounters {
+    std::atomic<std::uint64_t> interactions{0};  ///< coal
+    std::atomic<std::uint64_t> lookups{0};       ///< coal
+    std::atomic<std::uint64_t> active{0};        ///< cond
+    std::atomic<std::uint64_t> coal_cells{0};    ///< cond: predicate set
+    /// cond flops * 1000 as an integer so relaxed adds stay exact; the
+    /// bulk-fidelity lanes' Kessler flops apart (phys=bulk|hybrid).
+    std::atomic<std::uint64_t> flops_milli{0};
+    std::atomic<std::uint64_t> bulk_flops_milli{0};
+  };
+
+  /// A device pass's lane descriptor, declared next to its PassNode:
+  /// what one lane runs and traces per cell, the kernel resources it
+  /// needs, its flop model, and how its counters fold into FsbmStats.
+  /// run_device_group composes these lane-wise for a fused group;
+  /// pass_coal_hetero launches the collision lane over its shard.
+  struct Lane {
+    const char* stem = "";  ///< fused kernel name part (onecond_coal_fused)
+    int regs_per_thread = 0;
+    std::uint64_t workspace_bytes_per_thread = 0;
+    void (FastSbm::*run)(MicroState&, int, int, int, LaneCounters&) = nullptr;
+    void (FastSbm::*trace)(const MicroState&, int, int, int,
+                           std::vector<gpu::AccessEvent>&) const = nullptr;
+    /// The launch's flop model, and the fold of the counters (and that
+    /// flop total) into the step's stats.
+    double (*flops)(const LaneCounters&) = nullptr;
+    void (*fold)(const LaneCounters&, double flops, FsbmStats&) = nullptr;
+    /// The collision lane: its launch reports under coal_kernel (alone
+    /// or fused; otherwise cond_kernel), its group charges
+    /// wall_coal_sec, and under res=persist it marks its writes at
+    /// predicate-masked bin-slice granularity (mark_coal_writes) instead
+    /// of whole fields.
+    bool collision = false;
+  };
+
+  /// How FastSbm runs one PassGraph node: host passes name their pass
+  /// function (dispatched as-is); device passes declare a lane.
+  struct PassImpl {
+    void (FastSbm::*host)(MicroState&, FsbmStats&, prof::Profiler&) = nullptr;
+    Lane lane;
+  };
+
+  /// The per-step pass chain: one PassNode per pass (footprint, tile
+  /// plan, kernel source) and, by node id, how FastSbm runs it.
+  struct PassChain {
+    exec::PassGraph graph;
+    std::vector<PassImpl> impls;
+  };
+  static PassChain declare_passes(const grid::Patch& patch, int nkr,
+                                  Version version, const FsbmParams& params,
+                                  bool exec_device, bool split_coal);
+
+  /// Run one device-shard group of the schedule as one launch: a single
+  /// pass, or a fused group whose lanes run every member's body back to
+  /// back per cell (fused_passes = group size, max regs, max workspace).
+  /// Lanes decode once per collapse order (collapse(3): one cell;
+  /// collapse(2): one (k, j) row, i inside).  Every DataRegion verb
+  /// derives from the group's footprint:
+  ///
+  ///   res=step    prologue: map_to every field in the union of reads
+  ///               and writes.  epilogue: map_from the union of writes,
+  ///               then unmap_all.
+  ///   res=persist prologue: update_to the external reads — each node's
+  ///               reads that no earlier node in the group writes.
+  ///               epilogue: mark each node's writes device-dirty (whole
+  ///               fields after the read-coherence flush, or the
+  ///               collision lane's masked bin slices), then update_from
+  ///               the written fields the next pass reads when that pass
+  ///               runs on the host.
+  ///
+  /// The analyzer's fusion proof (analyzer/fusion.hpp) is the pointwise
+  /// condition that makes a fused group bitwise identical to its passes
+  /// launched one by one.
+  void run_device_group(const std::vector<std::size_t>& group,
+                        MicroState& state, FsbmStats& st,
+                        prof::Profiler& prof);
 
   /// Heterogeneous collision pass (exec=hetero): predicate-split the
-  /// pass's row-tile plan, launch the kernel over only the device-shard
-  /// tiles (shard-granular h2d/d2h through the data region) while the
-  /// host shard walks the predicate-false remainder concurrently.
-  void pass_coal_hetero(MicroState& state, FsbmStats& st,
+  /// pass's row-tile plan, launch node `id`'s lane over only the
+  /// device-shard tiles (shard-granular h2d/d2h through the data region)
+  /// while the host shard walks the predicate-false remainder
+  /// concurrently.
+  void pass_coal_hetero(std::size_t id, MicroState& state, FsbmStats& st,
                         prof::Profiler& prof);
 
   /// Memory rows (sorted ascending, disjoint) covering the device-shard
   /// tiles of `sp`, in CELLS of the shared scalar geometry — one walk;
-  /// callers scale offsets and lengths to each field's per-cell bytes
-  /// (nkr*sizeof(float) for bin fields, sizeof(float) for thermo
-  /// scalars, 1 for the predicate).
+  /// callers scale offsets and lengths to each field's per-cell bytes.
   void shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
                   std::vector<mem::ByteRange>* cell_rows) const;
-
-  /// §VIII extension: nucleation+condensation as a device kernel.
-  void pass_cond_offload(MicroState& state, FsbmStats& st,
-                         prof::Profiler& prof);
-
-  /// Fused cond+coal launch (fuse=auto when the analyzer approves the
-  /// pair): one kernel whose lanes run both pass bodies back to back
-  /// for their own cell, skipping the inter-pass transfer round-trip.
-  /// Bitwise identical to pass_cond_offload + pass_coal_offload — the
-  /// legality proof (analyzer/fusion.hpp) is exactly the pointwise
-  /// condition that makes lane-sequential execution equal to two
-  /// sequential full passes.
-  void pass_cond_coal_fused(MicroState& state, FsbmStats& st,
-                            prof::Profiler& prof);
 
   void pass_sedimentation(MicroState& state, FsbmStats& st,
                           prof::Profiler& prof);
@@ -347,58 +412,24 @@ class FastSbm {
   void pass_sedimentation_blocked(MicroState& state, FsbmStats& st,
                                   prof::Profiler& prof);
 
-  /// Per-launch counters of an offloaded collision kernel; relaxed
-  /// atomics so lanes may run on any shard or pool thread.
-  struct CoalCounters {
-    std::atomic<std::uint64_t> interactions{0};
-    std::atomic<std::uint64_t> lookups{0};
-    std::atomic<std::uint64_t> cells{0};
-  };
+  /// The collision lane (Listing 6's body): predicate gate, device-FMA
+  /// kernel source, pooled (v3) or stack workspace.
+  void coal_run_cell(MicroState& state, int i, int k, int j,
+                     LaneCounters& c);
 
-  /// One offloaded collision lane (Listing 6's body): predicate gate,
-  /// device-FMA kernel source, stack vs pooled workspace.  Shared by
-  /// the full-pass launch and the hetero device shard so the two
-  /// dispatch modes can never drift apart per cell.
-  void coal_run_cell(MicroState& state, int i, int k, int j, bool pooled,
-                     CoalCounters& c);
-
-  /// Per-launch counters of the offloaded condensation kernel.
-  struct CondCounters {
-    std::atomic<std::uint64_t> active{0};
-    std::atomic<std::uint64_t> coal_cells{0};
-    /// flops * 1000 as an integer so relaxed adds stay exact.
-    std::atomic<std::uint64_t> flops_milli{0};
-    /// Bulk-fidelity lanes' Kessler flops (phys=bulk|hybrid only).
-    std::atomic<std::uint64_t> bulk_flops_milli{0};
-  };
-
-  /// One offloaded condensation lane (the §VIII body): predicate
-  /// refill, activity gate, nucleation + condensation, writeback.
-  /// Shared by the standalone cond launch and the fused cond+coal
-  /// launch so the two can never drift apart per cell.
+  /// The condensation lane (the §VIII body): predicate refill, activity
+  /// gate, nucleation + condensation, writeback.
   void cond_run_cell(MicroState& state, int i, int k, int j,
-                     const CondConfig& cond_cfg, const NuclConfig& nucl_cfg,
-                     CondCounters& cnt);
+                     LaneCounters& c);
 
   /// Memory-access trace of one condensation lane (cache model).
   void emit_cond_trace(const MicroState& state, int i, int k, int j,
                        std::vector<gpu::AccessEvent>& out) const;
 
-  /// The offloaded kernel's flop model: 24 per interaction + 4 per
-  /// kernel lookup.
-  static double coal_flops_model(std::uint64_t interactions,
-                                 std::uint64_t lookups) noexcept {
-    return 24.0 * static_cast<double>(interactions) +
-           4.0 * static_cast<double>(lookups);
-  }
-
-  /// Run collisions for one cell with a stack workspace (v0-v2 path).
-  void coal_cell_stack(MicroState& state, int i, int k, int j,
-                       const KernelSource& ks, CoalStats& cst);
-
-  /// Run collisions for one cell with pooled workspace slices (v3 path).
-  void coal_cell_pooled(MicroState& state, int i, int k, int j,
-                        const KernelSource& ks, CoalStats& cst);
+  /// Run collisions for one cell: v3 uses its pooled workspace slices,
+  /// every other version a stack workspace.
+  void coal_cell(MicroState& state, int i, int k, int j,
+                 const KernelSource& ks, CoalStats& cst);
 
   /// Copy state bins into a workspace / back.
   static void load_workspace(const MicroState& s, int i, int k, int j,
@@ -407,10 +438,10 @@ class FastSbm {
                               const CoalWorkspace& w);
 
   /// Emit the memory-access trace one collision iteration generates
-  /// (for the device cache model).  `pooled` decides whether workspace
-  /// traffic hits global memory.
+  /// (for the device cache model).  Pooled (v3) workspace traffic hits
+  /// global memory.
   void emit_coal_trace(const MicroState& state, int i, int k, int j,
-                       bool pooled, std::vector<gpu::AccessEvent>& out) const;
+                       std::vector<gpu::AccessEvent>& out) const;
 
   /// The execution space host passes dispatch through (never null).
   exec::ExecSpace& exec_space() const noexcept {
@@ -422,18 +453,19 @@ class FastSbm {
            params_.residency == mem::ResidencyMode::kPersist;
   }
 
+  /// The region fields a PassNode footprint names ("ff" is the
+  /// bin-field family), in registration order; empty without a region.
+  std::vector<mem::FieldId> fields_of(
+      const std::vector<std::string>& names) const;
+
   /// Mark the fields a pass wrote: host passes stale the device copy
   /// (host-dirty); passes dispatched on the device (exec=device, or the
   /// offloaded kernels themselves) advance the device copy instead
   /// (device-dirty, after a read-coherence h2d flush of pending host
-  /// writes — the kernel consumed current operands).  No-op unless
-  /// res=persist.
-  void mark_written(const std::vector<mem::FieldId>& ids, bool on_device);
-
-  /// Shared pass epilogue: mark_written for the bin fields (plus the
-  /// thermo state + predicate when `thermo`), charging any
-  /// read-coherence flush bytes into `st`.  No-op unless res=persist.
-  void mark_pass_writes(FsbmStats& st, bool on_device, bool thermo);
+  /// writes — the kernel consumed current operands).  Any flush bytes
+  /// are charged into `st` when given.  No-op unless res=persist.
+  void mark_written(const std::vector<mem::FieldId>& ids, bool on_device,
+                    FsbmStats* st);
 
   /// Strip-granular device-dirty marks for the collision kernel's
   /// writes: one bin-slice range per predicate-flagged cell, walked in
@@ -479,9 +511,15 @@ class FastSbm {
   /// True when `exec` is a DeviceSpace: host passes are then modeled as
   /// device-resident kernels, so their writes advance the device copy.
   bool exec_device_ = false;
+  /// The dt-stamped per-cell configs of the cond and coal bodies.
+  CondConfig cond_cfg_;
+  NuclConfig nucl_cfg_;
+  CoalConfig coal_cfg_;
   /// The per-step pass chain (PassNodes with footprints + embedded
-  /// kernel sources) and its fusion schedule under params_.fuse.
+  /// kernel sources), how each node runs, and the fusion schedule under
+  /// params_.fuse.
   exec::PassGraph graph_;
+  std::vector<PassImpl> impls_;
   exec::Schedule schedule_;
 };
 

@@ -151,6 +151,10 @@ struct RunConfig {
   void validate() const;
 
   std::string describe() const;
+
+  /// The scheme parameters a rank's FastSbm runs with: fsbm_params plus
+  /// the run-level knobs (dt, dz, sed, res, fuse, phys) stamped in.
+  fsbm::FsbmParams scheme_params() const;
 };
 
 }  // namespace wrf::model

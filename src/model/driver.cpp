@@ -125,6 +125,17 @@ std::string RunConfig::describe() const {
   return out;
 }
 
+fsbm::FsbmParams RunConfig::scheme_params() const {
+  fsbm::FsbmParams params = fsbm_params;
+  params.dt = dt;
+  params.sed.dz = dz;
+  params.sed_dispatch = sed;
+  params.residency = res;
+  params.fuse = fuse;
+  params.phys = phys;
+  return params;
+}
+
 RankModel::RankModel(const RunConfig& config, const grid::Patch& patch,
                      par::RankCtx* ctx)
     : config_(config), patch_(patch), ctx_(ctx),
@@ -139,15 +150,9 @@ RankModel::RankModel(const RunConfig& config, const grid::Patch& patch,
     device_->set_heap_limit(config_.heap_bytes);
   }
   exec_space_ = exec::make_space(config_.exec, device_.get());
-  fsbm::FsbmParams params = config_.fsbm_params;
-  params.dt = config_.dt;
-  params.sed.dz = config_.dz;
-  params.sed_dispatch = config_.sed;
-  params.residency = config_.res;
-  params.fuse = config_.fuse;
-  params.phys = config_.phys;
   fsbm_ = std::make_unique<fsbm::FastSbm>(patch_, config_.nkr,
-                                          config_.version, params,
+                                          config_.version,
+                                          config_.scheme_params(),
                                           device_.get(), exec_space_.get());
   dyn::AdvConfig adv;
   adv.dx = config_.dx;

@@ -146,8 +146,25 @@ SearchSpace SearchSpace::enumerate(const model::RunConfig& base,
   std::vector<dyn::HaloMode> halos{dyn::HaloMode::kSync};
   if (multi_rank) halos.push_back(dyn::HaloMode::kOverlap);
 
-  std::vector<exec::FuseMode> fuses{exec::FuseMode::kOff};
-  if (offloaded) fuses.push_back(exec::FuseMode::kAuto);
+  // fuse=auto is a point only where it can fire: where the scheme's
+  // own pass-chain declaration, scheduled under fuse=auto for that exec
+  // point, forms a multi-pass launch group.
+  model::RunConfig fused = base;
+  fused.fuse = exec::FuseMode::kAuto;
+  const grid::Patch patch =
+      grid::decompose(base.domain(), base.npx, base.npy, base.halo)[0];
+  const auto fuses_for = [&](const exec::ExecConfig& e) {
+    std::vector<exec::FuseMode> fuses{exec::FuseMode::kOff};
+    const exec::Schedule s = fsbm::FastSbm::plan_schedule(
+        patch, base.nkr, base.version, fused.scheme_params(), e.kind);
+    for (const auto& group : s.groups) {
+      if (group.size() > 1) {
+        fuses.push_back(exec::FuseMode::kAuto);
+        break;
+      }
+    }
+    return fuses;
+  };
 
   SearchSpace space;
   // The untuned point always leads: a tuner that prunes everything
@@ -155,6 +172,7 @@ SearchSpace SearchSpace::enumerate(const model::RunConfig& base,
   // by out-measuring it.
   space.points.push_back(KnobSet::of(base));
   for (const auto& e : execs) {
+    const std::vector<exec::FuseMode> fuses = fuses_for(e);
     for (const auto& h : halos) {
       for (const auto& sd : seds) {
         for (const auto& r : reses) {

@@ -283,9 +283,9 @@ struct LedgerRow {
   Ledger expect;
 };
 
-// Captured from the hand-written offload passes the pass executor
-// replaced; any drift in bytes, transfer counts, launches or state is a
-// behaviour change, not noise.
+// Pinned literals, one row per cell of the matrix below: every value
+// is deterministic, so any drift in bytes, transfer counts, launches or
+// state is a behaviour change, not noise.
 const LedgerRow kLedger[] = {
     {"v2-offload-collapse2/res=step/exec=serial/fuse=off/cond=host",
      {5911488u, 5854464u, 20u, 14u, 2u, 0x664646e39050e263ull, 0xcb681b805842d6ffull}},

@@ -198,8 +198,23 @@ TEST(TuneSpace, EnumerationRespectsValidityConstraints) {
   }
   EXPECT_TRUE(saw_device);
   EXPECT_TRUE(saw_persist);
-  EXPECT_TRUE(saw_fuse);
+  // Default v3 offloads only the collision pass: nothing can fuse, so
+  // fuse=auto would be a duplicate of fuse=off and is not offered.
+  EXPECT_FALSE(saw_fuse);
   EXPECT_GT(ds.points.size(), hs.points.size());
+
+  // With condensation offloaded too, cond+coal fuse on every exec point
+  // that does not predicate-split the collision pass (all but hetero).
+  model::RunConfig cond = dev;
+  cond.fsbm_params.offload_condensation = true;
+  const tune::SearchSpace cs = tune::SearchSpace::enumerate(cond, 4);
+  bool saw_fused_point = false;
+  for (const tune::KnobSet& k : cs.points) {
+    if (k.fuse != exec::FuseMode::kAuto) continue;
+    saw_fused_point = true;
+    EXPECT_NE(k.exec.kind, exec::ExecKind::kHetero) << k.describe();
+  }
+  EXPECT_TRUE(saw_fused_point);
 
   model::RunConfig multi = tiny_case();
   multi.nx = 32;
