@@ -139,8 +139,8 @@ void random_sed_column(Rng& rng, std::vector<float>& g,
   }
 }
 
-/// The per-column oracle: terminal-velocity lookups paid per
-/// (bin, level, substep).
+/// The column solver: density corrections hoisted per level, base fall
+/// speeds per bin, courant numbers per (bin, level).
 void BM_SedimentColumn(benchmark::State& state) {
   Rng rng(11);
   std::vector<float> base;
@@ -156,39 +156,6 @@ void BM_SedimentColumn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSedNz * 33);
 }
 BENCHMARK(BM_SedimentColumn);
-
-/// The blocked solver at N columns: one power-law lookup per bin per
-/// block, density corrections shared across bins, lockstep substeps.
-void BM_SedimentBlock(benchmark::State& state) {
-  const int ncol = static_cast<int>(state.range(0));
-  Rng rng(11);
-  std::vector<float> base_blk(static_cast<std::size_t>(kSedNz) * 33 * ncol);
-  std::vector<double> rho_blk(static_cast<std::size_t>(kSedNz) * ncol);
-  for (int c = 0; c < ncol; ++c) {
-    std::vector<float> g;
-    std::vector<double> rho;
-    random_sed_column(rng, g, rho);
-    for (int iz = 0; iz < kSedNz; ++iz) {
-      rho_blk[static_cast<std::size_t>(iz) * ncol + c] =
-          rho[static_cast<std::size_t>(iz)];
-      for (int k = 0; k < 33; ++k) {
-        base_blk[(static_cast<std::size_t>(iz) * 33 + k) * ncol + c] =
-            g[static_cast<std::size_t>(iz) * 33 + k];
-      }
-    }
-  }
-  fsbm::SedConfig cfg;
-  std::vector<double> precip(static_cast<std::size_t>(ncol));
-  for (auto _ : state) {
-    auto g = base_blk;
-    benchmark::DoNotOptimize(
-        fsbm::sediment_block(bins33(), fsbm::Species::kLiquid, g.data(),
-                             rho_blk.data(), kSedNz, ncol, cfg,
-                             precip.data()));
-  }
-  state.SetItemsProcessed(state.iterations() * kSedNz * 33 * ncol);
-}
-BENCHMARK(BM_SedimentBlock)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 /// The 5th/3rd-order advection tendency for one 32^3-ish patch.
 void BM_RkScalarTend(benchmark::State& state) {

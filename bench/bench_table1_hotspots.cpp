@@ -11,9 +11,7 @@
 // "Nsight" view profiles the single rank owning the squall line (load
 // imbalance makes its fast_sbm share larger, as the paper observes).
 
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "bench_common.hpp"
 
@@ -115,71 +113,5 @@ int main(int argc, char** argv) {
   std::printf("  %-16s %10.3f s  (median %.3f, cv %.3f)  speedup %.2fx\n",
               sweep.describe().c_str(), t_exec.min, t_exec.median, t_exec.cv,
               t_exec.min > 0.0 ? t_serial.min / t_exec.min : 0.0);
-
-  // Sedimentation dispatch sweep (sed= knob): the per-column oracle vs
-  // the blocked multi-column solver.  The blocked path hoists the
-  // per-bin terminal-velocity power law out of the column/level/substep
-  // loops (one lookup per bin per block) and shares the per-level
-  // density corrections across all bins, so the lookup counters fall by
-  // far more than the block width; per-column CFL substeps are
-  // dispatch-invariant, while the lockstep count shows how many marches
-  // each block actually paid for.  Pass `sed=block:N` to add a custom
-  // width to the sweep.
-  struct SedRow {
-    std::string mode;
-    fsbm::FsbmStats f;
-    bench::RepAggregate wall;
-  };
-  auto sed_run = [&](const fsbm::SedDispatch& sd) {
-    SedRow row;
-    row.mode = sd.describe();
-    // Counters are deterministic per dispatch mode; only the wall column
-    // is aggregated over reps (stats kept from the last rep).
-    row.wall = bench::measure_reps(wall_reps, [&]() {
-      model::RunConfig c =
-          bench::bench_case(fsbm::Version::kV1LookupOnDemand, 3);
-      c.npx = c.npy = 1;
-      c.sed = sd;
-      const auto ps = grid::decompose(c.domain(), 1, 1, c.halo);
-      model::RankModel rank(c, ps[0], nullptr);
-      rank.init();
-      prof::Profiler p;
-      row.f = fsbm::FsbmStats{};
-      for (int s = 0; s < c.nsteps; ++s) row.f.merge(rank.step(p).fsbm);
-      return p.inclusive_sec("sedimentation");
-    });
-    return row;
-  };
-  std::vector<fsbm::SedDispatch> sed_modes;
-  sed_modes.push_back(fsbm::SedDispatch{});  // column oracle
-  for (const int n : {4, 8, 16}) {
-    fsbm::SedDispatch sd;
-    sd.kind = fsbm::SedDispatch::Kind::kBlock;
-    sd.block = n;
-    sed_modes.push_back(sd);
-  }
-  const fsbm::SedDispatch custom = fsbm::sed_from_args(argc, argv);
-  if (custom.kind == fsbm::SedDispatch::Kind::kBlock) {
-    sed_modes.push_back(custom);
-  }
-  std::printf("\nsedimentation dispatch sweep (column vs block, v1, 1 rank, "
-              "%d reps):\n", wall_reps);
-  std::printf("  %-10s %9s %7s %13s %13s %11s %11s %9s\n", "sed=",
-              "wall min", "cv", "tv_lookups", "corr_evals", "substeps",
-              "lockstep", "amort");
-  double lookups_column = 0.0;
-  for (const auto& sd : sed_modes) {
-    const SedRow row = sed_run(sd);
-    const double lookups =
-        static_cast<double>(row.f.sed_tv_lookups + row.f.sed_corr_evals);
-    if (sd.kind == fsbm::SedDispatch::Kind::kColumn) lookups_column = lookups;
-    std::printf("  %-10s %9.3f %7.3f %13llu %13llu %11llu %11llu %8.1fx\n",
-                row.mode.c_str(), row.wall.min, row.wall.cv,
-                static_cast<unsigned long long>(row.f.sed_tv_lookups),
-                static_cast<unsigned long long>(row.f.sed_corr_evals),
-                static_cast<unsigned long long>(row.f.sed_substeps),
-                static_cast<unsigned long long>(row.f.sed_lockstep_substeps),
-                lookups > 0.0 ? lookups_column / lookups : 0.0);
-  }
   return 0;
 }

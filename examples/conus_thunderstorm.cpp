@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   cfg.version = fsbm::Version::kV3Offload3;
   cfg.exec = exec::exec_from_args(argc, argv);
   cfg.halo_mode = dyn::halo_mode_from_args(argc, argv);
-  cfg.sed = fsbm::sed_from_args(argc, argv);
   cfg.phys = fsbm::phys_from_args(argc, argv);  // bin | bulk | hybrid
   cfg.res = mem::residency_from_args(argc, argv);
   cfg.fuse = exec::fuse_from_args(argc, argv);  // off | auto

@@ -5,8 +5,8 @@
 //
 // Build & run:
 //   cmake --build build && ./build/quickstart [exec=threads:N] [halo=overlap]
-//                                             [sed=block:8] [exec=hetero:N]
-//                                             [phys=hybrid] [obs=trace[:path]]
+//                                             [exec=hetero:N] [phys=hybrid]
+//                                             [obs=trace[:path]]
 //                                             [tune=auto|file:tuned.json]
 
 #include <cstdio>
@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   cfg.exec = exec::exec_from_args(argc, argv);  // serial | threads:N |
                                                 // device | hetero:N
   cfg.halo_mode = dyn::halo_mode_from_args(argc, argv);  // sync | overlap
-  cfg.sed = fsbm::sed_from_args(argc, argv);    // column | block:N
   cfg.res = mem::residency_from_args(argc, argv);  // step | persist
   cfg.fuse = exec::fuse_from_args(argc, argv);     // off | auto
   cfg.phys = fsbm::phys_from_args(argc, argv);     // bin | bulk | hybrid

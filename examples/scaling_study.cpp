@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
   cfg.version = fsbm::Version::kV1LookupOnDemand;
   cfg.exec = exec::exec_from_args(argc, argv);
   cfg.halo_mode = dyn::halo_mode_from_args(argc, argv);
-  cfg.sed = fsbm::sed_from_args(argc, argv);
   cfg.res = mem::residency_from_args(argc, argv);
   cfg.fuse = exec::fuse_from_args(argc, argv);
   cfg.obs = obs::obs_from_args(argc, argv);  // traces the calibration run

@@ -2,17 +2,21 @@
 # Tier-1 verify as CI runs it: configure + build + ctest in a
 # Debug/Release matrix with -Wall -Wextra -Werror, plus a
 # ThreadSanitizer configuration covering the concurrency layers
-# (simpi requests, exec spaces, halo overlap, blocked sedimentation).
+# (simpi requests, exec spaces, halo overlap, hetero split shards) and
+# an AddressSanitizer+UndefinedBehaviorSanitizer configuration over the
+# full ctest suite (memory errors, leaks, undefined behaviour).
 #
 # The Debug+Release matrix deliberately runs the FSBM property suite
 # (test_fsbm_properties) at both optimization levels so FP-contract
-# differences between the column and blocked sedimentation solvers
-# would surface as bitwise-equivalence failures.
+# differences between the hoisted sedimentation column solver and its
+# unhoisted in-test reference would surface as bitwise-equivalence
+# failures.
 #
 # Release additionally checks that the advection bin loops still
 # vectorize (run_vec_check).
 #
-# Usage: scripts/ci.sh [Debug|Release|tsan]     (no argument = Debug+Release)
+# Usage: scripts/ci.sh [Debug|Release|tsan|asan|bench]
+#        (no argument = Debug+Release plus the bench, obs and tune smokes)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,12 +63,12 @@ run_vec_check() {
 
 run_tsan() {
   # TSan build of the thread-heavy suites: the simpi request layer
-  # (test_par), the execution spaces + blocked sedimentation dispatch +
+  # (test_par), the execution spaces + threaded sedimentation dispatch +
   # heterogeneous split passes (test_exec — exec=hetero runs the device
   # shard's kernel and the host shard's remainder CONCURRENTLY, so the
   # data-race coverage here is load-bearing), the phased halo exchange
   # with comms/compute overlap (test_halo_overlap), the FSBM property
-  # suite (per-thread block-buffer reuse plus the hetero
+  # suite (per-thread column and scratch buffer reuse plus the hetero
   # partition-completeness and seed-determinism laws), and the forecast
   # service (test_svc — scheduler lanes run model::run_single
   # CONCURRENTLY against the shared queue/stats state, so this is where
@@ -93,6 +97,26 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "${build_dir}" --output-on-failure \
       -R '^(test_par|test_exec|test_halo_overlap|test_fsbm_properties|test_svc|test_hybrid|test_obs|test_tune|test_fusion|test_residency)$'
+}
+
+run_asan() {
+  # AddressSanitizer + UndefinedBehaviorSanitizer build of the whole
+  # tree, running every ctest suite: out-of-bounds and use-after-free
+  # accesses, leaks (LeakSanitizer, on by default with ASan), and
+  # undefined behaviour, which -fno-sanitize-recover turns from a
+  # warning into a test failure.  The flags go through the standard
+  # CMake variables, so no build option exists for this configuration.
+  local build_dir="build-ci-asan"
+  local san="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+  echo "=== AddressSanitizer + UndefinedBehaviorSanitizer ==="
+  cmake -B "${build_dir}" -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="${san} -fno-omit-frame-pointer" \
+    -DCMAKE_EXE_LINKER_FLAGS="${san}"
+  cmake --build "${build_dir}" -j "$(nproc)"
+  ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
+    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
+    ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 
 run_obs_smoke() {
@@ -178,6 +202,8 @@ if [ $# -eq 0 ]; then
   run_tune_smoke
 elif [ "${1}" = "tsan" ]; then
   run_tsan
+elif [ "${1}" = "asan" ]; then
+  run_asan
 elif [ "${1}" = "bench" ]; then
   run_matrix_config Release
   run_vec_check

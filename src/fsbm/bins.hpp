@@ -72,10 +72,9 @@ class BinGrid {
   /// the base power law depends only on (species, bin) and is tabulated
   /// at construction, so a lookup is one table read plus the sqrt of the
   /// correction, which depends only on the level's air density.  The
-  /// blocked sedimentation solver additionally shares that sqrt — one
-  /// correction per (level, column) per block — and the product is
-  /// evaluated with exactly the same operations as this function, so
-  /// both paths are bitwise identical.
+  /// sedimentation solver hoists both factors — the base per bin, the
+  /// correction per level — and forms the product with exactly the
+  /// operations of this function, so it stays bitwise identical.
   double terminal_velocity(Species s, int k, double rho_air) const {
     return terminal_velocity_base(s, k) * density_correction(rho_air);
   }

@@ -94,9 +94,6 @@ void FsbmStats::merge(const FsbmStats& o) {
   nucl_flops += o.nucl_flops;
   sed_flops += o.sed_flops;
   sed_substeps += o.sed_substeps;
-  sed_lockstep_substeps += o.sed_lockstep_substeps;
-  sed_tv_lookups += o.sed_tv_lookups;
-  sed_corr_evals += o.sed_corr_evals;
   surface_precip += o.surface_precip;
   wall_total_sec += o.wall_total_sec;
   wall_coal_sec += o.wall_coal_sec;
@@ -156,10 +153,6 @@ void FsbmStats::publish(obs::Registry& reg) const {
   C("wrf_fsbm_flops_total", sed_flops, {{"pass", "sed"}});
   C("wrf_fsbm_flops_total", bulk_flops, {{"pass", "bulk"}});
   C("wrf_fsbm_sed_substeps_total", static_cast<double>(sed_substeps));
-  C("wrf_fsbm_sed_lockstep_substeps_total",
-    static_cast<double>(sed_lockstep_substeps));
-  C("wrf_fsbm_sed_tv_lookups_total", static_cast<double>(sed_tv_lookups));
-  C("wrf_fsbm_sed_corr_evals_total", static_cast<double>(sed_corr_evals));
   C("wrf_fsbm_surface_precip_total", surface_precip);
   C("wrf_fsbm_bulk_precip_total", bulk_precip);
   C("wrf_fsbm_wall_seconds_total", wall_total_sec, {{"section", "total"}});
@@ -1269,10 +1262,6 @@ void FastSbm::pass_coal_hetero(std::size_t id, MicroState& state,
 
 void FastSbm::pass_sedimentation(MicroState& state, FsbmStats& st,
                                  prof::Profiler& prof) {
-  if (params_.sed_dispatch.kind == SedDispatch::Kind::kBlock) {
-    pass_sedimentation_blocked(state, st, prof);
-    return;
-  }
   prof::ScopedRange sr(prof, "sedimentation");
   const int nkr = bins_.nkr();
   const int nz = patch_.k.size();
@@ -1337,185 +1326,8 @@ void FastSbm::pass_sedimentation(MicroState& state, FsbmStats& st,
           pt.surface_precip += ss.surface_precip;
           pt.sed_flops += ss.flops;
           pt.sed_substeps += ss.substeps;
-          pt.sed_lockstep_substeps += ss.lockstep_substeps;
-          pt.sed_tv_lookups += ss.tv_lookups;
-          pt.sed_corr_evals += ss.corr_evals;
         }
       });
-  st.merge(sum);
-}
-
-void FastSbm::pass_sedimentation_blocked(MicroState& state, FsbmStats& st,
-                                         prof::Profiler& prof) {
-  prof::ScopedRange sr(prof, "sedimentation");
-  const int nkr = bins_.nkr();
-  const int nz = patch_.k.size();
-  const int klo = patch_.k.lo;
-  SedConfig cfg = params_.sed;
-  cfg.dt = params_.dt;
-  const int nb = std::max(1, params_.sed_dispatch.block);
-
-  // Same tile plan as the per-column path (one j-row of columns per
-  // tile, a pure function of the range), so per-tile stat partials merge
-  // in the same order and the two dispatch modes produce bitwise-equal
-  // run statistics, not just bitwise-equal state.  Within a tile,
-  // columns are taken in flat order in chunks of `nb`; the last chunk of
-  // a tile may be ragged (ncol < nb).
-  exec::LaunchParams lp;
-  lp.name = "sedimentation";
-  lp.collapse = 2;
-  lp.grain = patch_.ip.size();
-  const exec::Range3 range{patch_.ip, Range{0, 0}, patch_.jp};
-  if (range.empty()) return;
-  const exec::TilePlan plan = exec::ExecSpace::plan_for(range, lp);
-  std::vector<FsbmStats> parts(static_cast<std::size_t>(plan.tiles()));
-  exec_space().run_tiles(
-      plan, lp, [&](std::int64_t t, std::int64_t b, std::int64_t e) {
-        FsbmStats& pt = parts[static_cast<std::size_t>(t)];
-        // Reusable per-thread block buffers.  Every entry a block reads
-        // is written by its own gather first (ragged blocks use a
-        // shorter column stride, so no stale data from a wider previous
-        // block can leak through — the seed-determinism test guards
-        // this).
-        thread_local std::vector<float> g_blk;
-        thread_local std::vector<double> rho_blk;
-        thread_local std::vector<double> rho_bin;
-        thread_local std::vector<double> precip_col;
-        thread_local std::vector<double> precip_mat;
-        thread_local std::vector<int> ci, cj, bincols;
-        g_blk.resize(static_cast<std::size_t>(nb) * nz * nkr);
-        rho_blk.resize(static_cast<std::size_t>(nb) * nz);
-        precip_col.resize(static_cast<std::size_t>(nb));
-        precip_mat.resize(static_cast<std::size_t>(nb) * kNumSpecies);
-        ci.resize(static_cast<std::size_t>(nb));
-        cj.resize(static_cast<std::size_t>(nb));
-        bincols.resize(static_cast<std::size_t>(nb));
-
-        for (std::int64_t c0 = b; c0 < e; c0 += nb) {
-          const int ncol =
-              static_cast<int>(std::min<std::int64_t>(nb, e - c0));
-          const auto nc = static_cast<std::size_t>(ncol);
-          for (int c = 0; c < ncol; ++c) {
-            const exec::Range3::Cell cell = range.cell(c0 + c);
-            ci[static_cast<std::size_t>(c)] = cell.i;
-            cj[static_cast<std::size_t>(c)] = cell.j;
-          }
-          // Gather densities once per block (shared by all species).
-          for (int iz = 0; iz < nz; ++iz) {
-            for (int c = 0; c < ncol; ++c) {
-              rho_blk[static_cast<std::size_t>(iz) * nc +
-                      static_cast<std::size_t>(c)] =
-                  state.rho(ci[static_cast<std::size_t>(c)], klo + iz,
-                            cj[static_cast<std::size_t>(c)]);
-            }
-          }
-          // Fidelity split of the chunk: pure-bulk columns take the
-          // Kessler column solver for their liquid (in flat column
-          // order, so bulk stats accumulate like the per-column path);
-          // the remainder forms a compacted sub-block for the bin
-          // solver.  Under phys=bin every column is a bin column and
-          // the compaction is the identity, leaving the block math —
-          // and its results — untouched.
-          int ncb = 0;
-          for (int c = 0; c < ncol; ++c) {
-            if (params_.phys != PhysScheme::kBin &&
-                column_all_bulk(ci[static_cast<std::size_t>(c)],
-                                cj[static_cast<std::size_t>(c)])) {
-              precip_mat[static_cast<std::size_t>(c) * kNumSpecies] =
-                  sediment_bulk_column(state, ci[static_cast<std::size_t>(c)],
-                                       cj[static_cast<std::size_t>(c)], pt);
-            } else {
-              bincols[static_cast<std::size_t>(ncb++)] = c;
-            }
-          }
-          for (int s = 0; s < kNumSpecies; ++s) {
-            // The liquid species runs only over the compacted bin
-            // columns; ice species always take the full chunk (bulk
-            // cells never carry bulk ice).
-            const bool liquid = s == static_cast<int>(Species::kLiquid);
-            const int nsc = liquid ? ncb : ncol;
-            if (nsc == 0) continue;
-            const auto nsz = static_cast<std::size_t>(nsc);
-            const auto col_of = [&](int c) {
-              return liquid ? bincols[static_cast<std::size_t>(c)] : c;
-            };
-            const double* rho = rho_blk.data();
-            if (liquid && ncb < ncol) {
-              rho_bin.resize(nsz * static_cast<std::size_t>(nz));
-              for (int iz = 0; iz < nz; ++iz) {
-                for (int c = 0; c < nsc; ++c) {
-                  rho_bin[static_cast<std::size_t>(iz) * nsz +
-                          static_cast<std::size_t>(c)] =
-                      rho_blk[static_cast<std::size_t>(iz) * nc +
-                              static_cast<std::size_t>(col_of(c))];
-                }
-              }
-              rho = rho_bin.data();
-            }
-            auto& f = state.ff[static_cast<std::size_t>(s)];
-            // Gather: transpose bin-fastest level slices into the
-            // column-minor SoA block.
-            for (int iz = 0; iz < nz; ++iz) {
-              for (int c = 0; c < nsc; ++c) {
-                const int cc = col_of(c);
-                const float* sl =
-                    f.slice(ci[static_cast<std::size_t>(cc)], klo + iz,
-                            cj[static_cast<std::size_t>(cc)]);
-                float* dst =
-                    g_blk.data() + static_cast<std::size_t>(iz) * nkr * nsz +
-                    static_cast<std::size_t>(c);
-                for (int k = 0; k < nkr; ++k) {
-                  dst[static_cast<std::size_t>(k) * nsz] = sl[k];
-                }
-              }
-            }
-            const SedStats ss = sediment_block(
-                bins_, static_cast<Species>(s), g_blk.data(), rho, nz, nsc,
-                cfg, precip_col.data());
-            // Scatter back.
-            for (int iz = 0; iz < nz; ++iz) {
-              for (int c = 0; c < nsc; ++c) {
-                const int cc = col_of(c);
-                float* sl = f.slice(ci[static_cast<std::size_t>(cc)], klo + iz,
-                                    cj[static_cast<std::size_t>(cc)]);
-                const float* src =
-                    g_blk.data() + static_cast<std::size_t>(iz) * nkr * nsz +
-                    static_cast<std::size_t>(c);
-                for (int k = 0; k < nkr; ++k) {
-                  sl[k] = src[static_cast<std::size_t>(k) * nsz];
-                }
-              }
-            }
-            for (int c = 0; c < nsc; ++c) {
-              precip_mat[static_cast<std::size_t>(col_of(c)) * kNumSpecies +
-                         static_cast<std::size_t>(s)] = precip_col[c];
-            }
-            pt.sed_flops += ss.flops;
-            pt.sed_substeps += ss.substeps;
-            pt.sed_lockstep_substeps += ss.lockstep_substeps;
-            pt.sed_tv_lookups += ss.tv_lookups;
-            pt.sed_corr_evals += ss.corr_evals;
-          }
-          // Accumulate precipitation in (column, species) order — the
-          // same association the per-column path uses, which keeps
-          // FsbmStats::surface_precip bitwise identical across the two
-          // dispatch modes.
-          for (int c = 0; c < ncol; ++c) {
-            const int i = ci[static_cast<std::size_t>(c)];
-            const int j = cj[static_cast<std::size_t>(c)];
-            for (int s = 0; s < kNumSpecies; ++s) {
-              const double p =
-                  precip_mat[static_cast<std::size_t>(c) * kNumSpecies +
-                             static_cast<std::size_t>(s)];
-              state.precip(i, 0, j) =
-                  static_cast<float>(state.precip(i, 0, j) + p);
-              pt.surface_precip += p;
-            }
-          }
-        }
-      });
-  FsbmStats sum;
-  for (const FsbmStats& part : parts) sum.merge(part);
   st.merge(sum);
 }
 

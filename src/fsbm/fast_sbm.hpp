@@ -63,10 +63,6 @@ struct FsbmParams {
   CondConfig cond;
   NuclConfig nucl;
   SedConfig sed;
-  /// The `sed=` knob: per-column oracle vs the blocked multi-column
-  /// solver (sediment_block) with gather/scatter through per-thread
-  /// block buffers.  Both produce bitwise-identical state.
-  SedDispatch sed_dispatch;
   /// Registers/thread of the offloaded collision kernel; limits
   /// occupancy at full collapse (Table VI's 35.67%).
   int coal_regs_per_thread = 90;
@@ -121,13 +117,9 @@ struct FsbmStats {
   double cond_flops = 0.0;
   double nucl_flops = 0.0;
   double sed_flops = 0.0;
-  /// Sedimentation work counters (SedStats aggregated over columns or
-  /// blocks): per-column CFL substeps are dispatch-invariant; lookup and
-  /// correction counts are what the column-vs-block bench sweep reports.
+  /// CFL substeps of the sedimentation solver (SedStats summed over
+  /// columns and species).
   std::uint64_t sed_substeps = 0;
-  std::uint64_t sed_lockstep_substeps = 0;
-  std::uint64_t sed_tv_lookups = 0;
-  std::uint64_t sed_corr_evals = 0;
   double surface_precip = 0.0;
   /// Host wall seconds of the whole call and of the collision section.
   double wall_total_sec = 0.0;
@@ -405,12 +397,6 @@ class FastSbm {
 
   void pass_sedimentation(MicroState& state, FsbmStats& st,
                           prof::Profiler& prof);
-
-  /// The blocked sedimentation path (sed=block:N): tiles gather N
-  /// columns at a time into a reusable per-thread SoA block buffer, run
-  /// sediment_block, and scatter back.
-  void pass_sedimentation_blocked(MicroState& state, FsbmStats& st,
-                                  prof::Profiler& prof);
 
   /// The collision lane (Listing 6's body): predicate gate, device-FMA
   /// kernel source, pooled (v3) or stack workspace.

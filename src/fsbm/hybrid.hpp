@@ -58,7 +58,7 @@ PhysScheme parse_phys(const std::string& s);
 
 /// Scan argv for a `phys=<mode>` argument (any position); returns the
 /// default (bin) when absent.  Shared by the examples and benches, like
-/// fsbm::sed_from_args.
+/// exec::exec_from_args.
 PhysScheme phys_from_args(int argc, char** argv);
 
 /// Per-cell fidelity codes (Field3D<uint8_t> values).

@@ -3,46 +3,29 @@
 //
 // First-order upwind transport in the vertical with per-bin terminal
 // velocities and CFL sub-stepping; the flux through the lowest level
-// accumulates as surface precipitation.  Two solvers share the same
-// numerics:
+// accumulates as surface precipitation.  One column at a time, the
+// shape of FSBM's original fall-speed loops, with the loop invariants
+// hoisted out of the substep loop:
 //
-//   * sediment_column — one column at a time, the shape of FSBM's
-//     original fall-speed loops.  Terminal velocities are looked up per
-//     (bin, level, substep): each lookup is a read of the BinGrid's
-//     tabulated power law plus one sqrt for the level's density
-//     correction.  It stays as the oracle the blocked solver is tested
-//     against.
-//   * sediment_block — a tile of `ncol` columns at once in SoA layout
-//     (see below).  The per-bin base-table read is hoisted out of the
-//     column/level/substep loops (one lookup per bin per block) and the
-//     per-level density corrections are computed once per block and
-//     shared across all bins, so the sqrts are amortized by the number
-//     of bins and substeps.  Bitwise identical to sediment_column per
-//     column (asserted in tests/test_fsbm_properties.cpp).
+//   * the air-density correction (one sqrt) once per level per call,
+//     shared by every bin;
+//   * the tabulated base fall speed once per bin;
+//   * the courant number once per (bin, level), as soon as the bin's
+//     substep length is known.
 //
-// SoA block layout (column-minor, so the inner loop vectorizes across
-// columns):
+// Each hoisted value is computed with exactly the operations of the
+// per-lookup form — terminal_velocity(sp, k, rho) * vel_scale, then
+// min(1, v * dts / dz) — so the state is bitwise identical to it
+// (asserted against an unhoisted reference in
+// tests/test_fsbm_properties.cpp).
 //
-//   g_blk[(iz * nkr + k) * ncol + c]   bin k, level iz, column c
-//   rho_blk[iz * ncol + c]             per-level air density
-//
-// iz = 0 is the surface.  Lockstep sub-stepping rule: for each bin the
-// block marches a worst-case substep count (the max CFL substep count
-// over its columns) so every column advances through the substep loop in
-// lockstep; a column that needs fewer substeps keeps its own dt/nsub
-// substep length and is masked out once its own count is exhausted.
-// Each column therefore performs exactly the arithmetic the per-column
-// solver would, which is what makes the blocked path bitwise identical
-// for any block width and any block composition.
-//
-// Device residency: both solvers run host-side and rewrite every bin
-// column, so under res=persist the fast_sbm sedimentation passes mark
-// the full bin fields dirty in their epilogues (host-dirty under a host
-// exec space, device-dirty under exec=device where the pass is modeled
-// as a device kernel) — see FastSbm::mark_written and mem/residency.hpp.
+// Device residency: the solver runs host-side and rewrites every bin
+// column, so under res=persist the fast_sbm sedimentation pass marks the
+// full bin fields dirty in its epilogue (host-dirty under a host exec
+// space, device-dirty under exec=device where the pass is modeled as a
+// device kernel) — see FastSbm::mark_written and mem/residency.hpp.
 
 #include <cstdint>
-#include <string>
 
 #include "fsbm/bins.hpp"
 
@@ -60,32 +43,9 @@ struct SedConfig {
 
 struct SedStats {
   double surface_precip = 0.0;  ///< kg/kg column-equivalent mass removed
-  /// Per-column CFL substeps, summed over bins and columns — identical
-  /// between the column and blocked solvers.
+  /// CFL substeps, summed over bins.
   std::uint64_t substeps = 0;
-  /// Substeps the solver actually marched: equals `substeps` for the
-  /// column path; the per-block worst case summed over bins for the
-  /// blocked path (<= substeps, since N columns share each march).
-  std::uint64_t lockstep_substeps = 0;
-  /// Terminal-velocity base lookups (reads of the BinGrid's tabulated
-  /// power law).  The column solver pays one per (bin, level, substep);
-  /// the blocked solver one per bin per block — the amortization the
-  /// bench sweep reports.
-  std::uint64_t tv_lookups = 0;
-  /// Air-density correction (sqrt) evaluations.  One per tv lookup in
-  /// the column solver; one per (level, column) per block — shared
-  /// across all bins and species substeps — in the blocked solver.
-  std::uint64_t corr_evals = 0;
   double flops = 0.0;
-
-  void merge(const SedStats& o) {
-    surface_precip += o.surface_precip;
-    substeps += o.substeps;
-    lockstep_substeps += o.lockstep_substeps;
-    tv_lookups += o.tv_lookups;
-    corr_evals += o.corr_evals;
-    flops += o.flops;
-  }
 };
 
 /// Sediment one species' column.  `g_col` holds nz levels of nkr bins,
@@ -94,33 +54,5 @@ struct SedStats {
 /// surface (sum over bins of rho-weighted flux, normalized by level 0).
 SedStats sediment_column(const BinGrid& bins, Species sp, float* g_col,
                          const double* rho, int nz, const SedConfig& cfg);
-
-/// Sediment one species over a block of `ncol` columns in the SoA layout
-/// documented above.  `precip_col` (ncol entries) receives each column's
-/// surface precipitation; SedStats.surface_precip is their sum.  Per
-/// column, results are bitwise identical to sediment_column on the same
-/// data for any ncol >= 1.
-SedStats sediment_block(const BinGrid& bins, Species sp, float* g_blk,
-                        const double* rho_blk, int nz, int ncol,
-                        const SedConfig& cfg, double* precip_col);
-
-/// The `sed=` knob: how fast_sbm dispatches sedimentation columns.
-struct SedDispatch {
-  enum class Kind : int { kColumn = 0, kBlock = 1 };
-  Kind kind = Kind::kColumn;
-  int block = 8;  ///< columns per block when kind == kBlock
-
-  /// Parse "column" | "block" | "block:N" (N >= 1); throws ConfigError
-  /// on anything else.
-  static SedDispatch parse(const std::string& s);
-
-  /// Render back to the knob syntax ("column", "block:8", ...).
-  std::string describe() const;
-};
-
-/// Scan argv for a `sed=<mode>` argument (any position); returns the
-/// default (column) when absent.  Shared by the examples and benches,
-/// like exec::exec_from_args and dyn::halo_mode_from_args.
-SedDispatch sed_from_args(int argc, char** argv);
 
 }  // namespace wrf::fsbm

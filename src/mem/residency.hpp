@@ -54,7 +54,7 @@ const char* residency_name(ResidencyMode m) noexcept;
 
 /// Scan argv for a `res=<mode>` argument (any position); returns kStep
 /// when absent.  Shared by the examples and benches, like
-/// exec::exec_from_args and fsbm::sed_from_args.
+/// exec::exec_from_args and fsbm::phys_from_args.
 ResidencyMode residency_from_args(int argc, char** argv);
 
 /// One contiguous byte range of a field's storage (e.g. a strip row).

@@ -66,14 +66,6 @@ struct RunConfig {
   /// fsbm::phys_from_args.  Tunables live in fsbm_params.hybrid.
   fsbm::PhysScheme phys = fsbm::PhysScheme::kBin;
 
-  /// The `sed=` knob: column dispatches sedimentation one column at a
-  /// time (the unamortized oracle); block:N gathers N columns per tile
-  /// into a per-thread SoA block and runs the blocked solver with
-  /// lockstep CFL sub-stepping (bitwise-identical state and stats —
-  /// asserted in tests/test_fsbm_properties.cpp and tests/test_exec.cpp).
-  /// Parse with fsbm::SedDispatch::parse / fsbm::sed_from_args.
-  fsbm::SedDispatch sed;
-
   /// The `res=` knob: step re-maps every offloaded field h2d/d2h around
   /// each collision launch (the paper's as-ported behavior); persist
   /// keeps the fields resident on the device across steps with per-field
@@ -104,7 +96,7 @@ struct RunConfig {
 
   /// The `tune=` knob: off runs the knobs exactly as set (the default);
   /// file:<path> loads a tuned.json artifact (src/tune) and overwrites
-  /// the performance-neutral knobs (exec/halo/sed/res/fuse) with the
+  /// the performance-neutral knobs (exec/halo/res/fuse) with the
   /// entry matching this config's tune::shape_key, erroring if the file
   /// is missing or malformed; auto does the same from ./tuned.json but
   /// treats a missing file as "not tuned yet" (no-op).  Applying a
@@ -153,7 +145,7 @@ struct RunConfig {
   std::string describe() const;
 
   /// The scheme parameters a rank's FastSbm runs with: fsbm_params plus
-  /// the run-level knobs (dt, dz, sed, res, fuse, phys) stamped in.
+  /// the run-level knobs (dt, dz, res, fuse, phys) stamped in.
   fsbm::FsbmParams scheme_params() const;
 };
 

@@ -94,10 +94,6 @@ void RunConfig::validate() const {
   if (halo < dyn::kStencilWidth) {
     throw ConfigError("RunConfig: halo narrower than the advection stencil");
   }
-  if (sed.kind == fsbm::SedDispatch::Kind::kBlock &&
-      (sed.block < 1 || sed.block > 4096)) {
-    throw ConfigError("RunConfig: sed block width outside [1, 4096]");
-  }
   // The hybrid knob's own tunables are validated against nkr by the
   // scheme ctor (FastSbm), which knows the bin grid.
 }
@@ -106,13 +102,12 @@ std::string RunConfig::describe() const {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "grid %dx%dx%d dx=%.0fm dt=%.1fs nkr=%d ranks=%dx%d "
-                "version=%s exec=%s halo=%s phys=%s sed=%s res=%s fuse=%s "
+                "version=%s exec=%s halo=%s phys=%s res=%s fuse=%s "
                 "ngpus=%d",
                 nx, ny, nz, dx, dt, nkr, npx, npy,
                 fsbm::version_name(version), exec.describe().c_str(),
                 dyn::halo_mode_name(halo_mode), fsbm::phys_name(phys),
-                sed.describe().c_str(), mem::residency_name(res),
-                exec::fuse_name(fuse), ngpus);
+                mem::residency_name(res), exec::fuse_name(fuse), ngpus);
   std::string out = buf;
   // Appended only when enabled: obs is pure observation (no physics
   // effect), so default describe() strings — and the svc shape keys
@@ -129,7 +124,6 @@ fsbm::FsbmParams RunConfig::scheme_params() const {
   fsbm::FsbmParams params = fsbm_params;
   params.dt = dt;
   params.sed.dz = dz;
-  params.sed_dispatch = sed;
   params.residency = res;
   params.fuse = fuse;
   params.phys = phys;

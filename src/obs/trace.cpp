@@ -78,11 +78,11 @@ struct TlsEntry {
   std::uint64_t gen = 0;
   TraceSink::ThreadBuf* buf = nullptr;
 };
-// Per-thread map from sink instance to its buffer.  Leaked intentionally
-// (like prof::Profiler's TLS): pointer maps avoid destructor-order races
-// between dying threads and live sinks.  Stale entries — a new sink at a
-// recycled address — are detected by the generation stamp.
-thread_local std::unordered_map<const TraceSink*, TlsEntry>* t_bufs = nullptr;
+// Per-thread map from sink instance to its buffer.  The buffers belong
+// to their sink, so a dying thread frees only its map and never touches
+// a live sink.  Stale entries — a new sink at a recycled address — are
+// detected by the generation stamp.
+thread_local std::unordered_map<const TraceSink*, TlsEntry> t_bufs;
 
 }  // namespace
 
@@ -102,10 +102,7 @@ std::uint64_t TraceSink::now_us() const noexcept {
 }
 
 TraceSink::ThreadBuf& TraceSink::tls() const {
-  if (t_bufs == nullptr) {
-    t_bufs = new std::unordered_map<const TraceSink*, TlsEntry>();
-  }
-  TlsEntry& e = (*t_bufs)[this];
+  TlsEntry& e = t_bufs[this];
   if (e.buf == nullptr || e.gen != gen_) {
     std::lock_guard<std::mutex> lk(reg_mu_);
     auto buf = std::make_unique<ThreadBuf>();

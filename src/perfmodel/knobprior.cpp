@@ -27,11 +27,6 @@ constexpr double kHostPassesPerStep = 4.0;
 // serial pack/unpack): speedup = T^alpha.
 constexpr double kThreadScalingExponent = 0.85;
 
-// sed=block:N amortizes the per-column terminal-velocity lookups over
-// the block; amortization saturates (shared lookups stop being shared
-// once the block spans distinct stability regimes).
-constexpr double kSedAmortizationCap = 64.0;
-
 // res=persist still moves halo strips and diagnostics each step; model
 // it as a small residual fraction of the full res=step traffic.
 constexpr double kPersistResidualTraffic = 0.05;
@@ -67,7 +62,6 @@ double effective_threads(const exec::ExecConfig& e, int hw_threads) {
 
 double knob_prior_step_seconds(const KnobWork& w, const exec::ExecConfig& e,
                                dyn::HaloMode halo,
-                               const fsbm::SedDispatch& sed,
                                mem::ResidencyMode res, exec::FuseMode fuse,
                                const CpuSpec& cpu, const NetworkSpec& net,
                                const gpu::DeviceSpec& dev, int hw_threads) {
@@ -78,15 +72,6 @@ double knob_prior_step_seconds(const KnobWork& w, const exec::ExecConfig& e,
   // --- Host compute ------------------------------------------------
   double host_flops = w.cond_nucl_flops + w.sed_flops + w.adv_flops;
   if (!on_device) host_flops += w.coal_flops;
-  // sed=column pays the per-column lookup price in full; blocked
-  // dispatch amortizes it across min(block, cap) columns.
-  double lookup_flops = w.sed_lookup_flops;
-  if (sed.kind == fsbm::SedDispatch::Kind::kBlock) {
-    const double amort =
-        std::min<double>(std::max(sed.block, 1), kSedAmortizationCap);
-    lookup_flops /= amort;
-  }
-  host_flops += lookup_flops;
 
   double t_host = cpu.seconds_for_flops(host_flops) / threads;
   if (threads > 1.0 || e.kind == exec::ExecKind::kHetero) {

@@ -1,11 +1,11 @@
 #pragma once
-// Knob-configuration prior: price one (exec, halo, sed, res, fuse) knob
+// Knob-configuration prior: price one (exec, halo, res, fuse) knob
 // choice from a measured work profile, cheaply enough to rank a whole
 // search space without running it.
 //
 // This is the perfmodel side of the autotuner's prior+corrector split
 // (src/tune): the tuner measures ONE probe run of the base config,
-// distills it into a KnobWork profile (counted flops, lookups, bytes —
+// distills it into a KnobWork profile (counted flops and bytes —
 // work, not wall time), and prices every candidate configuration with
 // the same explicit machine models the Table IV/VII benches use.  The
 // prior's job is ordering, not accuracy: it prunes the obviously bad
@@ -16,7 +16,6 @@
 #include "dyn/rk3.hpp"
 #include "exec/exec.hpp"
 #include "exec/passgraph.hpp"
-#include "fsbm/sedimentation.hpp"
 #include "mem/residency.hpp"
 #include "perfmodel/machine.hpp"
 
@@ -30,9 +29,6 @@ struct KnobWork {
   double cond_nucl_flops = 0;
   double sed_flops = 0;
   double adv_flops = 0;
-  /// Priced cost of the sedimentation terminal-velocity lookups under
-  /// sed=column (the blocked solver amortizes these ~blockwise).
-  double sed_lookup_flops = 0;
   double step_h2d_bytes = 0;    ///< per-launch transfer bytes, res=step
   double step_d2h_bytes = 0;
   double halo_bytes = 0;        ///< sent per rank-step
@@ -50,7 +46,6 @@ struct KnobWork {
 double knob_prior_step_seconds(const KnobWork& work,
                                const exec::ExecConfig& exec,
                                dyn::HaloMode halo,
-                               const fsbm::SedDispatch& sed,
                                mem::ResidencyMode res, exec::FuseMode fuse,
                                const CpuSpec& cpu, const NetworkSpec& net,
                                const gpu::DeviceSpec& dev, int hw_threads);

@@ -8,24 +8,15 @@
 
 namespace wrf::prof {
 
-namespace {
-// Per-thread, per-profiler-instance scratch.  Keyed by instance so tests
-// can use private Profiler objects alongside the global one.  Values are
-// type-erased because ThreadData is a private member type.
-thread_local std::unordered_map<const void*, void*>* t_tls = nullptr;
-}  // namespace
-
 Profiler::ThreadData& Profiler::tls() const {
-  if (t_tls == nullptr) {
-    // Leaked intentionally: thread_local maps of pointers avoid
-    // destructor-order issues between dying threads and live profilers.
-    t_tls = new std::unordered_map<const void*, void*>();
-  }
-  auto it = t_tls->find(this);
-  if (it == t_tls->end()) {
-    it = t_tls->emplace(this, new ThreadData()).first;
-  }
-  return *static_cast<ThreadData*>(it->second);
+  // Per-thread, per-profiler-instance scratch.  Keyed by instance so
+  // tests can use private Profiler objects alongside the global one.
+  // The map owns its entries (references into an unordered_map survive
+  // rehashing), so a thread's scratch is freed when the thread exits;
+  // ThreadData never points back at its profiler, so destruction order
+  // between dying threads and live profilers does not matter.
+  thread_local std::unordered_map<const Profiler*, ThreadData> t_tls;
+  return t_tls[this];
 }
 
 void Profiler::push_range(const std::string& name) {

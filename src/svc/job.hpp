@@ -2,7 +2,7 @@
 // Forecast-service job model: one scenario run as a schedulable unit.
 //
 // The examples hardcode one scenario per binary — grid dims, case knobs
-// (`exec/sed/res/halo/fuse`), step count — and run it to completion.
+// (`exec/res/halo/fuse`), step count — and run it to completion.
 // `svc::Job` captures exactly that tuple plus the service-level facts a
 // production scheduler needs: a priority class (interactive vs ensemble
 // vs batch), an optional deadline, and a name.  `svc::JobResult` carries
@@ -109,7 +109,7 @@ struct JobResult {
 std::uint64_t job_footprint_bytes(const model::RunConfig& cfg);
 
 /// Batching key: two jobs with equal keys run the same shape and knob
-/// set (grid, nkr, version, exec/halo/sed/res/fuse, step count) and may
+/// set (grid, nkr, version, exec/halo/res/fuse, step count) and may
 /// share one lane dispatch.  Seeds are deliberately excluded — ensemble
 /// members differ only by their perturbation seed.
 std::string job_shape_key(const model::RunConfig& cfg);

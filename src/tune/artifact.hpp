@@ -23,7 +23,9 @@
 
 namespace wrf::tune {
 
-inline constexpr int kArtifactSchemaVersion = 1;
+/// 2: knob strings no longer carry `sed=` (the knob is gone), so a
+/// version-1 artifact's winners would not parse.
+inline constexpr int kArtifactSchemaVersion = 2;
 
 /// What the numbers were measured on.  Trajectory points and artifacts
 /// carry this so entries from different hosts are never conflated.

@@ -12,7 +12,6 @@ KnobSet KnobSet::of(const model::RunConfig& cfg) {
   KnobSet k;
   k.exec = cfg.exec;
   k.halo = cfg.halo_mode;
-  k.sed = cfg.sed;
   k.res = cfg.res;
   k.fuse = cfg.fuse;
   return k;
@@ -21,7 +20,6 @@ KnobSet KnobSet::of(const model::RunConfig& cfg) {
 void KnobSet::apply_to(model::RunConfig& cfg) const {
   cfg.exec = exec;
   cfg.halo_mode = halo;
-  cfg.sed = sed;
   cfg.res = res;
   cfg.fuse = fuse;
 }
@@ -30,7 +28,6 @@ std::string KnobSet::describe() const {
   std::string out = "exec=" + exec.describe();
   out += " halo=";
   out += dyn::halo_mode_name(halo);
-  out += " sed=" + sed.describe();
   out += " res=";
   out += mem::residency_name(res);
   out += " fuse=";
@@ -40,7 +37,7 @@ std::string KnobSet::describe() const {
 
 KnobSet KnobSet::parse(const std::string& s) {
   KnobSet k;
-  bool seen[5] = {false, false, false, false, false};
+  bool seen[4] = {false, false, false, false};
   std::istringstream in(s);
   std::string token;
   while (in >> token) {
@@ -58,18 +55,15 @@ KnobSet KnobSet::parse(const std::string& s) {
     } else if (key == "halo") {
       which = 1;
       k.halo = dyn::parse_halo_mode(val);
-    } else if (key == "sed") {
-      which = 2;
-      k.sed = fsbm::SedDispatch::parse(val);
     } else if (key == "res") {
-      which = 3;
+      which = 2;
       k.res = mem::parse_residency(val);
     } else if (key == "fuse") {
-      which = 4;
+      which = 3;
       k.fuse = exec::parse_fuse(val);
     } else {
       throw ConfigError("KnobSet: unknown knob '" + key + "' in '" + s +
-                        "' (tunable knobs: exec halo sed res fuse)");
+                        "' (tunable knobs: exec halo res fuse)");
     }
     if (seen[which]) {
       throw ConfigError("KnobSet: duplicate knob '" + key + "' in '" + s +
@@ -82,10 +76,7 @@ KnobSet KnobSet::parse(const std::string& s) {
 
 bool KnobSet::operator==(const KnobSet& o) const noexcept {
   return exec.kind == o.exec.kind && exec.nthreads == o.exec.nthreads &&
-         halo == o.halo && sed.kind == o.sed.kind &&
-         (sed.kind == fsbm::SedDispatch::Kind::kColumn ||
-          sed.block == o.sed.block) &&
-         res == o.res && fuse == o.fuse;
+         halo == o.halo && res == o.res && fuse == o.fuse;
 }
 
 std::string shape_key(const model::RunConfig& cfg) {
@@ -129,17 +120,6 @@ SearchSpace SearchSpace::enumerate(const model::RunConfig& base,
     }
   }
 
-  std::vector<fsbm::SedDispatch> seds;
-  {
-    fsbm::SedDispatch sd;
-    seds.push_back(sd);  // column oracle
-    for (const int n : {8, 32}) {
-      sd.kind = fsbm::SedDispatch::Kind::kBlock;
-      sd.block = n;
-      seds.push_back(sd);
-    }
-  }
-
   std::vector<mem::ResidencyMode> reses{mem::ResidencyMode::kStep};
   if (offloaded) reses.push_back(mem::ResidencyMode::kPersist);
 
@@ -174,17 +154,14 @@ SearchSpace SearchSpace::enumerate(const model::RunConfig& base,
   for (const auto& e : execs) {
     const std::vector<exec::FuseMode> fuses = fuses_for(e);
     for (const auto& h : halos) {
-      for (const auto& sd : seds) {
-        for (const auto& r : reses) {
-          for (const auto& f : fuses) {
-            KnobSet k;
-            k.exec = e;
-            k.halo = h;
-            k.sed = sd;
-            k.res = r;
-            k.fuse = f;
-            if (!space.contains(k)) space.points.push_back(k);
-          }
+      for (const auto& r : reses) {
+        for (const auto& f : fuses) {
+          KnobSet k;
+          k.exec = e;
+          k.halo = h;
+          k.res = r;
+          k.fuse = f;
+          if (!space.contains(k)) space.points.push_back(k);
         }
       }
     }

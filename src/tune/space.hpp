@@ -2,12 +2,12 @@
 // The tunable knob subset and the legal search space over it.
 //
 // A KnobSet is the slice of model::RunConfig the tuner may touch: the
-// five performance-neutral knobs (exec/halo/sed/res/fuse, including
-// their numeric sub-dimensions threads:N / hetero:N / block:N).  Every
-// one of them is covered by a bitwise-equivalence gate elsewhere in the
-// tree (tests/test_exec.cpp, test_halo_overlap.cpp,
-// test_fsbm_properties.cpp, test_fusion.cpp), which is precisely what
-// makes them tunable: swapping them changes speed, never physics.
+// four performance-neutral knobs (exec/halo/res/fuse, including the
+// numeric sub-dimensions threads:N / hetero:N).  Every one of them is
+// covered by a bitwise-equivalence gate elsewhere in the tree
+// (tests/test_exec.cpp, test_halo_overlap.cpp, test_fusion.cpp), which
+// is precisely what makes them tunable: swapping them changes speed,
+// never physics.
 // Physics selections — version, phys, grid, dt, nkr — are deliberately
 // NOT dimensions; they are part of the shape_key a tuned entry is
 // filed under.
@@ -27,7 +27,6 @@ namespace wrf::tune {
 struct KnobSet {
   exec::ExecConfig exec;
   dyn::HaloMode halo = dyn::HaloMode::kSync;
-  fsbm::SedDispatch sed;
   mem::ResidencyMode res = mem::ResidencyMode::kStep;
   exec::FuseMode fuse = exec::FuseMode::kOff;
 
@@ -38,11 +37,11 @@ struct KnobSet {
   void apply_to(model::RunConfig& cfg) const;
 
   /// Render as the knob-string syntax the artifact stores:
-  ///   "exec=threads:4 halo=sync sed=block:8 res=persist fuse=auto"
+  ///   "exec=threads:4 halo=sync res=persist fuse=auto"
   std::string describe() const;
 
   /// Parse a knob string: whitespace-separated key=value tokens, keys
-  /// from {exec, halo, sed, res, fuse}, each at most once; values go
+  /// from {exec, halo, res, fuse}, each at most once; values go
   /// through the knobs' own parsers.  Missing keys keep defaults.
   /// Throws ConfigError on unknown keys, duplicates, or bad values.
   static KnobSet parse(const std::string& s);

@@ -23,7 +23,7 @@ const char* tune_mode_name(TuneMode m) noexcept;
 inline constexpr const char* kDefaultArtifactPath = "tuned.json";
 
 /// The parsed `tune=` knob.  Applying a tuned entry only ever rewrites
-/// the performance-neutral knobs (exec/halo/sed/res/fuse) — physics
+/// the performance-neutral knobs (exec/halo/res/fuse) — physics
 /// selections (version, phys, grid, dt) are part of the *shape* an
 /// entry is keyed by, so a tuned run is bitwise identical to the same
 /// config with the knobs set explicitly (asserted in tests/test_tune.cpp).

@@ -12,12 +12,6 @@
 namespace wrf::tune {
 namespace {
 
-// Priced cost of one sedimentation terminal-velocity table lookup (and
-// one CFL correction evaluation): a short interpolation, not a flop —
-// expressed in flop-equivalents so the prior can fold it into the host
-// compute term.  Ordering-only, like every prior constant.
-constexpr double kFlopsPerSedLookup = 16.0;
-
 int hardware_threads() {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;
@@ -52,11 +46,10 @@ Tuner::Tuner(TunerOptions opts) : opts_(std::move(opts)) {
 }
 
 perfmodel::KnobWork Tuner::probe(const model::RunConfig& base) const {
-  // Canonical knobs for work counting: the unamortized sed oracle, full
-  // per-step transfer traffic, one launch per pass.  All of these are
-  // bitwise-neutral, so the counted physics work is the base config's.
+  // Canonical knobs for work counting: full per-step transfer traffic,
+  // one launch per pass.  All of these are bitwise-neutral, so the
+  // counted physics work is the base config's.
   model::RunConfig cfg = base;
-  cfg.sed = fsbm::SedDispatch{};               // column
   cfg.res = mem::ResidencyMode::kStep;
   cfg.fuse = exec::FuseMode::kOff;
   cfg.halo_mode = dyn::HaloMode::kSync;
@@ -80,9 +73,6 @@ perfmodel::KnobWork Tuner::probe(const model::RunConfig& base) const {
   w.sed_flops = f.sed_flops / rank_steps;
   w.adv_flops =
       (r.totals.dyn.tend.flops + r.totals.dyn.update.flops) / rank_steps;
-  w.sed_lookup_flops =
-      static_cast<double>(f.sed_tv_lookups + f.sed_corr_evals) *
-      kFlopsPerSedLookup / rank_steps;
   w.step_h2d_bytes = static_cast<double>(f.h2d_bytes) / rank_steps;
   w.step_d2h_bytes = static_cast<double>(f.d2h_bytes) / rank_steps;
   w.kernel_launches = static_cast<double>(f.kernel_launches) / rank_steps;
@@ -119,7 +109,7 @@ TuneReport Tuner::tune(const model::RunConfig& base) const {
   for (std::size_t i = 0; i < space.points.size(); ++i) {
     const KnobSet& k = space.points[i];
     prior_s[i] = perfmodel::knob_prior_step_seconds(
-        report.work, k.exec, k.halo, k.sed, k.res, k.fuse, cpu, net,
+        report.work, k.exec, k.halo, k.res, k.fuse, cpu, net,
         report.base.device_spec, hw);
   }
   std::vector<std::size_t> order(space.points.size());

@@ -2,13 +2,12 @@
 // The autotuner: perfmodel prior + measured successive halving.
 //
 // One Tuner::tune(base) call answers "which performance-neutral knobs
-// (exec/halo/sed/res/fuse) make this shape fastest on this machine?":
+// (exec/halo/res/fuse) make this shape fastest on this machine?":
 //
 //   1. PROBE.  One short run of the base config with canonical knobs
-//      (sed=column, res=step, fuse=off — the unamortized work profile)
-//      distills the counted work — FLOPs per pass, sedimentation
-//      lookups, transfer bytes, halo traffic, launches — into a
-//      perfmodel::KnobWork.  Work counts, not wall time: they are
+//      (res=step, fuse=off — the unamortized work profile) distills the
+//      counted work — FLOPs per pass, transfer bytes, halo traffic,
+//      launches — into a perfmodel::KnobWork.  Work counts, not wall time: they are
 //      knob-invariant by the bitwise-equivalence contracts.
 //
 //   2. PRIOR.  perfmodel::knob_prior_step_seconds prices every point of

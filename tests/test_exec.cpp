@@ -380,7 +380,7 @@ TEST(ExecConfig, ParseAndDescribe) {
 }
 
 TEST(ExecConfig, HeteroParseAndDescribe) {
-  // The hetero:<threads> form, mirroring the SedDispatch parser tests:
+  // The hetero:<threads> form, mirroring the threads:<N> parser tests:
   // bare mode, explicit host-shard width, and the negative inputs (bad
   // N, missing colon, trailing junk).
   const ExecConfig bare = ExecConfig::parse("hetero");
@@ -491,9 +491,6 @@ void expect_same_physics(const model::RunResult& a, const model::RunResult& b,
   EXPECT_EQ(fa.cond_flops, fb.cond_flops);
   EXPECT_EQ(fa.nucl_flops, fb.nucl_flops);
   EXPECT_EQ(fa.sed_flops, fb.sed_flops);
-  // Per-column CFL substeps are sedimentation-dispatch-invariant (the
-  // blocked solver masks columns instead of changing their substep
-  // counts), so they must match even across sed=column vs sed=block.
   EXPECT_EQ(fa.sed_substeps, fb.sed_substeps);
   EXPECT_EQ(fa.surface_precip, fb.surface_precip);
   // Full state snapshots: bitwise identical.
@@ -543,76 +540,6 @@ TEST(ExecFsbm, ThreadCountDoesNotChangeResults) {
   const auto b =
       model::run_single(exec_case(fsbm::Version::kV1LookupOnDemand, t7), p2);
   expect_same_physics(a, b, "threads:2 vs threads:7");
-}
-
-// ------------------------------- blocked sedimentation dispatch (sed=)
-
-TEST(ExecFsbm, SedBlockMatchesColumnBitwiseAcrossAllVersions) {
-  // nx = 18 with one j-row of columns per tile makes block:8 cut tiles
-  // into 8 + 8 + 2 — the ragged-tail case — and block:1 exercises the
-  // degenerate width.  Both must be bitwise identical to the per-column
-  // oracle in state AND in stats (precip association is pinned).
-  for (const fsbm::Version v :
-       {fsbm::Version::kV0Baseline, fsbm::Version::kV1LookupOnDemand,
-        fsbm::Version::kV2Offload2, fsbm::Version::kV3Offload3,
-        fsbm::Version::kV3NaiveCollapse3}) {
-    model::RunConfig column = exec_case(v, ExecConfig{});
-    column.nx = 18;
-    for (const char* mode : {"block:1", "block:8"}) {
-      model::RunConfig block = column;
-      block.sed = fsbm::SedDispatch::parse(mode);
-      prof::Profiler p1, p2;
-      const model::RunResult a = model::run_single(column, p1);
-      const model::RunResult b = model::run_single(block, p2);
-      expect_same_physics(
-          a, b,
-          (std::string(fsbm::version_name(v)) + " column vs " + mode)
-              .c_str());
-      // The blocked path must actually amortize: fewer terminal-velocity
-      // power-law evaluations and fewer lockstep marches than columns.
-      EXPECT_LT(b.totals.fsbm.sed_tv_lookups, a.totals.fsbm.sed_tv_lookups);
-      EXPECT_LE(b.totals.fsbm.sed_lockstep_substeps,
-                a.totals.fsbm.sed_lockstep_substeps);
-    }
-  }
-}
-
-TEST(ExecFsbm, SedBlockSerialVsThreadedBitwise) {
-  // The blocked path's per-thread gather/scatter buffers must not leak
-  // state between tiles or threads: serial and threaded dispatch of
-  // sed=block:8 are bitwise identical.
-  ExecConfig threads;
-  threads.kind = ExecKind::kThreads;
-  threads.nthreads = 3;
-  model::RunConfig cs = exec_case(fsbm::Version::kV1LookupOnDemand, {});
-  cs.nx = 18;  // ragged tail blocks in every tile
-  cs.sed = fsbm::SedDispatch::parse("block:8");
-  model::RunConfig ct = cs;
-  ct.exec = threads;
-  prof::Profiler p1, p2;
-  const model::RunResult a = model::run_single(cs, p1);
-  const model::RunResult b = model::run_single(ct, p2);
-  expect_same_physics(a, b, "sed=block:8 serial vs threads:3");
-  EXPECT_EQ(a.totals.fsbm.sed_tv_lookups, b.totals.fsbm.sed_tv_lookups);
-  EXPECT_EQ(a.totals.fsbm.sed_lockstep_substeps,
-            b.totals.fsbm.sed_lockstep_substeps);
-}
-
-TEST(SedDispatch, ParseAndDescribe) {
-  using fsbm::SedDispatch;
-  EXPECT_EQ(SedDispatch::parse("column").kind, SedDispatch::Kind::kColumn);
-  const SedDispatch bare = SedDispatch::parse("block");
-  EXPECT_EQ(bare.kind, SedDispatch::Kind::kBlock);
-  EXPECT_EQ(bare.block, 8);
-  const SedDispatch b4 = SedDispatch::parse("block:4");
-  EXPECT_EQ(b4.kind, SedDispatch::Kind::kBlock);
-  EXPECT_EQ(b4.block, 4);
-  EXPECT_EQ(b4.describe(), "block:4");
-  EXPECT_EQ(SedDispatch{}.describe(), "column");
-  EXPECT_THROW(SedDispatch::parse("block:0"), ConfigError);
-  EXPECT_THROW(SedDispatch::parse("block:abc"), ConfigError);
-  EXPECT_THROW(SedDispatch::parse("rows"), ConfigError);
-  EXPECT_THROW(SedDispatch::parse(""), ConfigError);
 }
 
 // ------------------------------- device residency dispatch (res=)

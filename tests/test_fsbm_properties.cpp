@@ -11,12 +11,14 @@
 //   * single-bin analytic check: constant-velocity upwind transport has
 //     the closed-form binomial solution, and the mean fall distance is
 //     v * dt;
-//   * block/column equivalence: sediment_block is bitwise identical to
-//     sediment_column per column for any block width (N = 1, ragged,
-//     8) — the safety net under the blocked tentpole;
+//   * hoisting equivalence: sediment_column, with its loop invariants
+//     hoisted, is bitwise identical to an unhoisted in-test reference
+//     (a terminal-velocity lookup per bin, level and substep, the
+//     courant number recomputed per substep), vel_scale != 1 and the
+//     zero-velocity case included;
 //   * seed determinism: the same RunConfig run twice produces identical
-//     RunStats and state hashes for both sed=column and sed=block:8
-//     (guards the per-thread gather/scatter block-buffer reuse).
+//     RunStats and state hashes (guards the per-thread column and
+//     scratch buffer reuse).
 //
 // The harness runs each law over many RNG-driven trials (species, grid
 // size, density profile, time step all randomized) so future solver
@@ -24,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -97,25 +100,6 @@ double column_mass(const ColumnSample& s) {
   return q;
 }
 
-/// Pack N independent columns into the column-minor SoA block layout.
-void pack_block(const std::vector<ColumnSample>& cols, int nz,
-                std::vector<float>& g_blk, std::vector<double>& rho_blk) {
-  const int ncol = static_cast<int>(cols.size());
-  g_blk.resize(static_cast<std::size_t>(nz) * kNkr * ncol);
-  rho_blk.resize(static_cast<std::size_t>(nz) * ncol);
-  for (int c = 0; c < ncol; ++c) {
-    for (int iz = 0; iz < nz; ++iz) {
-      rho_blk[static_cast<std::size_t>(iz) * ncol + c] =
-          cols[static_cast<std::size_t>(c)].rho[static_cast<std::size_t>(iz)];
-      for (int k = 0; k < kNkr; ++k) {
-        g_blk[(static_cast<std::size_t>(iz) * kNkr + k) * ncol + c] =
-            cols[static_cast<std::size_t>(c)]
-                .g[static_cast<std::size_t>(iz) * kNkr + k];
-      }
-    }
-  }
-}
-
 // ------------------------------------------------- mass conservation
 
 TEST(FsbmProperties, SedimentationConservesMassUlpScaled) {
@@ -138,45 +122,6 @@ TEST(FsbmProperties, SedimentationConservesMassUlpScaled) {
         1e-300;
     EXPECT_NEAR(after + st.surface_precip * s.rho[0], before, tol)
         << "trial " << trial << " species " << species_name(sp);
-  }
-}
-
-TEST(FsbmProperties, BlockedSedimentationConservesMassUlpScaled) {
-  Rng rng(0xB10CC0115ull);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int nz = 4 + static_cast<int>(rng.bounded(30));
-    const int ncol = 1 + static_cast<int>(rng.bounded(11));
-    std::vector<ColumnSample> cols;
-    double before = 0.0;
-    for (int c = 0; c < ncol; ++c) {
-      cols.push_back(random_column(rng, nz));
-      before += column_mass(cols.back());
-    }
-    std::vector<float> g_blk;
-    std::vector<double> rho_blk;
-    pack_block(cols, nz, g_blk, rho_blk);
-    const Species sp = random_species(rng);
-    const SedConfig cfg = random_cfg(rng);
-    std::vector<double> precip(static_cast<std::size_t>(ncol));
-    const SedStats st = sediment_block(bins33(), sp, g_blk.data(),
-                                       rho_blk.data(), nz, ncol, cfg,
-                                       precip.data());
-    double after = 0.0;
-    for (int c = 0; c < ncol; ++c) {
-      for (int iz = 0; iz < nz; ++iz) {
-        for (int k = 0; k < kNkr; ++k) {
-          after += rho_blk[static_cast<std::size_t>(iz) * ncol + c] *
-                   g_blk[(static_cast<std::size_t>(iz) * kNkr + k) * ncol + c];
-        }
-      }
-      after += precip[static_cast<std::size_t>(c)] * rho_blk[c];
-    }
-    const double updates = st.flops / 8.0 + nz * ncol;
-    const double tol =
-        before * static_cast<double>(std::numeric_limits<float>::epsilon()) *
-            updates +
-        1e-300;
-    EXPECT_NEAR(after, before, tol) << "trial " << trial;
   }
 }
 
@@ -243,24 +188,6 @@ TEST(FsbmProperties, ZeroVelocityIsAFixedPoint) {
               0);
     EXPECT_EQ(st.surface_precip, 0.0);
     EXPECT_EQ(st.substeps, 0u);
-    EXPECT_EQ(st.lockstep_substeps, 0u);
-
-    // Same law for the blocked solver.
-    std::vector<ColumnSample> cols(3, s);
-    std::vector<float> g_blk;
-    std::vector<double> rho_blk;
-    pack_block(cols, nz, g_blk, rho_blk);
-    const std::vector<float> blk_orig = g_blk;
-    std::vector<double> precip(3);
-    const SedStats bt = sediment_block(bins33(), random_species(rng),
-                                       g_blk.data(), rho_blk.data(), nz, 3,
-                                       cfg, precip.data());
-    EXPECT_EQ(std::memcmp(g_blk.data(), blk_orig.data(),
-                          blk_orig.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(bt.surface_precip, 0.0);
-    EXPECT_EQ(bt.substeps, 0u);
-    EXPECT_EQ(bt.lockstep_substeps, 0u);
   }
 }
 
@@ -316,101 +243,72 @@ TEST(FsbmProperties, SingleBinMatchesAnalyticUpwindSolution) {
   }
   mean_drop = mean_drop / static_cast<double>(g0) * cfg.dz;
   EXPECT_NEAR(mean_drop, v * cfg.dt, v * cfg.dt * 1e-5);
-
-  // The blocked solver reproduces the same analytic solution.
-  std::vector<float> g_blk(static_cast<std::size_t>(nz) * kNkr, 0.0f);
-  g_blk[static_cast<std::size_t>(src) * kNkr + bin] = g0;
-  std::vector<double> precip(1);
-  sediment_block(bins33(), sp, g_blk.data(), rho.data(), nz, 1, cfg,
-                 precip.data());
-  EXPECT_EQ(std::memcmp(g_blk.data(), g.data(), g.size() * sizeof(float)), 0);
 }
 
-// -------------------------------------- block vs column bitwise identity
+// ------------------------------------- hoisted vs unhoisted bitwise identity
 
-TEST(FsbmProperties, BlockMatchesColumnBitwiseForAnyWidth) {
-  Rng rng(0xB17B17ull);
-  for (const int ncol : {1, 3, 5, 8}) {  // odd widths = ragged tails
-    for (int trial = 0; trial < 8; ++trial) {
-      const int nz = 4 + static_cast<int>(rng.bounded(30));
-      const Species sp = random_species(rng);
-      const SedConfig cfg = random_cfg(rng);
-      std::vector<ColumnSample> cols;
-      for (int c = 0; c < ncol; ++c) cols.push_back(random_column(rng, nz));
-
-      // Oracle: each column solved independently.
-      std::vector<ColumnSample> oracle = cols;
-      std::vector<SedStats> ost;
-      std::uint64_t substeps_sum = 0;
-      for (auto& col : oracle) {
-        ost.push_back(sediment_column(bins33(), sp, col.g.data(),
-                                      col.rho.data(), nz, cfg));
-        substeps_sum += ost.back().substeps;
+/// sediment_column without its hoisted loop invariants: one
+/// terminal_velocity lookup (table read plus density sqrt) per bin,
+/// level and substep, and the courant number recomputed every substep.
+SedStats unhoisted_sediment_column(Species sp, float* g_col,
+                                   const double* rho, int nz,
+                                   const SedConfig& cfg) {
+  SedStats st;
+  for (int k = 0; k < kNkr; ++k) {
+    double vmax = 0.0;
+    for (int iz = 0; iz < nz; ++iz) {
+      vmax = std::max(
+          vmax, bins33().terminal_velocity(sp, k, rho[iz]) * cfg.vel_scale);
+    }
+    if (vmax <= 0.0) continue;
+    const int nsub =
+        std::max(1, static_cast<int>(std::ceil(vmax * cfg.dt / cfg.dz)));
+    const double dts = cfg.dt / nsub;
+    st.substeps += static_cast<std::uint64_t>(nsub);
+    for (int s = 0; s < nsub; ++s) {
+      double flux_from_above = 0.0;
+      for (int iz = nz - 1; iz >= 0; --iz) {
+        float& g = g_col[static_cast<std::size_t>(iz) * kNkr + k];
+        const double v =
+            bins33().terminal_velocity(sp, k, rho[iz]) * cfg.vel_scale;
+        const double courant = std::min(1.0, v * dts / cfg.dz);
+        const double out = rho[iz] * static_cast<double>(g) * courant;
+        const double in = flux_from_above;
+        g = static_cast<float>((rho[iz] * g - out + in) / rho[iz]);
+        flux_from_above = out;
+        st.flops += 8.0;
       }
-
-      std::vector<float> g_blk;
-      std::vector<double> rho_blk;
-      pack_block(cols, nz, g_blk, rho_blk);
-      std::vector<double> precip(static_cast<std::size_t>(ncol));
-      const SedStats bt = sediment_block(bins33(), sp, g_blk.data(),
-                                         rho_blk.data(), nz, ncol, cfg,
-                                         precip.data());
-
-      for (int c = 0; c < ncol; ++c) {
-        SCOPED_TRACE("ncol=" + std::to_string(ncol) + " col=" +
-                     std::to_string(c) + " trial=" + std::to_string(trial));
-        for (int iz = 0; iz < nz; ++iz) {
-          for (int k = 0; k < kNkr; ++k) {
-            const float a =
-                oracle[static_cast<std::size_t>(c)]
-                    .g[static_cast<std::size_t>(iz) * kNkr + k];
-            const float b =
-                g_blk[(static_cast<std::size_t>(iz) * kNkr + k) * ncol + c];
-            ASSERT_EQ(std::memcmp(&a, &b, sizeof(float)), 0)
-                << "iz=" << iz << " k=" << k << " a=" << a << " b=" << b;
-          }
-        }
-        const double pa = ost[static_cast<std::size_t>(c)].surface_precip;
-        const double pb = precip[static_cast<std::size_t>(c)];
-        EXPECT_EQ(std::memcmp(&pa, &pb, sizeof(double)), 0);
-      }
-      // Per-column CFL substeps are dispatch-invariant; the lockstep
-      // count is what the block actually marched (<= sum, >= max).
-      EXPECT_EQ(bt.substeps, substeps_sum);
-      EXPECT_LE(bt.lockstep_substeps, bt.substeps);
+      st.surface_precip += flux_from_above / rho[0];
     }
   }
+  return st;
 }
 
-TEST(FsbmProperties, BlockAmortizesTerminalVelocityLookups) {
-  Rng rng(0xA3071Cull);
-  const int nz = 24;
-  const int ncol = 8;
-  std::vector<ColumnSample> cols;
-  for (int c = 0; c < ncol; ++c) cols.push_back(random_column(rng, nz));
-  SedConfig cfg;
-
-  std::uint64_t col_lookups = 0;
-  std::vector<ColumnSample> oracle = cols;
-  for (auto& col : oracle) {
-    col_lookups += sediment_column(bins33(), Species::kLiquid, col.g.data(),
-                                   col.rho.data(), nz, cfg)
-                       .tv_lookups;
+TEST(FsbmProperties, ColumnMatchesUnhoistedReferenceBitwise) {
+  Rng rng(0xB17B17ull);
+  for (int trial = 0; trial < 48; ++trial) {
+    const int nz = 4 + static_cast<int>(rng.bounded(30));
+    const Species sp = random_species(rng);
+    SedConfig cfg = random_cfg(rng);
+    // A third each: the default scale, a random one, and zero velocity.
+    if (trial % 3 == 1) cfg.vel_scale = rng.uniform(0.1, 3.0);
+    if (trial % 3 == 2) cfg.vel_scale = 0.0;
+    ColumnSample s = random_column(rng, nz);
+    ColumnSample ref = s;
+    const SedStats got =
+        sediment_column(bins33(), sp, s.g.data(), s.rho.data(), nz, cfg);
+    const SedStats want =
+        unhoisted_sediment_column(sp, ref.g.data(), ref.rho.data(), nz, cfg);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_EQ(std::memcmp(s.g.data(), ref.g.data(),
+                          s.g.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(&got.surface_precip, &want.surface_precip,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(got.substeps, want.substeps);
+    EXPECT_EQ(std::memcmp(&got.flops, &want.flops, sizeof(double)), 0);
   }
-  std::vector<float> g_blk;
-  std::vector<double> rho_blk;
-  pack_block(cols, nz, g_blk, rho_blk);
-  std::vector<double> precip(static_cast<std::size_t>(ncol));
-  const SedStats bt =
-      sediment_block(bins33(), Species::kLiquid, g_blk.data(), rho_blk.data(),
-                     nz, ncol, cfg, precip.data());
-  // One power-law evaluation per bin per block...
-  EXPECT_EQ(bt.tv_lookups, static_cast<std::uint64_t>(kNkr));
-  // ...versus one per (bin, level, 1 + substep) per column: amortized by
-  // far more than the block width N.
-  EXPECT_GE(col_lookups, bt.tv_lookups * ncol * nz);
-  // Density corrections: once per (level, column), shared across bins.
-  EXPECT_EQ(bt.corr_evals, static_cast<std::uint64_t>(nz) * ncol);
 }
 
 // ------------------------------------------------- seed determinism
@@ -424,9 +322,6 @@ void expect_identical_stats(const FsbmStats& a, const FsbmStats& b) {
   EXPECT_EQ(a.kernel_entries, b.kernel_entries);
   EXPECT_EQ(a.coal_interactions, b.coal_interactions);
   EXPECT_EQ(a.sed_substeps, b.sed_substeps);
-  EXPECT_EQ(a.sed_lockstep_substeps, b.sed_lockstep_substeps);
-  EXPECT_EQ(a.sed_tv_lookups, b.sed_tv_lookups);
-  EXPECT_EQ(a.sed_corr_evals, b.sed_corr_evals);
   // Doubles bitwise: the exec layer pins reduction association.
   EXPECT_EQ(std::memcmp(&a.surface_precip, &b.surface_precip,
                         sizeof(double)),
@@ -435,25 +330,21 @@ void expect_identical_stats(const FsbmStats& a, const FsbmStats& b) {
   EXPECT_EQ(std::memcmp(&a.cond_flops, &b.cond_flops, sizeof(double)), 0);
 }
 
-TEST(FsbmProperties, SeedDeterminismForColumnAndBlockDispatch) {
-  for (const char* mode : {"column", "block:8"}) {
-    SCOPED_TRACE(mode);
-    model::RunConfig cfg;
-    cfg.nx = 16;
-    cfg.ny = 12;
-    cfg.nz = 8;
-    cfg.nsteps = 2;
-    cfg.sed = SedDispatch::parse(mode);
-    // Two threads so the per-thread block buffers actually get reused
-    // across tiles and runs.
-    cfg.exec.kind = exec::ExecKind::kThreads;
-    cfg.exec.nthreads = 2;
-    prof::Profiler p1, p2;
-    const model::RunResult a = model::run_single(cfg, p1);
-    const model::RunResult b = model::run_single(cfg, p2);
-    expect_identical_stats(a.totals.fsbm, b.totals.fsbm);
-    EXPECT_EQ(model::state_hash(a), model::state_hash(b));
-  }
+TEST(FsbmProperties, SeedDeterminismUnderThreadedDispatch) {
+  model::RunConfig cfg;
+  cfg.nx = 16;
+  cfg.ny = 12;
+  cfg.nz = 8;
+  cfg.nsteps = 2;
+  // Two threads so the per-thread column and scratch buffers actually
+  // get reused across tiles and runs.
+  cfg.exec.kind = exec::ExecKind::kThreads;
+  cfg.exec.nthreads = 2;
+  prof::Profiler p1, p2;
+  const model::RunResult a = model::run_single(cfg, p1);
+  const model::RunResult b = model::run_single(cfg, p2);
+  expect_identical_stats(a.totals.fsbm, b.totals.fsbm);
+  EXPECT_EQ(model::state_hash(a), model::state_hash(b));
 }
 
 // ------------------------------------------ heterogeneous dispatch laws
@@ -540,7 +431,6 @@ TEST(FsbmProperties, SeedDeterminismUnderHeteroDispatch) {
     cfg.nsteps = 2;
     cfg.version = Version::kV3Offload3;
     cfg.res = res;
-    cfg.sed = SedDispatch::parse("block:8");
     cfg.exec.kind = exec::ExecKind::kHetero;
     cfg.exec.nthreads = 2;
     prof::Profiler p1, p2;
@@ -577,7 +467,6 @@ TEST(FsbmProperties, SeedDeterminismUnderResidencyModes) {
     cfg.nsteps = 2;
     cfg.version = Version::kV3Offload3;  // offloaded: the res knob bites
     cfg.res = res;
-    cfg.sed = SedDispatch::parse("block:8");
     cfg.exec.kind = exec::ExecKind::kThreads;
     cfg.exec.nthreads = 2;
     prof::Profiler p1, p2;

@@ -122,74 +122,6 @@ TEST_F(SedTest, CflSubstepping) {
   EXPECT_GE(st.substeps, 6u);
 }
 
-TEST_F(SedTest, BlockLockstepUsesWorstCaseSubstepsPerBin) {
-  // Two columns with very different air densities need different CFL
-  // substep counts; the block marches the worst case in lockstep while
-  // each column keeps its own count (the sum is dispatch-invariant).
-  const int nz = 10;
-  const int ncol = 2;
-  std::vector<float> blk(static_cast<std::size_t>(nz) * 33 * ncol, 0.0f);
-  std::vector<double> rho_blk(static_cast<std::size_t>(nz) * ncol);
-  for (int iz = 0; iz < nz; ++iz) {
-    rho_blk[static_cast<std::size_t>(iz) * ncol + 0] = 1.2;   // dense: slow
-    rho_blk[static_cast<std::size_t>(iz) * ncol + 1] = 0.15;  // thin: fast
-  }
-  // Mid-size bin: slow enough that neither column fully drains, so the
-  // thin-air column's faster fall shows up in the precip comparison.
-  for (int iz = 0; iz < nz; ++iz) {
-    for (int c = 0; c < ncol; ++c) {
-      blk[(static_cast<std::size_t>(iz) * 33 + 12) * ncol + c] = 1.0e-4f;
-    }
-  }
-  SedConfig cfg = cfg_;
-  cfg.dt = 60.0;
-  cfg.dz = 100.0;
-  std::vector<double> precip(ncol);
-  const SedStats st =
-      sediment_block(bins_, Species::kHail, blk.data(), rho_blk.data(), nz,
-                     ncol, cfg, precip.data());
-
-  // Per-column oracle substeps for comparison.
-  std::uint64_t sub[2] = {0, 0};
-  std::uint64_t lockstep_expected = 0;
-  for (int k = 0; k < 33; ++k) {
-    std::uint64_t per_bin[2] = {0, 0};
-    for (int c = 0; c < ncol; ++c) {
-      const double v =
-          bins_.terminal_velocity(Species::kHail, k, rho_blk[c]);
-      per_bin[c] = static_cast<std::uint64_t>(
-          std::max(1.0, std::ceil(v * cfg.dt / cfg.dz)));
-      sub[c] += per_bin[c];
-    }
-    lockstep_expected += std::max(per_bin[0], per_bin[1]);
-  }
-  EXPECT_EQ(st.substeps, sub[0] + sub[1]);
-  EXPECT_EQ(st.lockstep_substeps, lockstep_expected);
-  EXPECT_LT(st.lockstep_substeps, st.substeps);
-  EXPECT_GT(precip[1], precip[0]);  // thin-air column rains out faster
-}
-
-TEST_F(SedTest, BlockCountersAmortizeLookups) {
-  const int nz = 12;
-  const int ncol = 4;
-  std::vector<float> blk(static_cast<std::size_t>(nz) * 33 * ncol, 1.0e-5f);
-  std::vector<double> rho_blk(static_cast<std::size_t>(nz) * ncol, 1.0);
-  std::vector<double> precip(ncol);
-  const SedStats st =
-      sediment_block(bins_, Species::kLiquid, blk.data(), rho_blk.data(), nz,
-                     ncol, cfg_, precip.data());
-  EXPECT_EQ(st.tv_lookups, 33u);  // one power law per bin per block
-  EXPECT_EQ(st.corr_evals, static_cast<std::uint64_t>(nz) * ncol);
-
-  std::vector<float> col(static_cast<std::size_t>(nz) * 33, 1.0e-5f);
-  std::vector<double> rho(static_cast<std::size_t>(nz), 1.0);
-  const SedStats cs =
-      sediment_column(bins_, Species::kLiquid, col.data(), rho.data(), nz,
-                      cfg_);
-  EXPECT_GE(cs.tv_lookups, static_cast<std::uint64_t>(33) * nz);
-  EXPECT_EQ(cs.tv_lookups, cs.corr_evals);
-}
-
 TEST_F(SedTest, VaryingDensityColumnStillConserves) {
   const int nz = 30;
   std::vector<float> col(static_cast<std::size_t>(nz) * 33, 0.0f);

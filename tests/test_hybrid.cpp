@@ -1,7 +1,7 @@
 // The phys= knob's contracts (fsbm/hybrid.hpp): phys=hybrid with an
 // all-bin fidelity override must reproduce phys=bin bit for bit — state
 // snapshots, physics statistics, launch and transfer accounting —
-// across exec spaces, residency modes, versions, and sed dispatch;
+// across exec spaces, residency modes, and versions;
 // phys=bulk demotes the whole domain through the same machinery; the
 // adaptive rule splits a storm case into two live populations; and the
 // hysteresis (threshold band + demotion patience) keeps cells from
@@ -149,17 +149,6 @@ TEST(Hybrid, AllBinOverrideBitwiseMatchesBinAcrossTheMatrix) {
       }
     }
   }
-}
-
-TEST(Hybrid, AllBinOverrideBitwiseWithBlockedSed) {
-  // Same gate through the blocked sedimentation dispatch: the compacted
-  // bin-column sub-block must be the identity when nothing is bulk.
-  model::RunConfig bin = hybrid_case(PhysScheme::kBin);
-  bin.sed = SedDispatch::parse("block:4");
-  model::RunConfig hyb = bin;
-  hyb.phys = PhysScheme::kHybrid;
-  hyb.fsbm_params.hybrid.override_mode = HybridConfig::Override::kAllBin;
-  expect_bitwise_equal(run(bin), run(hyb), "sed=block:4");
 }
 
 TEST(Hybrid, BulkDemotesTheWholeDomain) {

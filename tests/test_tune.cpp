@@ -91,23 +91,19 @@ TEST(TuneKnobs, DescribeParseIdentityAcrossTheMatrix) {
   execs.push_back(exec::ExecConfig::parse("threads:2"));
   execs.push_back(exec::ExecConfig::parse("device"));
   execs.push_back(exec::ExecConfig::parse("hetero:3"));
-  const std::vector<std::string> seds = {"column", "block:8", "block:32"};
   for (const auto& e : execs) {
     for (const char* halo : {"sync", "overlap"}) {
-      for (const std::string& sd : seds) {
-        for (const char* res : {"step", "persist"}) {
-          for (const char* fuse : {"off", "auto"}) {
-            tune::KnobSet k;
-            k.exec = e;
-            k.halo = dyn::parse_halo_mode(halo);
-            k.sed = fsbm::SedDispatch::parse(sd);
-            k.res = mem::parse_residency(res);
-            k.fuse = exec::parse_fuse(fuse);
-            const std::string s = k.describe();
-            const tune::KnobSet back = tune::KnobSet::parse(s);
-            EXPECT_EQ(back.describe(), s);
-            EXPECT_TRUE(back == k) << s;
-          }
+      for (const char* res : {"step", "persist"}) {
+        for (const char* fuse : {"off", "auto"}) {
+          tune::KnobSet k;
+          k.exec = e;
+          k.halo = dyn::parse_halo_mode(halo);
+          k.res = mem::parse_residency(res);
+          k.fuse = exec::parse_fuse(fuse);
+          const std::string s = k.describe();
+          const tune::KnobSet back = tune::KnobSet::parse(s);
+          EXPECT_EQ(back.describe(), s);
+          EXPECT_TRUE(back == k) << s;
         }
       }
     }
@@ -119,12 +115,10 @@ TEST(TuneKnobs, ApplyToChangesOnlyTheTunableSlice) {
   cfg.phys = fsbm::PhysScheme::kHybrid;
   const std::string shape_before = tune::shape_key(cfg);
   const tune::KnobSet k =
-      tune::KnobSet::parse("exec=device halo=sync sed=block:16 res=persist "
-                           "fuse=auto");
+      tune::KnobSet::parse("exec=device halo=overlap res=persist fuse=auto");
   k.apply_to(cfg);
   EXPECT_EQ(cfg.exec.kind, exec::ExecKind::kDevice);
-  EXPECT_EQ(cfg.sed.kind, fsbm::SedDispatch::Kind::kBlock);
-  EXPECT_EQ(cfg.sed.block, 16);
+  EXPECT_EQ(cfg.halo_mode, dyn::HaloMode::kOverlap);
   EXPECT_EQ(cfg.res, mem::ResidencyMode::kPersist);
   EXPECT_EQ(cfg.fuse, exec::FuseMode::kAuto);
   // Physics and shape are untouched by construction.
@@ -137,7 +131,7 @@ TEST(TuneKnobs, ParseRejectsUnknownDuplicateAndBadValues) {
   EXPECT_THROW(tune::KnobSet::parse("exec=serial phys=bulk"), ConfigError);
   EXPECT_THROW(tune::KnobSet::parse("exec=serial exec=device"), ConfigError);
   EXPECT_THROW(tune::KnobSet::parse("exec=warp9"), ConfigError);
-  EXPECT_THROW(tune::KnobSet::parse("sed=block:"), ConfigError);
+  EXPECT_THROW(tune::KnobSet::parse("sed=column"), ConfigError);  // retired
   EXPECT_THROW(tune::KnobSet::parse("plainword"), ConfigError);
 }
 
@@ -154,7 +148,6 @@ TEST(TuneSpace, ShapeKeySeparatesPhysicsFromKnobs) {
   const model::RunConfig a = tiny_case();
   model::RunConfig b = a;
   b.exec = exec::ExecConfig::parse("threads:4");
-  b.sed = fsbm::SedDispatch::parse("block:8");
   b.res = mem::ResidencyMode::kPersist;
   EXPECT_EQ(tune::shape_key(a), tune::shape_key(b));  // knobs don't key
 
@@ -234,7 +227,7 @@ tune::Artifact sample_artifact(const std::string& shape) {
   art.machine = tune::local_fingerprint("test-device");
   tune::TunedEntry e;
   e.shape = shape;
-  e.knobs = "exec=threads:2 halo=sync sed=block:8 res=step fuse=off";
+  e.knobs = "exec=threads:2 halo=sync res=step fuse=off";
   e.steps = 4;
   e.wall.min = 0.5;
   e.wall.median = 0.6;
@@ -284,7 +277,7 @@ TEST(TuneArtifact, WriteLoadRoundTrip) {
 TEST(TuneArtifact, UpsertReplacesSameShape) {
   tune::Artifact art = sample_artifact("s1");
   tune::TunedEntry e2 = art.entries[0];
-  e2.knobs = "exec=serial halo=sync sed=column res=step fuse=off";
+  e2.knobs = "exec=serial halo=sync res=step fuse=off";
   art.upsert(e2);
   ASSERT_EQ(art.entries.size(), 1u);
   EXPECT_EQ(art.entries[0].knobs, e2.knobs);
@@ -305,20 +298,47 @@ TEST(TuneArtifact, LoadRejectsMalformed) {
     out << text;
   };
   // Truncated JSON.
-  write_raw("{\"schema_version\": 1, \"machine\": {");
+  write_raw("{\"schema_version\": 2, \"machine\": {");
   EXPECT_THROW(tune::load_artifact(path), ConfigError);
   // Wrong schema version.
   write_raw("{\"schema_version\": 99, \"machine\": {\"hw_threads\": 1, "
             "\"device\": \"d\"}, \"entries\": []}");
   EXPECT_THROW(tune::load_artifact(path), ConfigError);
   // Entry whose knob string no build could parse.
-  write_raw("{\"schema_version\": 1, \"machine\": {\"hw_threads\": 1, "
+  write_raw("{\"schema_version\": 2, \"machine\": {\"hw_threads\": 1, "
             "\"device\": \"d\"}, \"entries\": [{\"shape\": \"s\", "
             "\"knobs\": \"exec=warp9\", \"steps\": 1, "
             "\"wall_min_s\": 1.0, \"wall_median_s\": 1.0, "
             "\"wall_cv\": 0.0, \"reps\": 1, \"cellsteps_per_s\": 1.0, "
             "\"baseline_cellsteps_per_s\": 1.0, \"ladder\": []}]}");
   EXPECT_THROW(tune::load_artifact(path), ConfigError);
+  std::remove(path.c_str());
+}
+
+TEST(TuneArtifact, SchemaOneArtifactIsRejectedByPath) {
+  // Version 1 artifacts carry `sed=` in every knob string; the knob is
+  // gone, so loading one is a typed schema-version error naming the
+  // file, never a half-parsed artifact.
+  const std::string path = scratch_path("schema1");
+  {
+    std::ofstream out(path);
+    out << "{\"schema_version\": 1, \"machine\": {\"hw_threads\": 1, "
+           "\"device\": \"d\"}, \"entries\": [{\"shape\": \"s\", "
+           "\"knobs\": \"exec=serial halo=sync sed=block:32 res=step "
+           "fuse=off\", \"steps\": 1, \"wall_min_s\": 1.0, "
+           "\"wall_median_s\": 1.0, \"wall_cv\": 0.0, \"reps\": 1, "
+           "\"cellsteps_per_s\": 1.0, \"baseline_cellsteps_per_s\": 1.0, "
+           "\"ladder\": []}]}";
+  }
+  ASSERT_EQ(tune::kArtifactSchemaVersion, 2);
+  try {
+    tune::load_artifact(path);
+    ADD_FAILURE() << "schema-1 artifact loaded";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("schema_version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
   std::remove(path.c_str());
 }
 
@@ -339,7 +359,7 @@ TEST(TuneArtifact, ApplySemantics) {
   const tune::Artifact hit = sample_artifact(tune::shape_key(cfg));
   EXPECT_TRUE(tune::apply_artifact(cfg, hit));
   EXPECT_EQ(cfg.exec.kind, exec::ExecKind::kThreads);
-  EXPECT_EQ(cfg.sed.kind, fsbm::SedDispatch::Kind::kBlock);
+  EXPECT_EQ(cfg.exec.nthreads, 2);
 
   // tune=file: with a missing file is an error, not a silent default.
   model::RunConfig strict = tiny_case();
@@ -361,7 +381,7 @@ TEST(TuneGate, FileLoadedConfigIsBitwiseIdenticalToExplicitKnobs) {
   base.nsteps = 2;
 
   const std::string knobs =
-      "exec=device halo=sync sed=block:8 res=persist fuse=auto";
+      "exec=device halo=sync res=persist fuse=auto";
   tune::Artifact art = sample_artifact(tune::shape_key(base));
   art.entries[0].knobs = knobs;
   const std::string path = scratch_path("gate");
@@ -456,7 +476,7 @@ TEST(TuneSvc, SchedulerAppliesTunedKnobsAtSubmit) {
   model::RunConfig job_cfg = tiny_case();
   job_cfg.nsteps = 2;
   const std::string knobs =
-      "exec=threads:2 halo=sync sed=block:8 res=step fuse=off";
+      "exec=threads:2 halo=sync res=step fuse=off";
   tune::Artifact art = sample_artifact(tune::shape_key(job_cfg));
   art.entries[0].knobs = knobs;
   const std::string path = scratch_path("svc");
