@@ -73,13 +73,12 @@ Cell measure(exec::FuseMode fuse, mem::ResidencyMode res, int nx, int ny,
     const auto patches = grid::decompose(cfg.domain(), 1, 1, cfg.halo);
     model::RankModel rank(cfg, patches[0], nullptr);
     rank.init();
-    prof::Profiler prof;
     std::vector<gpu::TransferStats> cum;
     cum.push_back(rank.device()->transfers());
     std::uint64_t launches = 0;
     double latency_ms = 0;
     for (int s = 0; s < nsteps; ++s) {
-      const model::StepStats st = rank.step(prof);
+      const model::StepStats st = rank.step();
       if (s > 0) {  // steady state only
         launches += st.fsbm.kernel_launches;
         latency_ms += st.fsbm.launch_latency_ms;
@@ -103,8 +102,7 @@ Cell measure(exec::FuseMode fuse, mem::ResidencyMode res, int nx, int ny,
 
   // Wall pass: whole-run wall over `reps` repetitions, fresh rank each.
   c.wall = bench::measure_reps(reps, [&]() {
-    prof::Profiler prof;
-    return model::run_single(cfg, prof).wall_sec;
+    return model::run_single(cfg).wall_sec;
   });
   return c;
 }

@@ -5,8 +5,9 @@
 // Sweeps phys in {bulk, hybrid, bin} on the single-rank scaled case
 // with the v1 host bin chain (the fidelity economics live on the host:
 // every demoted cell skips the whole bin chain).  Reports per mode the
-// whole-run wall aggregate (min/median/CV over reps), the derived
-// cell-step throughput, and the hybrid's population census.
+// whole-run wall aggregate (min/median/CV over reps, the three modes
+// interleaved within each rep), the derived cell-step throughput, and
+// the hybrid's population census.
 //
 // Shape target (exit-code gated in both output modes): hybrid
 // throughput lands STRICTLY between pure bulk (everything cheap) and
@@ -19,6 +20,7 @@
 //   JSON mode emits one record per phys mode; scripts/bench_json.sh
 //   distills the trajectory point BENCH_hybrid.json from it.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,8 +45,15 @@ struct Mode {
   double bin_flops = 0;          // cond + nucl + coal + sed
 };
 
-Mode measure(fsbm::PhysScheme phys, int nx, int ny, int nz, int nsteps,
-             const bench::MeasurePolicy& policy) {
+/// Measure every mode with interleaved reps: each rep runs all modes
+/// once, rotating which one goes first, so host drift over the
+/// measurement lands on bulk, hybrid and bin alike instead of on
+/// whichever mode happened to run during it.  Reps adapt as in
+/// bench::measure_reps — at least `min_reps`, then stop once every
+/// mode's wall CV is at or under the target, or at `max_reps`.
+std::vector<Mode> measure(const std::vector<fsbm::PhysScheme>& phys, int nx,
+                          int ny, int nz, int nsteps,
+                          const bench::MeasurePolicy& policy) {
   model::RunConfig cfg;
   cfg.nx = nx;
   cfg.ny = ny;
@@ -52,32 +61,50 @@ Mode measure(fsbm::PhysScheme phys, int nx, int ny, int nz, int nsteps,
   cfg.npx = cfg.npy = 1;
   cfg.nsteps = nsteps;
   cfg.version = fsbm::Version::kV1LookupOnDemand;
-  cfg.phys = phys;
   cfg.validate();
+  const std::size_t n = phys.size();
+  std::vector<model::RunConfig> cfgs(n, cfg);
+  for (std::size_t m = 0; m < n; ++m) cfgs[m].phys = phys[m];
+  std::vector<std::vector<double>> samples(n);
+  std::vector<model::RunResult> last(n);
+  const int lo = std::max(policy.min_reps, 1);
+  const int hi = std::max(policy.max_reps, lo);
+  for (int rep = 0; rep < hi; ++rep) {
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t m = (static_cast<std::size_t>(rep) + r) % n;
+      last[m] = model::run_single(cfgs[m]);
+      samples[m].push_back(last[m].wall_sec);
+    }
+    if (rep + 1 >= lo &&
+        std::all_of(samples.begin(), samples.end(), [&](const auto& s) {
+          return bench::aggregate_samples(s).cv <= policy.target_cv;
+        })) {
+      break;
+    }
+  }
 
-  Mode m;
-  m.phys = phys;
-  model::RunResult last;
-  m.wall = bench::measure_reps(policy, [&]() {
-    prof::Profiler p;
-    last = model::run_single(cfg, p);
-    return last.wall_sec;
-  });
-  const fsbm::FsbmStats& st = last.totals.fsbm;
+  std::vector<Mode> modes(n);
   const double cellsteps = static_cast<double>(cfg.domain().cells()) *
                            static_cast<double>(nsteps);
-  m.cellsteps_per_s = cellsteps / m.wall.min;
-  const double census = static_cast<double>(st.cells_bin + st.cells_bulk);
-  m.bin_fraction = census > 0
-                       ? static_cast<double>(st.cells_bin) / census
-                       : 1.0;  // phys=bin keeps no census: all bin
-  m.cells_active = st.cells_active;
-  m.promotions = st.promotions;
-  m.demotions = st.demotions;
-  m.surface_precip = st.surface_precip;
-  m.bulk_flops = st.bulk_flops;
-  m.bin_flops = st.cond_flops + st.nucl_flops + st.coal_flops + st.sed_flops;
-  return m;
+  for (std::size_t m = 0; m < n; ++m) {
+    Mode& out = modes[m];
+    const fsbm::FsbmStats& st = last[m].totals.fsbm;
+    out.phys = phys[m];
+    out.wall = bench::aggregate_samples(samples[m]);
+    out.cellsteps_per_s = cellsteps / out.wall.min;
+    const double census = static_cast<double>(st.cells_bin + st.cells_bulk);
+    out.bin_fraction = census > 0
+                           ? static_cast<double>(st.cells_bin) / census
+                           : 1.0;  // phys=bin keeps no census: all bin
+    out.cells_active = st.cells_active;
+    out.promotions = st.promotions;
+    out.demotions = st.demotions;
+    out.surface_precip = st.surface_precip;
+    out.bulk_flops = st.bulk_flops;
+    out.bin_flops =
+        st.cond_flops + st.nucl_flops + st.coal_flops + st.sed_flops;
+  }
+  return modes;
 }
 
 void print_json(const std::vector<Mode>& modes, int nx, int ny, int nz,
@@ -131,18 +158,17 @@ int main(int argc, char** argv) {
                  "(got %d positional args)\n", npos);
     return 2;
   }
-  // Adaptive reps: at least 3, growing to 8 until the wall CV drops
-  // under 10% — the same tune::MeasurePolicy discipline the autotuner's
-  // rungs use, so a noisy host spends reps instead of committing jitter.
+  // Adaptive reps: at least 3, growing to 8 until every mode's wall CV
+  // drops under 10% — the same tune::MeasurePolicy discipline the
+  // autotuner's rungs use, so a noisy host spends reps instead of
+  // committing jitter.
   bench::MeasurePolicy policy;
   policy.max_reps = 8;
 
-  std::vector<Mode> modes;
-  for (const fsbm::PhysScheme phys :
-       {fsbm::PhysScheme::kBulk, fsbm::PhysScheme::kHybrid,
-        fsbm::PhysScheme::kBin}) {
-    modes.push_back(measure(phys, nx, ny, nz, nsteps, policy));
-  }
+  const std::vector<Mode> modes =
+      measure({fsbm::PhysScheme::kBulk, fsbm::PhysScheme::kHybrid,
+               fsbm::PhysScheme::kBin},
+              nx, ny, nz, nsteps, policy);
   const Mode& blk = modes[0];
   const Mode& hyb = modes[1];
   const Mode& bin = modes[2];

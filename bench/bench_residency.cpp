@@ -59,12 +59,11 @@ Cell measure(fsbm::Version v, mem::ResidencyMode res, int nx, int ny, int nz,
   const auto patches = grid::decompose(cfg.domain(), 1, 1, cfg.halo);
   model::RankModel rank(cfg, patches[0], nullptr);
   rank.init();
-  prof::Profiler prof;
   std::vector<gpu::TransferStats> cum;
   cum.reserve(static_cast<std::size_t>(nsteps) + 1);
   cum.push_back(rank.device()->transfers());
   for (int s = 0; s < nsteps; ++s) {
-    rank.step(prof);
+    rank.step();
     cum.push_back(rank.device()->transfers());
   }
 
@@ -86,8 +85,7 @@ Cell measure(fsbm::Version v, mem::ResidencyMode res, int nx, int ny, int nz,
 
   // Wall pass: whole-run wall over `reps` repetitions, fresh rank each.
   c.wall = bench::measure_reps(reps, [&]() {
-    prof::Profiler p;
-    return model::run_single(cfg, p).wall_sec;
+    return model::run_single(cfg).wall_sec;
   });
   return c;
 }

@@ -20,10 +20,9 @@ int main() {
   };
   auto measure = [&](fsbm::Version v) {
     model::RunConfig cfg = bench::bench_case(v, 3);
-    prof::Profiler prof;
-    const model::RunResult res = model::run_simulation(cfg, prof);
+    const model::RunResult res = model::run_simulation(cfg);
     Meas m;
-    m.fast_sbm_sec = prof.inclusive_sec("fast_sbm") / cfg.nsteps;
+    m.fast_sbm_sec = res.totals.fsbm.wall_total_sec / cfg.nsteps;
     m.overall_sec = res.wall_sec / cfg.nsteps;
     m.coal_flops = res.totals.fsbm.coal_flops;
     return m;

@@ -63,8 +63,7 @@ HeteroCell measure_hetero(fsbm::Version v, int nx, int ny, int nz,
     cfg.nsteps = nsteps;
     cfg.version = v;
     cfg.exec = e;
-    prof::Profiler prof;
-    return model::run_single(cfg, prof);
+    return model::run_single(cfg);
   };
   // Baseline: the whole collision pass on the device with per-launch
   // full-field maps (res=step, any host exec — serial here).

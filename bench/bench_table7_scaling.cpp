@@ -26,13 +26,11 @@ int main() {
 
   // Work profile from a real (scaled) run of v1 and v0.
   model::RunConfig cfg = bench::bench_case(fsbm::Version::kV1LookupOnDemand, 2);
-  prof::Profiler prof;
-  const model::RunResult res1 = model::run_simulation(cfg, prof);
+  const model::RunResult res1 = model::run_simulation(cfg);
   perfmodel::WorkProfile w16 = bench::profile_from_run(res1, cfg);
   {
     model::RunConfig c0 = bench::bench_case(fsbm::Version::kV0Baseline, 2);
-    prof::Profiler p0;
-    const model::RunResult res0 = model::run_simulation(c0, p0);
+    const model::RunResult res0 = model::run_simulation(c0);
     const perfmodel::WorkProfile w0 = bench::profile_from_run(res0, c0);
     w16.coal_flops_v0 = w0.coal_flops;
   }
@@ -128,8 +126,7 @@ int main() {
                 fsbm::Version::kV1LookupOnDemand, halo_steps, {}, mode);
             hc.npx = grid.first;
             hc.npy = grid.second;
-            prof::Profiler hp;
-            hr = model::run_simulation(hc, hp);
+            hr = model::run_simulation(hc);
             return hr.wall_sec;
           });
       const double wait = hr.comm.total_wait_sec();

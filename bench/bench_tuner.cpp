@@ -49,8 +49,7 @@ Side measure_side(const char* name, const model::RunConfig& cfg,
   s.name = name;
   model::RunResult last;
   s.wall = bench::measure_reps(policy, [&]() {
-    prof::Profiler p;
-    last = model::run_single(cfg, p);
+    last = model::run_single(cfg);
     return last.wall_sec;
   });
   s.cellsteps_per_s = static_cast<double>(cfg.domain().cells()) *
@@ -181,9 +180,8 @@ int main(int argc, char** argv) {
   // Bitwise gate: the artifact-loaded run equals the explicit-knob run.
   model::RunConfig explicit_cfg = rep.winner;
   explicit_cfg.nsteps = compare_steps;
-  prof::Profiler p;
   const std::uint64_t explicit_hash =
-      model::state_hash(model::run_single(explicit_cfg, p));
+      model::state_hash(model::run_single(explicit_cfg));
   const bool bitwise_ok = tuned_side.hash == explicit_hash;
 
   // Throughput gate with a small allowance for the degenerate case

@@ -17,18 +17,17 @@ int main() {
 
   model::RunConfig cfg = bench::bench_case(fsbm::Version::kV1LookupOnDemand, 6);
   cfg.npx = cfg.npy = 1;
-  prof::Profiler prof;
-  const model::RunResult cpu = model::run_single(cfg, prof);
+  const model::RunResult cpu = model::run_single(cfg);
   cfg.version = fsbm::Version::kV3Offload3;
-  const model::RunResult gpu = model::run_single(cfg, prof);
+  const model::RunResult gpu = model::run_single(cfg);
 
   // Single-step agreement first (the -gpu=autocompare analogue).
   model::RunConfig one = cfg;
   one.nsteps = 1;
   one.version = fsbm::Version::kV1LookupOnDemand;
-  const model::RunResult cpu1 = model::run_single(one, prof);
+  const model::RunResult cpu1 = model::run_single(one);
   one.version = fsbm::Version::kV3Offload3;
-  const model::RunResult gpu1 = model::run_single(one, prof);
+  const model::RunResult gpu1 = model::run_single(one);
   const io::DiffReport step_rep =
       io::diffstate(cpu1.snapshots[0], gpu1.snapshots[0], 1e-12);
 

@@ -28,8 +28,7 @@ struct OffloadMeasurement {
 
 inline OffloadMeasurement run_conus_rank(fsbm::Version v) {
   model::RunConfig cfg = conus_rank_patch(v, /*nsteps=*/1);
-  prof::Profiler prof;
-  const model::RunResult res = model::run_single(cfg, prof);
+  const model::RunResult res = model::run_single(cfg);
 
   OffloadMeasurement m;
   m.version = v;
@@ -81,9 +80,8 @@ struct V0V1Ratio {
 inline V0V1Ratio measure_v0_v1_ratio() {
   auto one = [&](fsbm::Version v, double* fast, double* overall) {
     model::RunConfig cfg = bench_case(v, 2);
-    prof::Profiler prof;
-    const model::RunResult res = model::run_simulation(cfg, prof);
-    *fast = prof.inclusive_sec("fast_sbm");
+    const model::RunResult res = model::run_simulation(cfg);
+    *fast = res.totals.fsbm.wall_total_sec;
     *overall = res.wall_sec;
   };
   double f0, o0, f1, o1;

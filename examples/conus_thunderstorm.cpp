@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
       grid::decompose(solo.domain(), 1, 1, solo.halo)[0];
   model::RankModel storm(solo, patch, nullptr);
   storm.init();
-  prof::Profiler prof;
 
   // The storm loop drives RankModel directly (not run_single), so the
   // example owns its trace sink: installed after init() so the recorded
@@ -77,7 +76,7 @@ int main(int argc, char** argv) {
   std::printf("%6s %14s %14s %14s %12s\n", "step", "cloud frac",
               "max liquid", "total precip", "wall (s)");
   for (int s = 0; s < solo.nsteps; ++s) {
-    const model::StepStats st = storm.step(prof);
+    const model::StepStats st = storm.step();
     if (sink) {
       obs::StepRecord rec;
       rec.step = s;
@@ -150,8 +149,7 @@ int main(int argc, char** argv) {
   model::RunConfig cpu_cfg = solo;
   cpu_cfg.version = fsbm::Version::kV1LookupOnDemand;
   cpu_cfg.obs = obs::ObsConfig{};
-  prof::Profiler p2;
-  const model::RunResult cpu = model::run_single(cpu_cfg, p2);
+  const model::RunResult cpu = model::run_single(cpu_cfg);
   const io::DiffReport rep =
       io::diffstate(cpu.snapshots[0], storm.snapshot(), 1e-12);
   std::printf("%s", rep.format().c_str());

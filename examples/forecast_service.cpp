@@ -210,8 +210,7 @@ int main(int argc, char** argv) {
               "(bitwise determinism gate)...\n");
   for (const svc::JobResult& r : results) {
     if (r.outcome != svc::JobOutcome::kCompleted) continue;
-    prof::Profiler prof;
-    const model::RunResult solo = model::run_single(r.config, prof);
+    const model::RunResult solo = model::run_single(r.config);
     const std::uint64_t solo_hash = model::state_hash(solo);
     const bool ok = solo_hash == r.state_hash &&
                     solo.totals.fsbm.surface_precip ==

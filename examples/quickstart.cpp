@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "model/driver.hpp"
+#include "obs/export.hpp"
 
 using namespace wrf;
 
@@ -52,8 +53,14 @@ int main(int argc, char** argv) {
   for (const auto v : versions) {
     model::RunConfig c = cfg;
     c.version = v;
-    prof::Profiler prof;
-    const auto result = model::run_simulation(c, prof);
+    // The flat profile folds the run's spans; obs=trace installs its
+    // own sink for the run, so this one then stays empty.
+    obs::TraceSink spans;
+    model::RunResult result;
+    {
+      obs::ScopedActive on(&spans);
+      result = model::run_simulation(c);
+    }
     if (v == fsbm::Version::kV0Baseline) base_wall = result.wall_sec;
     std::printf("\n=== %s ===\n", fsbm::version_name(v));
     std::printf("wall: %.3f s (%.2fx vs baseline)\n", result.wall_sec,
@@ -70,8 +77,14 @@ int main(int argc, char** argv) {
                   100.0 * k.occupancy.achieved, 100.0 * k.l1_hit_rate,
                   100.0 * k.l2_hit_rate);
     }
-    std::printf("flat profile (gprof-style):\n%s",
-                prof.format_flat_report().c_str());
+    if (cfg.obs.trace()) {
+      std::printf("flat profile: spans went to the trace %s\n",
+                  cfg.obs.export_path().c_str());
+    } else {
+      std::printf("flat profile (gprof-style):\n%s",
+                  obs::format_flat_profile(obs::flat_profile(spans.drain()))
+                      .c_str());
+    }
   }
   return 0;
 }

@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
   cfg.fuse = exec::fuse_from_args(argc, argv);
   cfg.obs = obs::obs_from_args(argc, argv);  // traces the calibration run
   cfg.tune = tune::tune_from_args(argc, argv);  // off | auto | file:<path>
-  prof::Profiler prof;
-  const model::RunResult res = model::run_simulation(cfg, prof);
+  const model::RunResult res = model::run_simulation(cfg);
 
   perfmodel::WorkProfile w;
   const double rank_steps = cfg.nranks() * cfg.nsteps;

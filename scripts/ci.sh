@@ -15,11 +15,39 @@
 # Release additionally checks that the advection bin loops still
 # vectorize (run_vec_check).
 #
+# Every configuration first runs check_prof_fence (see below).
+#
 # Usage: scripts/ci.sh [Debug|Release|tsan|asan|bench]
 #        (no argument = Debug+Release plus the bench, obs and tune smokes)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+check_prof_fence() {
+  # Timing has one mechanism, obs spans.  The only prof:: code left is
+  # the empty prof::Profiler tag and its three forwarding overloads in
+  # src/model/driver.{hpp,cpp}, kept for the frozen wrfbench/ harness;
+  # no other source may name it (or the retired prof/prof.hpp).
+  echo "=== prof fence ==="
+  local hits
+  hits="$(grep -rnE 'prof::|prof/prof\.hpp' src bench examples tests \
+    --exclude=driver.hpp --exclude=driver.cpp || true)"
+  if [ -n "${hits}" ]; then
+    echo "prof fence: prof:: outside src/model/driver.{hpp,cpp}:"
+    echo "${hits}"
+    return 1
+  fi
+  local f
+  for f in src/model/driver.hpp src/model/driver.cpp; do
+    if grep -q 'prof/prof\.hpp' "${f}" ||
+        [ "$(grep -c 'prof::Profiler&' "${f}")" -ne 3 ]; then
+      echo "prof fence: ${f} must name prof::Profiler& in exactly the" \
+        "three forwarding overloads"
+      return 1
+    fi
+  done
+  echo "prof fence: clean"
+}
 
 run_matrix_config() {
   local cfg="$1"
@@ -161,8 +189,13 @@ run_bench_smoke() {
   # gates (pool multiplexing, shrinking waits, fair-share wait
   # ordering, ensemble batching, clean completions), the phys=hybrid
   # gates (strict bulk > hybrid > bin throughput ordering with a
-  # two-sided fidelity census), and that the JSON distillation pipeline
-  # stays runnable.
+  # two-sided fidelity census), Table I's hotspot ranking (fast_sbm >
+  # rk_scalar_tend > rk_update_scalar in both the all-ranks and the
+  # one-rank view), and that the JSON distillation pipeline stays
+  # runnable.
+  echo "=== Table I smoke ==="
+  "build-ci-release/bench_table1_hotspots" > /dev/null \
+    || { echo "Table I smoke: hotspot ranking lost"; return 1; }
   echo "=== bench_json smoke ==="
   BENCH_SMOKE=1 BUILD=build-ci-release \
     OUT=build-ci-release/BENCH_residency_smoke.json \
@@ -193,6 +226,7 @@ run_tune_smoke() {
   echo "tune smoke: artifact parses, gates pass, tune=file: loads"
 }
 
+check_prof_fence
 if [ $# -eq 0 ]; then
   run_matrix_config Debug
   run_matrix_config Release

@@ -57,7 +57,7 @@ void Rk3::tend_range(const exec::Range3& r, fsbm::MicroState& state,
 }
 
 Rk3Stats Rk3::step(fsbm::MicroState& state, const AnalyticWinds& winds,
-                   HaloPhases& halo, prof::Profiler& prof) {
+                   HaloPhases& halo) {
   Rk3Stats st;
   // Stage-0 snapshot (copy the whole memory extent: halos included so
   // updates into q can be re-based on q0 without re-exchange).
@@ -69,49 +69,34 @@ Rk3Stats Rk3::step(fsbm::MicroState& state, const AnalyticWinds& winds,
   const exec::Range3 comp{patch_.ip, patch_.k, patch_.jp};
   const double stage_dt[3] = {dt_ / 3.0, dt_ / 2.0, dt_};
   for (int stage = 0; stage < 3; ++stage) {
-    // The "halo_exchange" range brackets both phases in both modes (as
-    // a nested child under overlap, so rk_scalar_tend's exclusive time
-    // stays compute-only and comparable across modes).
-    {
-      prof::ScopedRange h(prof, "halo_exchange");
-      halo.begin(state);
-      if (halo_mode_ == HaloMode::kSync) halo.finish(state);
-    }
-    {
-      prof::ScopedRange r(prof, "rk_scalar_tend");
-      if (halo_mode_ == HaloMode::kOverlap) {
-        // Interior tiles never read halo cells (shell depth = stencil
-        // width), so they run while the exchange is in flight; the
-        // shell waits for finish.  finish() only writes halo cells, so
-        // every cell's tendency sees exactly the q values the sync
-        // order would have shown it — bitwise-identical results.
-        tend_range(comp.interior(kStencilWidth), state, winds, st);
-        {
-          prof::ScopedRange h(prof, "halo_exchange");
-          halo.finish(state);
-        }
-        for (const auto& piece : comp.shell(kStencilWidth)) {
-          tend_range(piece, state, winds, st);
-        }
-      } else {
-        tend_range(comp, state, winds, st);
+    halo.begin(state);
+    if (halo_mode_ == HaloMode::kOverlap) {
+      // Interior tiles never read halo cells (shell depth = stencil
+      // width), so they run while the exchange is in flight; the shell
+      // waits for finish.  finish() only writes halo cells, so every
+      // cell's tendency sees exactly the q values the sync order would
+      // have shown it — bitwise-identical results.
+      tend_range(comp.interior(kStencilWidth), state, winds, st);
+      halo.finish(state);
+      for (const auto& piece : comp.shell(kStencilWidth)) {
+        tend_range(piece, state, winds, st);
       }
+    } else {
+      halo.finish(state);
+      tend_range(comp, state, winds, st);
     }
-    {
-      prof::ScopedRange r(prof, "rk_update_scalar");
-      exec::ExecSpace& ex = exec_space();
-      const AdvStats a = rk_update_scalar(ex, patch_, qv0_, qv_tend_,
-                                          stage_dt[stage], state.qv);
-      st.update.cells += a.cells;
-      st.update.flops += a.flops;
-      for (int s = 0; s < fsbm::kNumSpecies; ++s) {
-        const AdvStats b = rk_update_scalar_bins(
-            ex, patch_, ff0_[static_cast<std::size_t>(s)],
-            ff_tend_[static_cast<std::size_t>(s)], stage_dt[stage],
-            state.ff[static_cast<std::size_t>(s)]);
-        st.update.cells += b.cells;
-        st.update.flops += b.flops;
-      }
+    exec::ExecSpace& ex = exec_space();
+    const AdvStats a = rk_update_scalar(ex, patch_, qv0_, qv_tend_,
+                                        stage_dt[stage], state.qv);
+    st.update.cells += a.cells;
+    st.update.flops += a.flops;
+    for (int s = 0; s < fsbm::kNumSpecies; ++s) {
+      const AdvStats b = rk_update_scalar_bins(
+          ex, patch_, ff0_[static_cast<std::size_t>(s)],
+          ff_tend_[static_cast<std::size_t>(s)], stage_dt[stage],
+          state.ff[static_cast<std::size_t>(s)]);
+      st.update.cells += b.cells;
+      st.update.flops += b.flops;
     }
   }
   return st;

@@ -22,7 +22,6 @@
 
 #include "dyn/advection.hpp"
 #include "fsbm/state.hpp"
-#include "prof/prof.hpp"
 
 namespace wrf::dyn {
 
@@ -83,7 +82,7 @@ class Rk3 {
   /// invoked once per stage, bracketing the interior tendencies under
   /// kOverlap.
   Rk3Stats step(fsbm::MicroState& state, const AnalyticWinds& winds,
-                HaloPhases& halo, prof::Profiler& prof);
+                HaloPhases& halo);
 
   HaloMode halo_mode() const noexcept { return halo_mode_; }
 

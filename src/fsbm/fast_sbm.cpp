@@ -601,9 +601,7 @@ double FastSbm::sediment_bulk_column(MicroState& state, int i, int j,
   return ss.surface_precip;
 }
 
-void FastSbm::pass_fidelity(MicroState& state, FsbmStats& st,
-                            prof::Profiler& prof) {
-  prof::ScopedRange fr(prof, "fidelity");
+void FastSbm::pass_fidelity(MicroState& state, FsbmStats& st) {
   const HybridConfig& hc = params_.hybrid;
   const int nkr = bins_.nkr();
   const bool init = !fidelity_initialized_;
@@ -765,8 +763,7 @@ void FastSbm::emit_cond_trace(const MicroState& state, int i, int k, int j,
   }
 }
 
-void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
-                           prof::Profiler& prof) {
+void FastSbm::pass_physics(MicroState& state, FsbmStats& st) {
   const bool inline_coal = version_ == Version::kV0Baseline ||
                            version_ == Version::kV1LookupOnDemand;
   const int nkr = bins_.nkr();
@@ -809,10 +806,8 @@ void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
         // Collision gate (TT > 223.15 in Listing 1).
         if (temp <= params_.t_coal) return;
         if (inline_coal) {
-          // No ScopedRange here: per-cell ranges on worker threads would
-          // serialize on the profiler mutex (each pop at depth zero
-          // merges).  Coal wall time goes into the partials instead and
-          // is attributed once per pass below.
+          // No per-cell span (one per cell would swamp the trace): coal
+          // wall time goes into the per-tile partials instead.
           const auto t0 = Clock::now();
           CoalStats cst;
           if (version_ == Version::kV0Baseline) {
@@ -889,10 +884,6 @@ void FastSbm::pass_physics(MicroState& state, FsbmStats& st,
     exec_space().run_tile_list(sp.plan, sp.host_tiles, lp, body);
     for (const FsbmStats& part : parts) sum.merge(part);
   }
-  if (inline_coal && sum.cells_coal > 0) {
-    prof.add_range_time("coal_bott_new_loop", sum.cells_coal,
-                        sum.wall_coal_sec);
-  }
   st.merge(sum);
 }
 
@@ -966,8 +957,7 @@ void FastSbm::emit_coal_trace(const MicroState& state, int i, int k, int j,
 }
 
 void FastSbm::run_device_group(const std::vector<std::size_t>& group,
-                               MicroState& state, FsbmStats& st,
-                               prof::Profiler& prof) {
+                               MicroState& state, FsbmStats& st) {
   const auto has = [](const std::vector<mem::FieldId>& set, mem::FieldId f) {
     return std::find(set.begin(), set.end(), f) != set.end();
   };
@@ -1006,7 +996,6 @@ void FastSbm::run_device_group(const std::vector<std::size_t>& group,
     }
   }
   if (fused) desc.name += "fused";
-  prof::ScopedRange cr(prof, desc.name);
   const auto t0 = Clock::now();
 
   // Prologue: a per-launch `target data` region (res=step), or the
@@ -1115,10 +1104,9 @@ void FastSbm::shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
 }
 
 void FastSbm::pass_coal_hetero(std::size_t id, MicroState& state,
-                               FsbmStats& st, prof::Profiler& prof) {
+                               FsbmStats& st) {
   const exec::PassNode& node = graph_.node(id);
   const Lane& lane = impls_[id].lane;
-  prof::ScopedRange cr(prof, node.name);
   const auto t0 = Clock::now();
   const bool collapse3 = node.collapse == 3;
 
@@ -1260,9 +1248,7 @@ void FastSbm::pass_coal_hetero(std::size_t id, MicroState& state,
   st.wall_coal_sec += seconds_since(t0);
 }
 
-void FastSbm::pass_sedimentation(MicroState& state, FsbmStats& st,
-                                 prof::Profiler& prof) {
-  prof::ScopedRange sr(prof, "sedimentation");
+void FastSbm::pass_sedimentation(MicroState& state, FsbmStats& st) {
   const int nkr = bins_.nkr();
   const int nz = patch_.k.size();
   SedConfig cfg = params_.sed;
@@ -1331,8 +1317,7 @@ void FastSbm::pass_sedimentation(MicroState& state, FsbmStats& st,
   st.merge(sum);
 }
 
-FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
-  prof::ScopedRange r(prof, "fast_sbm");
+FsbmStats FastSbm::step(MicroState& state) {
   OBS_SPAN("fsbm", "fast_sbm",
            {{"version", version_name(version_)},
             {"groups", schedule_.groups.size()}});
@@ -1346,7 +1331,7 @@ FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
   // fuse with one.  Under phys=bin it is skipped entirely — no extra
   // launches, no extra stats, bitwise-identical behavior to builds
   // without the knob.
-  if (params_.phys != PhysScheme::kBin) pass_fidelity(state, st, prof);
+  if (params_.phys != PhysScheme::kBin) pass_fidelity(state, st);
   // Walk the fusion schedule: host passes dispatch as themselves, the
   // predicate-split collision pass through its shards, and every other
   // group — one pass or a fused run of them — as one device launch.
@@ -1354,14 +1339,14 @@ FsbmStats FastSbm::step(MicroState& state, prof::Profiler& prof) {
     const std::size_t id = group.front();
     const exec::PassNode& node = graph_.node(id);
     if (impls_[id].host != nullptr) {
-      (this->*impls_[id].host)(state, st, prof);
+      (this->*impls_[id].host)(state, st);
       // Residency: the nest's writes stale the device copy under a host
       // space, or advance it under exec=device (modeled device kernel).
       mark_written(fields_of(node.writes), exec_device_, &st);
     } else if (node.split) {
-      pass_coal_hetero(id, state, st, prof);
+      pass_coal_hetero(id, state, st);
     } else {
-      run_device_group(group, state, st, prof);
+      run_device_group(group, state, st);
     }
   }
   if (device_ != nullptr) {

@@ -40,7 +40,6 @@
 #include "gpu/device.hpp"
 #include "mem/residency.hpp"
 #include "obs/registry.hpp"
-#include "prof/prof.hpp"
 
 namespace wrf::fsbm {
 
@@ -210,9 +209,10 @@ class FastSbm {
           exec::ExecSpace* exec = nullptr);
 
   /// Advance microphysics one step over the patch's computational range.
-  /// Profiler ranges: "fast_sbm" (whole call), "coal_bott_new_loop"
-  /// (collision section), matching the paper's NVTX annotation points.
-  FsbmStats step(MicroState& state, prof::Profiler& prof);
+  /// Spans: "fsbm/fast_sbm" brackets the whole call (and the
+  /// wall_total_sec clock pair), every pass dispatch and device launch
+  /// nests inside it — the paper's NVTX annotation points.
+  FsbmStats step(MicroState& state);
 
   Version version() const noexcept { return version_; }
   const KernelTables& tables() const noexcept { return tables_; }
@@ -277,7 +277,7 @@ class FastSbm {
   /// override), apply the bin<->bulk transforms, and re-collapse cells
   /// that stay bulk (advection smears neighbor bins into them).  Never
   /// runs under phys=bin.
-  void pass_fidelity(MicroState& state, FsbmStats& st, prof::Profiler& prof);
+  void pass_fidelity(MicroState& state, FsbmStats& st);
 
   /// One bulk cell's physics (the Kessler scheme on the carried
   /// moments); shares the t_active inertness gate with the bin body.
@@ -300,7 +300,7 @@ class FastSbm {
 
   /// Pass 1: nucleation + condensation per cell; fills the coal
   /// predicate for v2/v3 or runs collisions inline for v0/v1.
-  void pass_physics(MicroState& state, FsbmStats& st, prof::Profiler& prof);
+  void pass_physics(MicroState& state, FsbmStats& st);
 
   /// Per-launch counters of one device lane; relaxed atomics so lanes
   /// may run on any shard or pool thread.  Each lane counts its subset.
@@ -342,7 +342,7 @@ class FastSbm {
   /// How FastSbm runs one PassGraph node: host passes name their pass
   /// function (dispatched as-is); device passes declare a lane.
   struct PassImpl {
-    void (FastSbm::*host)(MicroState&, FsbmStats&, prof::Profiler&) = nullptr;
+    void (FastSbm::*host)(MicroState&, FsbmStats&) = nullptr;
     Lane lane;
   };
 
@@ -378,16 +378,14 @@ class FastSbm {
   /// condition that makes a fused group bitwise identical to its passes
   /// launched one by one.
   void run_device_group(const std::vector<std::size_t>& group,
-                        MicroState& state, FsbmStats& st,
-                        prof::Profiler& prof);
+                        MicroState& state, FsbmStats& st);
 
   /// Heterogeneous collision pass (exec=hetero): predicate-split the
   /// pass's row-tile plan, launch node `id`'s lane over only the
   /// device-shard tiles (shard-granular h2d/d2h through the data region)
   /// while the host shard walks the predicate-false remainder
   /// concurrently.
-  void pass_coal_hetero(std::size_t id, MicroState& state, FsbmStats& st,
-                        prof::Profiler& prof);
+  void pass_coal_hetero(std::size_t id, MicroState& state, FsbmStats& st);
 
   /// Memory rows (sorted ascending, disjoint) covering the device-shard
   /// tiles of `sp`, in CELLS of the shared scalar geometry — one walk;
@@ -395,8 +393,7 @@ class FastSbm {
   void shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
                   std::vector<mem::ByteRange>* cell_rows) const;
 
-  void pass_sedimentation(MicroState& state, FsbmStats& st,
-                          prof::Profiler& prof);
+  void pass_sedimentation(MicroState& state, FsbmStats& st);
 
   /// The collision lane (Listing 6's body): predicate gate, device-FMA
   /// kernel source, pooled (v3) or stack workspace.

@@ -242,17 +242,17 @@ struct RankHaloPhases final : dyn::HaloPhases {
   void finish(fsbm::MicroState& s) override { model->halo_finish(s, st); }
 };
 
-StepStats RankModel::step(prof::Profiler& prof) {
+StepStats RankModel::step() {
   StepStats st;
   const auto t0 = Clock::now();
   {
-    prof::ScopedRange r(prof, "solve_interval");
+    OBS_SPAN("step", "solve_interval");
     RankHaloPhases phases(this, &st);
-    st.dyn = rk3_->step(state_, winds_, phases, prof);
+    st.dyn = rk3_->step(state_, winds_, phases);
     mark_advection_writes(&st);  // the final stage's update (no round follows)
     // merge, not assign: st.fsbm already carries the transport-flush
     // charges the halo rounds and the mark above deposited.
-    st.fsbm.merge(fsbm_->step(state_, prof));
+    st.fsbm.merge(fsbm_->step(state_));
   }
   st.wall_sec = seconds_since(t0);
   return st;
@@ -312,7 +312,7 @@ io::Snapshot RankModel::snapshot() const {
   return snap;
 }
 
-RunResult run_simulation(const RunConfig& config, prof::Profiler& prof) {
+RunResult run_simulation(const RunConfig& config) {
   if (!config.tune.off()) {
     // Resolve tune= here, at the outermost entry, so every caller
     // (examples, benches, service lanes) gets tuned knobs; the spec is
@@ -321,7 +321,7 @@ RunResult run_simulation(const RunConfig& config, prof::Profiler& prof) {
     RunConfig c = config;
     tune::apply(c);
     c.tune = tune::TuneSpec{};
-    return run_simulation(c, prof);
+    return run_simulation(c);
   }
   config.validate();
   const auto patches =
@@ -339,7 +339,7 @@ RunResult run_simulation(const RunConfig& config, prof::Profiler& prof) {
     rank_model.init();
     StepStats local;
     for (int s = 0; s < config.nsteps; ++s) {
-      StepStats st = rank_model.step(prof);
+      StepStats st = rank_model.step();
       obsrun.record(s, ctx.rank(), st);
       local.merge(st);
       ctx.barrier();  // WRF's implicit per-step synchronization
@@ -389,7 +389,7 @@ std::uint64_t state_hash(const RunResult& result) {
   return h;
 }
 
-RunResult run_single(const RunConfig& config, prof::Profiler& prof) {
+RunResult run_single(const RunConfig& config) {
   RunConfig c = config;
   c.npx = 1;
   c.npy = 1;
@@ -407,7 +407,7 @@ RunResult run_single(const RunConfig& config, prof::Profiler& prof) {
   rank_model.init();
   ObsRun obsrun(c.obs);
   for (int s = 0; s < c.nsteps; ++s) {
-    StepStats st = rank_model.step(prof);
+    StepStats st = rank_model.step();
     obsrun.record(s, 0, st);
     result.totals.merge(st);
   }
@@ -428,6 +428,15 @@ RunResult run_single(const RunConfig& config, prof::Profiler& prof) {
   result.wall_sec = seconds_since(t0);
   obsrun.finish(result);
   return result;
+}
+
+// The wrfbench/ compatibility overloads (see prof::Profiler).
+StepStats RankModel::step(prof::Profiler&) { return step(); }
+RunResult run_simulation(const RunConfig& c, prof::Profiler&) {
+  return run_simulation(c);
+}
+RunResult run_single(const RunConfig& c, prof::Profiler&) {
+  return run_single(c);
 }
 
 void RunResult::publish(obs::Registry& reg) const {

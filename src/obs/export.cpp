@@ -1,9 +1,11 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "util/error.hpp"
 
@@ -197,6 +199,103 @@ std::string prometheus_text(const Registry& reg) {
 
 void write_prometheus(const Registry& reg, const std::string& path) {
   write_file(path, prometheus_text(reg));
+}
+
+std::vector<FlatRow> flat_profile(const std::vector<TrackEvents>& tracks) {
+  struct Agg {
+    std::uint64_t calls = 0;
+    std::uint64_t inclusive_us = 0;
+    std::uint64_t exclusive_us = 0;
+  };
+  struct Open {
+    std::string key;
+    std::uint64_t begin_us = 0;
+    std::uint64_t child_us = 0;  // inclusive time of closed children
+  };
+  std::map<std::string, Agg> table;
+  for (const TrackEvents& t : tracks) {
+    const std::string where =
+        "obs::flat_profile: track " + std::to_string(t.track) + ": ";
+    std::vector<Open> stack;
+    std::uint64_t last_us = 0;
+    for (const TraceEvent& e : t.events) {
+      if (e.ts_us < last_us) throw Error(where + "timestamps go backwards");
+      last_us = e.ts_us;
+      if (e.phase == 'B') {
+        stack.push_back({std::string(e.cat) + '/' + e.name, e.ts_us, 0});
+        continue;
+      }
+      if (e.phase != 'E') continue;
+      const std::string key = std::string(e.cat) + '/' + e.name;
+      if (stack.empty() || stack.back().key != key) {
+        throw Error(where + "span '" + key + "' ends " +
+                    (stack.empty() ? std::string("with no span open")
+                                   : "inside '" + stack.back().key + "'"));
+      }
+      const Open o = std::move(stack.back());
+      stack.pop_back();
+      const std::uint64_t incl = e.ts_us - o.begin_us;
+      Agg& a = table[key];
+      a.calls += 1;
+      a.inclusive_us += incl;
+      a.exclusive_us += incl - o.child_us;
+      if (!stack.empty()) stack.back().child_us += incl;
+    }
+    if (!stack.empty()) {
+      throw Error(where + "span '" + stack.back().key + "' never ends");
+    }
+  }
+  std::uint64_t total_excl = 0;
+  for (const auto& [key, agg] : table) total_excl += agg.exclusive_us;
+  std::vector<FlatRow> rows;
+  rows.reserve(table.size());
+  for (const auto& [key, agg] : table) {
+    FlatRow r;
+    r.name = key;
+    r.calls = agg.calls;
+    r.inclusive_sec = static_cast<double>(agg.inclusive_us) * 1e-6;
+    r.exclusive_sec = static_cast<double>(agg.exclusive_us) * 1e-6;
+    r.percent_exclusive =
+        total_excl > 0 ? 100.0 * static_cast<double>(agg.exclusive_us) /
+                             static_cast<double>(total_excl)
+                       : 0.0;
+    rows.push_back(std::move(r));
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const FlatRow& a, const FlatRow& b) {
+                     return a.exclusive_sec > b.exclusive_sec;
+                   });
+  return rows;
+}
+
+FlatRow flat_row(const std::vector<FlatRow>& rows, const std::string& key) {
+  for (const FlatRow& r : rows) {
+    if (r.name == key) return r;
+  }
+  FlatRow none;
+  none.name = key;
+  return none;
+}
+
+std::string format_flat_profile(const std::vector<FlatRow>& rows) {
+  std::string out;
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%8s %12s %12s %10s  ", "%time",
+                "excl(s)", "incl(s)", "calls");
+  out += buf;
+  out += "name\n";
+  for (const FlatRow& r : rows) {
+    // Numeric columns through snprintf (fixed width keeps them aligned);
+    // the name appended unformatted, so a row key of any length —
+    // nested pass labels, per-job spans — never truncates the row.
+    std::snprintf(buf, sizeof(buf), "%8.2f %12.4f %12.4f %10llu  ",
+                  r.percent_exclusive, r.exclusive_sec, r.inclusive_sec,
+                  static_cast<unsigned long long>(r.calls));
+    out += buf;
+    out += r.name;
+    out += '\n';
+  }
+  return out;
 }
 
 }  // namespace wrf::obs

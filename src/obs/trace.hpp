@@ -19,6 +19,8 @@
 // physics, so `obs=trace` leaves state hashes and stats untouched.
 //
 // Event taxonomy (category / name / args):
+//   step     solve_interval   one RankModel::step (RK3 + fast_sbm) — the
+//                             denominator of the Table I flat profile
 //   pass     <pass name>      pass dispatch through an exec space
 //                             (space, tiles, iters; shard lists too)
 //   kernel   <kernel name>    simulated device launch (iters,

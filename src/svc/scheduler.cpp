@@ -435,8 +435,8 @@ void Scheduler::lane_loop(int lane) {
     lk.unlock();
 
     // Run the batch back to back on this lane, scheduler unlocked.  Each
-    // job gets a private Profiler, so its RunResult is exactly what a
-    // standalone model::run_single of the same config produces.
+    // job's RunResult is exactly what a standalone model::run_single of
+    // the same config produces.
     for (Pending& p : batch) {
       JobResult& r = p.result;
       r.start_sec = now_sec();
@@ -449,8 +449,7 @@ void Scheduler::lane_loop(int lane) {
                             {"lane", lane},
                             {"batch_seq", batch_seq}});
         try {
-          prof::Profiler prof;
-          r.run = model::run_single(r.config, prof);
+          r.run = model::run_single(r.config);
           r.state_hash = model::state_hash(r.run);
           r.outcome = JobOutcome::kCompleted;
         } catch (const std::exception& e) {

@@ -16,10 +16,11 @@
 //    deadline-aware tie-breaking (svc/fairshare.hpp);
 //  * batches small same-shape ensemble members onto one lane dispatch,
 //    as long as their summed footprints co-fit the lane's DRAM;
-//  * runs each job through `model::run_single` with a private Profiler,
-//    so per-job results are bitwise identical to a standalone run of the
-//    same RunConfig (the determinism gate: model::state_hash equality,
-//    asserted in tests/test_svc.cpp and examples/forecast_service.cpp).
+//  * runs each job through `model::run_single`, which keeps no state
+//    across runs, so per-job results are bitwise identical to a
+//    standalone run of the same RunConfig (the determinism gate:
+//    model::state_hash equality, asserted in tests/test_svc.cpp and
+//    examples/forecast_service.cpp).
 //
 // Every job leaves as a `JobResult` carrying the full RunStats/FsbmStats
 // plus queue/admission/service timestamps; `ServiceStats` aggregates the

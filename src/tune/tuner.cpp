@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "prof/prof.hpp"
 #include "util/error.hpp"
 
 namespace wrf::tune {
@@ -20,9 +19,8 @@ int hardware_threads() {
 /// Run `cfg` once and return the run result (single-rank runs skip the
 /// simpi layer, matching how the benches measure).
 model::RunResult timed_run(const model::RunConfig& cfg) {
-  prof::Profiler prof;
-  return cfg.nranks() > 1 ? model::run_simulation(cfg, prof)
-                          : model::run_single(cfg, prof);
+  return cfg.nranks() > 1 ? model::run_simulation(cfg)
+                          : model::run_single(cfg);
 }
 
 /// The measurement config for one knob point: base with the knobs

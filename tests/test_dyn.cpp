@@ -9,6 +9,7 @@
 #include "dyn/advection.hpp"
 #include "dyn/rk3.hpp"
 #include "model/case_conus.hpp"
+#include "obs/export.hpp"
 
 namespace wrf::dyn {
 namespace {
@@ -223,7 +224,6 @@ TEST(Rk3, ConservesTracerWithPeriodicLikeInterior) {
   model::init_case_conus(cfg, state);
   AnalyticWinds winds = uniform_winds(p, 0.0, 0.0, 0.0);
   Rk3 rk3(p, cfg.nkr, AdvConfig{}, cfg.dt);
-  prof::Profiler prof;
   double qv0 = 0.0;
   for (int j = p.jp.lo; j <= p.jp.hi; ++j)
     for (int k = p.k.lo; k <= p.k.hi; ++k)
@@ -232,14 +232,19 @@ TEST(Rk3, ConservesTracerWithPeriodicLikeInterior) {
     fill_domain_boundaries(p, s.qv);
     for (auto& f : s.ff) fill_domain_boundaries_bins(p, f);
   });
-  rk3.step(state, winds, halo, prof);
+  obs::TraceSink sink;
+  {
+    obs::ScopedActive on(&sink);
+    rk3.step(state, winds, halo);
+  }
   double qv1 = 0.0;
   for (int j = p.jp.lo; j <= p.jp.hi; ++j)
     for (int k = p.k.lo; k <= p.k.hi; ++k)
       for (int i = p.ip.lo; i <= p.ip.hi; ++i) qv1 += state.qv(i, k, j);
   EXPECT_NEAR(qv1, qv0, qv0 * 1e-6);
-  EXPECT_EQ(prof.calls("rk_scalar_tend"), 3u);
-  EXPECT_EQ(prof.calls("rk_update_scalar"), 3u);
+  const std::vector<obs::FlatRow> rows = obs::flat_profile(sink.drain());
+  EXPECT_EQ(obs::flat_row(rows, "pass/rk_scalar_tend").calls, 3u);
+  EXPECT_EQ(obs::flat_row(rows, "pass/rk_update_scalar").calls, 3u);
 }
 
 }  // namespace

@@ -518,11 +518,10 @@ TEST(ExecFsbm, SerialVsThreadedBitwiseAcrossAllVersions) {
        {fsbm::Version::kV0Baseline, fsbm::Version::kV1LookupOnDemand,
         fsbm::Version::kV2Offload2, fsbm::Version::kV3Offload3,
         fsbm::Version::kV3NaiveCollapse3}) {
-    prof::Profiler p1, p2;
     const model::RunResult serial =
-        model::run_single(exec_case(v, ExecConfig{}), p1);
+        model::run_single(exec_case(v, ExecConfig{}));
     const model::RunResult threaded =
-        model::run_single(exec_case(v, threads), p2);
+        model::run_single(exec_case(v, threads));
     expect_same_physics(serial, threaded, fsbm::version_name(v));
   }
 }
@@ -534,11 +533,10 @@ TEST(ExecFsbm, ThreadCountDoesNotChangeResults) {
   t2.kind = t7.kind = ExecKind::kThreads;
   t2.nthreads = 2;
   t7.nthreads = 7;
-  prof::Profiler p1, p2;
   const auto a =
-      model::run_single(exec_case(fsbm::Version::kV1LookupOnDemand, t2), p1);
+      model::run_single(exec_case(fsbm::Version::kV1LookupOnDemand, t2));
   const auto b =
-      model::run_single(exec_case(fsbm::Version::kV1LookupOnDemand, t7), p2);
+      model::run_single(exec_case(fsbm::Version::kV1LookupOnDemand, t7));
   expect_same_physics(a, b, "threads:2 vs threads:7");
 }
 
@@ -559,9 +557,8 @@ TEST(ExecFsbm, ResPersistMatchesStepBitwiseAcrossAllVersions) {
       model::RunConfig step_cfg = exec_case(v, e);
       model::RunConfig persist_cfg = step_cfg;
       persist_cfg.res = mem::ResidencyMode::kPersist;
-      prof::Profiler p1, p2;
-      const model::RunResult a = model::run_single(step_cfg, p1);
-      const model::RunResult b = model::run_single(persist_cfg, p2);
+      const model::RunResult a = model::run_single(step_cfg);
+      const model::RunResult b = model::run_single(persist_cfg);
       expect_same_physics(a, b,
                           (std::string(fsbm::version_name(v)) + " res " +
                            e.describe())
@@ -578,9 +575,8 @@ TEST(ExecFsbm, ResPersistMatchesStepUnderDeviceExec) {
   step_cfg.exec.kind = ExecKind::kDevice;
   model::RunConfig persist_cfg = step_cfg;
   persist_cfg.res = mem::ResidencyMode::kPersist;
-  prof::Profiler p1, p2;
-  const model::RunResult a = model::run_single(step_cfg, p1);
-  const model::RunResult b = model::run_single(persist_cfg, p2);
+  const model::RunResult a = model::run_single(step_cfg);
+  const model::RunResult b = model::run_single(persist_cfg);
   expect_same_physics(a, b, "v3 exec=device res step vs persist");
   EXPECT_LT(b.totals.fsbm.h2d_bytes, a.totals.fsbm.h2d_bytes);
   EXPECT_LT(b.totals.fsbm.d2h_bytes, a.totals.fsbm.d2h_bytes);
@@ -608,9 +604,8 @@ TEST(ExecFsbm, ResPersistMultiRankBitwiseUnderBothHaloModes) {
         step_cfg.halo_mode = h;
         model::RunConfig persist_cfg = step_cfg;
         persist_cfg.res = mem::ResidencyMode::kPersist;
-        prof::Profiler p1, p2;
-        const model::RunResult a = model::run_simulation(step_cfg, p1);
-        const model::RunResult b = model::run_simulation(persist_cfg, p2);
+        const model::RunResult a = model::run_simulation(step_cfg);
+        const model::RunResult b = model::run_simulation(persist_cfg);
         expect_same_physics(a, b,
                             (std::string(fsbm::version_name(v)) + " halo=" +
                              dyn::halo_mode_name(h) + " exec=" + e.describe() +
@@ -633,9 +628,8 @@ TEST(ExecFsbm, ResPersistTrafficDeterministicAcrossThreadCounts) {
   base.res = mem::ResidencyMode::kPersist;
   model::RunConfig alt = base;
   alt.exec = t5;
-  prof::Profiler p1, p2;
-  const model::RunResult a = model::run_single(base, p1);
-  const model::RunResult b = model::run_single(alt, p2);
+  const model::RunResult a = model::run_single(base);
+  const model::RunResult b = model::run_single(alt);
   expect_same_physics(a, b, "persist threads:2 vs threads:5");
   EXPECT_EQ(a.totals.fsbm.h2d_bytes, b.totals.fsbm.h2d_bytes);
   EXPECT_EQ(a.totals.fsbm.d2h_bytes, b.totals.fsbm.d2h_bytes);
@@ -668,10 +662,9 @@ TEST(ExecFsbm, HeteroMatchesDeviceAndThreadsBitwiseAcrossAllVersions) {
       dev_cfg.exec = device;
       model::RunConfig thr_cfg = het_cfg;
       thr_cfg.exec = threads;
-      prof::Profiler p1, p2, p3;
-      const model::RunResult h = model::run_single(het_cfg, p1);
-      const model::RunResult d = model::run_single(dev_cfg, p2);
-      const model::RunResult t = model::run_single(thr_cfg, p3);
+      const model::RunResult h = model::run_single(het_cfg);
+      const model::RunResult d = model::run_single(dev_cfg);
+      const model::RunResult t = model::run_single(thr_cfg);
       const std::string label = std::string(fsbm::version_name(v)) +
                                 " res=" + mem::residency_name(res);
       expect_same_physics(h, d, (label + " hetero vs device").c_str());
@@ -715,9 +708,8 @@ TEST(ExecFsbm, HeteroSplitsNontriviallyOnTallDomains) {
   model::RunConfig dev_cfg = cfg;
   dev_cfg.exec = ExecConfig{};
   dev_cfg.exec.kind = ExecKind::kDevice;
-  prof::Profiler p1, p2;
-  const model::RunResult h = model::run_single(cfg, p1);
-  const model::RunResult d = model::run_single(dev_cfg, p2);
+  const model::RunResult h = model::run_single(cfg);
+  const model::RunResult d = model::run_single(dev_cfg);
   expect_same_physics(h, d, "tall-domain hetero vs device");
   // Both shards carried cells.
   EXPECT_GT(h.totals.fsbm.shard_cells_device, 0u);
@@ -741,9 +733,8 @@ TEST(ExecFsbm, HeteroAllColdPredicateSkipsTheDeviceEntirely) {
   model::RunConfig dev_cfg = cfg;
   dev_cfg.exec = ExecConfig{};
   dev_cfg.exec.kind = ExecKind::kDevice;
-  prof::Profiler p1, p2;
-  const model::RunResult h = model::run_single(cfg, p1);
-  const model::RunResult d = model::run_single(dev_cfg, p2);
+  const model::RunResult h = model::run_single(cfg);
+  const model::RunResult d = model::run_single(dev_cfg);
   expect_same_physics(h, d, "all-cold hetero vs device");
   EXPECT_EQ(h.totals.fsbm.shard_cells_device, 0u);
   EXPECT_GT(h.totals.fsbm.shard_cells_host, 0u);
@@ -786,10 +777,9 @@ TEST(ExecFsbm, HeteroMultiRankBitwiseUnderBothHaloAndResModes) {
         dev_cfg.exec = device;
         model::RunConfig thr_cfg = het_cfg;
         thr_cfg.exec = threads;
-        prof::Profiler p1, p2, p3;
-        const model::RunResult h = model::run_simulation(het_cfg, p1);
-        const model::RunResult d = model::run_simulation(dev_cfg, p2);
-        const model::RunResult t = model::run_simulation(thr_cfg, p3);
+        const model::RunResult h = model::run_simulation(het_cfg);
+        const model::RunResult d = model::run_simulation(dev_cfg);
+        const model::RunResult t = model::run_simulation(thr_cfg);
         const std::string label = std::string(fsbm::version_name(v)) +
                                   " halo=" + dyn::halo_mode_name(hm) +
                                   " res=" + mem::residency_name(res);
@@ -815,9 +805,8 @@ TEST(ExecFsbm, HeteroTransfersReconcileWithDeviceTransferStats) {
     const auto patches = grid::decompose(cfg.domain(), 1, 1, cfg.halo);
     model::RankModel rank(cfg, patches[0], nullptr);
     rank.init();
-    prof::Profiler prof;
     model::StepStats total;
-    for (int s = 0; s < 3; ++s) total.merge(rank.step(prof));
+    for (int s = 0; s < 3; ++s) total.merge(rank.step());
     const gpu::TransferStats& tr = rank.device()->transfers();
     EXPECT_EQ(total.fsbm.h2d_bytes, tr.h2d_bytes);
     EXPECT_EQ(total.fsbm.d2h_bytes, tr.d2h_bytes);
@@ -834,9 +823,8 @@ TEST(ExecFsbm, HeteroTrafficDeterministicAcrossHostShardWidths) {
   a_cfg.res = mem::ResidencyMode::kPersist;
   model::RunConfig b_cfg = a_cfg;
   b_cfg.exec.nthreads = 5;
-  prof::Profiler p1, p2;
-  const model::RunResult a = model::run_single(a_cfg, p1);
-  const model::RunResult b = model::run_single(b_cfg, p2);
+  const model::RunResult a = model::run_single(a_cfg);
+  const model::RunResult b = model::run_single(b_cfg);
   expect_same_physics(a, b, "hetero:2 vs hetero:5");
   EXPECT_EQ(a.totals.fsbm.h2d_bytes, b.totals.fsbm.h2d_bytes);
   EXPECT_EQ(a.totals.fsbm.d2h_bytes, b.totals.fsbm.d2h_bytes);
@@ -858,9 +846,8 @@ TEST(ExecFsbm, MultiRankThreadedMatchesSerial) {
   cs.ny = 16;
   model::RunConfig ct = cs;
   ct.exec = threads;
-  prof::Profiler p1, p2;
-  const auto a = model::run_simulation(cs, p1);
-  const auto b = model::run_simulation(ct, p2);
+  const auto a = model::run_simulation(cs);
+  const auto b = model::run_simulation(ct);
   expect_same_physics(a, b, "4 ranks serial vs threads:2");
 }
 

@@ -37,9 +37,8 @@ MicroState run_steps(Version v, bool cond_offload, int nsteps,
   FsbmParams params;
   params.offload_condensation = cond_offload;
   FastSbm scheme(patch, cfg.nkr, v, params, dev.get());
-  prof::Profiler prof;
   FsbmStats total;
-  for (int s = 0; s < nsteps; ++s) total.merge(scheme.step(state, prof));
+  for (int s = 0; s < nsteps; ++s) total.merge(scheme.step(state));
   if (out != nullptr) *out = total;
   return state;
 }

@@ -10,6 +10,7 @@
 #include "fsbm/fast_sbm.hpp"
 #include "model/case_conus.hpp"
 #include "model/config.hpp"
+#include "obs/export.hpp"
 #include "util/constants.hpp"
 
 namespace wrf::fsbm {
@@ -49,9 +50,8 @@ MicroState run_version(Version v, int nsteps, FsbmStats* stats_out = nullptr,
     device = owned.get();
   }
   FastSbm scheme(patch, cfg.nkr, v, FsbmParams{}, device);
-  prof::Profiler prof;
   FsbmStats total;
-  for (int s = 0; s < nsteps; ++s) total.merge(scheme.step(state, prof));
+  for (int s = 0; s < nsteps; ++s) total.merge(scheme.step(state));
   if (stats_out != nullptr) *stats_out = total;
   return state;
 }
@@ -153,8 +153,7 @@ TEST(FastSbm, NaiveCollapse3OverflowsDeviceHeap) {
   dev.set_heap_limit(8ull << 20);  // default heap, not raised
   FastSbm scheme(patch, cfg.nkr, Version::kV3NaiveCollapse3, FsbmParams{},
                  &dev);
-  prof::Profiler prof;
-  EXPECT_THROW(scheme.step(state, prof), gpu::DeviceError);
+  EXPECT_THROW(scheme.step(state), gpu::DeviceError);
 }
 
 TEST(FastSbm, PoolingFixesTheOverflow) {
@@ -168,8 +167,7 @@ TEST(FastSbm, PoolingFixesTheOverflow) {
   dev.set_stack_limit(65536);
   dev.set_heap_limit(8ull << 20);  // same small heap
   FastSbm scheme(patch, cfg.nkr, Version::kV3Offload3, FsbmParams{}, &dev);
-  prof::Profiler prof;
-  EXPECT_NO_THROW(scheme.step(state, prof));
+  EXPECT_NO_THROW(scheme.step(state));
   EXPECT_GT(scheme.pool_bytes(), 0u);
   EXPECT_EQ(dev.allocated_bytes(), scheme.pool_bytes());
 }
@@ -188,8 +186,7 @@ TEST(FastSbm, WaterBudgetClosedOverMicrophysics) {
   model::init_case_conus(cfg, state);
   const double water0 = state.total_water();
   FastSbm scheme(patch, cfg.nkr, Version::kV1LookupOnDemand);
-  prof::Profiler prof;
-  for (int s = 0; s < 3; ++s) scheme.step(state, prof);
+  for (int s = 0; s < 3; ++s) scheme.step(state);
   // Vapor + condensate + accumulated precip is conserved (float state,
   // hence the loose-ish tolerance).
   EXPECT_NEAR(state.total_water(), water0, water0 * 5e-4);
@@ -203,25 +200,33 @@ TEST(FastSbm, ColdCellGateRespected) {
   model::init_case_conus(cfg, state);
   state.temp.fill(180.0f);
   FastSbm scheme(patch, cfg.nkr, Version::kV1LookupOnDemand);
-  prof::Profiler prof;
-  const FsbmStats st = scheme.step(state, prof);
+  const FsbmStats st = scheme.step(state);
   EXPECT_EQ(st.cells_active, 0u);
   EXPECT_EQ(st.cells_coal, 0u);
 }
 
-TEST(FastSbm, ProfilerRangesEmitted) {
+TEST(FastSbm, StepSpansEmitted) {
   const model::RunConfig cfg = small_config();
   const grid::Patch patch = whole_patch(cfg);
   MicroState state(patch, cfg.nkr);
   model::init_case_conus(cfg, state);
   FastSbm scheme(patch, cfg.nkr, Version::kV1LookupOnDemand);
-  prof::Profiler prof;
-  scheme.step(state, prof);
-  EXPECT_EQ(prof.calls("fast_sbm"), 1u);
-  EXPECT_GT(prof.calls("coal_bott_new_loop"), 0u);
-  EXPECT_EQ(prof.calls("sedimentation"), 1u);
-  EXPECT_GE(prof.inclusive_sec("fast_sbm"),
-            prof.inclusive_sec("sedimentation"));
+  obs::TraceSink sink;
+  FsbmStats st;
+  {
+    obs::ScopedActive on(&sink);
+    st = scheme.step(state);
+  }
+  const std::vector<obs::FlatRow> rows = obs::flat_profile(sink.drain());
+  const obs::FlatRow sbm = obs::flat_row(rows, "fsbm/fast_sbm");
+  const obs::FlatRow sed = obs::flat_row(rows, "pass/sedimentation");
+  EXPECT_EQ(sbm.calls, 1u);
+  EXPECT_EQ(sed.calls, 1u);
+  EXPECT_GE(sbm.inclusive_sec, sed.inclusive_sec);
+  // v1 runs the collision loop inline in pass_physics and times it into
+  // the stats' coal fields.
+  EXPECT_GT(st.cells_coal, 0u);
+  EXPECT_GT(st.wall_coal_sec, 0.0);
 }
 
 TEST(FastSbm, VersionNamesStable) {

@@ -340,9 +340,8 @@ TEST(FsbmProperties, SeedDeterminismUnderThreadedDispatch) {
   // get reused across tiles and runs.
   cfg.exec.kind = exec::ExecKind::kThreads;
   cfg.exec.nthreads = 2;
-  prof::Profiler p1, p2;
-  const model::RunResult a = model::run_single(cfg, p1);
-  const model::RunResult b = model::run_single(cfg, p2);
+  const model::RunResult a = model::run_single(cfg);
+  const model::RunResult b = model::run_single(cfg);
   expect_identical_stats(a.totals.fsbm, b.totals.fsbm);
   EXPECT_EQ(model::state_hash(a), model::state_hash(b));
 }
@@ -433,9 +432,8 @@ TEST(FsbmProperties, SeedDeterminismUnderHeteroDispatch) {
     cfg.res = res;
     cfg.exec.kind = exec::ExecKind::kHetero;
     cfg.exec.nthreads = 2;
-    prof::Profiler p1, p2;
-    const model::RunResult a = model::run_single(cfg, p1);
-    const model::RunResult b = model::run_single(cfg, p2);
+    const model::RunResult a = model::run_single(cfg);
+    const model::RunResult b = model::run_single(cfg);
     expect_identical_stats(a.totals.fsbm, b.totals.fsbm);
     EXPECT_EQ(a.totals.fsbm.h2d_bytes, b.totals.fsbm.h2d_bytes);
     EXPECT_EQ(a.totals.fsbm.d2h_bytes, b.totals.fsbm.d2h_bytes);
@@ -469,9 +467,8 @@ TEST(FsbmProperties, SeedDeterminismUnderResidencyModes) {
     cfg.res = res;
     cfg.exec.kind = exec::ExecKind::kThreads;
     cfg.exec.nthreads = 2;
-    prof::Profiler p1, p2;
-    const model::RunResult a = model::run_single(cfg, p1);
-    const model::RunResult b = model::run_single(cfg, p2);
+    const model::RunResult a = model::run_single(cfg);
+    const model::RunResult b = model::run_single(cfg);
     expect_identical_stats(a.totals.fsbm, b.totals.fsbm);
     EXPECT_EQ(a.totals.fsbm.h2d_bytes, b.totals.fsbm.h2d_bytes);
     EXPECT_EQ(a.totals.fsbm.d2h_bytes, b.totals.fsbm.d2h_bytes);
@@ -613,9 +610,8 @@ TEST(FsbmProperties, HybridRunConservesWaterAndMoistStaticEnergy) {
   FsbmParams params;
   params.phys = PhysScheme::kHybrid;
   FastSbm scheme(patch, cfg.nkr, Version::kV1LookupOnDemand, params);
-  prof::Profiler prof;
   FsbmStats st;
-  for (int s = 0; s < 3; ++s) st.merge(scheme.step(state, prof));
+  for (int s = 0; s < 3; ++s) st.merge(scheme.step(state));
   // The run must actually exercise both fidelities and the transforms.
   EXPECT_GT(st.cells_bin, 0u);
   EXPECT_GT(st.cells_bulk, 0u);

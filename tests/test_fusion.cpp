@@ -39,8 +39,7 @@ model::RunConfig fusion_case(fsbm::Version v, exec::FuseMode fuse,
 }
 
 model::RunResult run(const model::RunConfig& cfg) {
-  prof::Profiler prof;
-  return model::run_single(cfg, prof);
+  return model::run_single(cfg);
 }
 
 /// Bitwise physics + state equality (launch accounting excluded: that
@@ -262,9 +261,8 @@ Ledger run_ledger(const model::RunConfig& cfg, std::string* lines) {
   const auto patches = grid::decompose(cfg.domain(), 1, 1, cfg.halo);
   model::RankModel rank(cfg, patches[0], nullptr);
   rank.init();
-  prof::Profiler prof;
   model::RunResult r;
-  for (int s = 0; s < cfg.nsteps; ++s) r.totals.merge(rank.step(prof));
+  for (int s = 0; s < cfg.nsteps; ++s) r.totals.merge(rank.step());
   const gpu::TransferStats t0 = rank.device()->transfers();
   r.snapshots.push_back(rank.snapshot());
   r.totals.fsbm.charge_transfer_delta(t0, rank.device()->transfers());

@@ -161,10 +161,9 @@ TEST(HaloOverlap, BitwiseIdenticalToSyncAcrossVersions) {
     RunConfig cfg = tiny_config();
     cfg.version = v;
     cfg.halo_mode = dyn::HaloMode::kSync;
-    prof::Profiler prof;
-    const RunResult sync = run_simulation(cfg, prof);
+    const RunResult sync = run_simulation(cfg);
     cfg.halo_mode = dyn::HaloMode::kOverlap;
-    const RunResult overlap = run_simulation(cfg, prof);
+    const RunResult overlap = run_simulation(cfg);
 
     ASSERT_EQ(sync.snapshots.size(), overlap.snapshots.size());
     for (std::size_t r = 0; r < sync.snapshots.size(); ++r) {
@@ -191,8 +190,7 @@ TEST(HaloOverlap, SingleRankRunsWorkInBothModes) {
   RunConfig cfg = tiny_config();
   cfg.npx = cfg.npy = 1;
   cfg.halo_mode = dyn::HaloMode::kOverlap;
-  prof::Profiler prof;
-  const RunResult res = run_simulation(cfg, prof);
+  const RunResult res = run_simulation(cfg);
   EXPECT_GT(res.totals.dyn.tend.cells, 0u);
   EXPECT_EQ(res.comm.total_messages(), 0u);
 }

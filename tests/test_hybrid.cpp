@@ -32,8 +32,7 @@ model::RunConfig hybrid_case(PhysScheme phys) {
 }
 
 model::RunResult run(const model::RunConfig& cfg) {
-  prof::Profiler prof;
-  return model::run_single(cfg, prof);
+  return model::run_single(cfg);
 }
 
 /// Bitwise equality of physics stats, hybrid accounting, launch and
@@ -218,7 +217,6 @@ struct HysteresisRig {
   grid::Patch patch;
   MicroState state;
   FastSbm scheme;
-  prof::Profiler prof;
 
   static FsbmParams hybrid_params() {
     FsbmParams p;
@@ -261,7 +259,7 @@ struct HysteresisRig {
 
   FsbmStats step(float liquid_mass) {
     set_uniform(liquid_mass);
-    return scheme.step(state, prof);
+    return scheme.step(state);
   }
 };
 

@@ -6,6 +6,7 @@
 
 #include "io/snapshot.hpp"
 #include "model/driver.hpp"
+#include "obs/export.hpp"
 
 namespace wrf::model {
 namespace {
@@ -22,8 +23,7 @@ RunConfig itest_config() {
 }
 
 io::Snapshot run_and_merge(RunConfig cfg) {
-  prof::Profiler prof;
-  const RunResult res = run_simulation(cfg, prof);
+  const RunResult res = run_simulation(cfg);
   // Concatenate rank snapshots into one comparable container.
   io::Snapshot merged;
   for (std::size_t r = 0; r < res.snapshots.size(); ++r) {
@@ -65,8 +65,7 @@ TEST(Integration, GpuVersionRetainsSeveralDigits) {
 TEST(Integration, PrecipitationFallsInTheStorm) {
   RunConfig cfg = itest_config();
   cfg.nsteps = 6;
-  prof::Profiler prof;
-  const RunResult res = run_simulation(cfg, prof);
+  const RunResult res = run_simulation(cfg);
   EXPECT_GT(res.totals.fsbm.surface_precip, 0.0);
 }
 
@@ -76,11 +75,20 @@ TEST(Integration, HotspotOrderingMatchesTableOne) {
   RunConfig cfg = itest_config();
   cfg.version = fsbm::Version::kV0Baseline;
   cfg.npx = cfg.npy = 1;
-  prof::Profiler prof;
-  run_single(cfg, prof);
-  const double t_sbm = prof.inclusive_sec("fast_sbm");
-  const double t_tend = prof.inclusive_sec("rk_scalar_tend");
-  const double t_upd = prof.inclusive_sec("rk_update_scalar");
+  obs::TraceSink sink;
+  {
+    obs::ScopedActive on(&sink);
+    run_single(cfg);
+  }
+  const std::vector<obs::FlatRow> rows = obs::flat_profile(sink.drain());
+  const auto incl = [&](const char* key) {
+    return obs::flat_row(rows, key).inclusive_sec;
+  };
+  const double t_sbm = incl("fsbm/fast_sbm");
+  const double t_tend =
+      incl("pass/rk_scalar_tend") + incl("pass/rk_scalar_tend_bins");
+  const double t_upd =
+      incl("pass/rk_update_scalar") + incl("pass/rk_update_scalar_bins");
   EXPECT_GT(t_sbm, t_tend);
   EXPECT_GT(t_tend, t_upd);
 }
@@ -91,11 +99,10 @@ TEST(Integration, LookupOptimizationActuallyFaster) {
   RunConfig cfg = itest_config();
   cfg.npx = cfg.npy = 1;
   cfg.nsteps = 2;
-  prof::Profiler p0, p1;
   cfg.version = fsbm::Version::kV0Baseline;
-  const double t0 = run_single(cfg, p0).wall_sec;
+  const double t0 = run_single(cfg).wall_sec;
   cfg.version = fsbm::Version::kV1LookupOnDemand;
-  const double t1 = run_single(cfg, p1).wall_sec;
+  const double t1 = run_single(cfg).wall_sec;
   EXPECT_LT(t1, t0);
 }
 
@@ -103,8 +110,7 @@ TEST(Integration, PoolBytesReportedForV3) {
   RunConfig cfg = itest_config();
   cfg.version = fsbm::Version::kV3Offload3;
   cfg.nsteps = 1;
-  prof::Profiler prof;
-  const RunResult res = run_simulation(cfg, prof);
+  const RunResult res = run_simulation(cfg);
   EXPECT_GT(res.pool_bytes_per_rank, 0u);
   ASSERT_TRUE(res.last_coal_kernel.has_value());
   EXPECT_EQ(res.last_coal_kernel->name, "coal_bott_new_loop");
@@ -117,9 +123,8 @@ TEST(Integration, CloudFractionEvolvesSensibly) {
   const grid::Patch p = grid::decompose(cfg.domain(), 1, 1, cfg.halo)[0];
   RankModel m(cfg, p, nullptr);
   m.init();
-  prof::Profiler prof;
   const double frac0 = cloudy_fraction(m.state());
-  for (int s = 0; s < cfg.nsteps; ++s) m.step(prof);
+  for (int s = 0; s < cfg.nsteps; ++s) m.step();
   const double frac1 = cloudy_fraction(m.state());
   EXPECT_GT(frac0, 0.0);
   EXPECT_GT(frac1, 0.0);

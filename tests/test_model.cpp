@@ -168,9 +168,8 @@ TEST(Driver, DecomposedEqualsSinglePatchBitwise) {
   // same snapshot, cell for cell, as the single-patch run.
   RunConfig cfg = tiny_config();
   cfg.nsteps = 2;
-  prof::Profiler prof;
-  const RunResult single = run_single(cfg, prof);
-  const RunResult multi = run_simulation(cfg, prof);
+  const RunResult single = run_single(cfg);
+  const RunResult multi = run_simulation(cfg);
   ASSERT_EQ(multi.snapshots.size(), 4u);
 
   // Reassemble the decomposed QVAPOR and compare against the whole.
@@ -208,8 +207,7 @@ TEST(Driver, AllVersionsRunUnderDecomposition) {
     RunConfig cfg = tiny_config();
     cfg.nsteps = 1;
     cfg.version = v;
-    prof::Profiler prof;
-    const RunResult res = run_simulation(cfg, prof);
+    const RunResult res = run_simulation(cfg);
     EXPECT_GT(res.totals.fsbm.cells_active, 0u) << fsbm::version_name(v);
     EXPECT_GT(res.totals.dyn.tend.cells, 0u);
   }
@@ -218,8 +216,7 @@ TEST(Driver, AllVersionsRunUnderDecomposition) {
 TEST(Driver, CommTrafficScalesWithExchanges) {
   RunConfig cfg = tiny_config();
   cfg.nsteps = 1;
-  prof::Profiler prof;
-  const RunResult res = run_simulation(cfg, prof);
+  const RunResult res = run_simulation(cfg);
   // 3 RK stages x (1 qv + 7 bin fields) x 4 ranks, interior edges only.
   EXPECT_GT(res.comm.total_messages(), 0u);
   EXPECT_EQ(res.totals.halo_bytes,
@@ -229,8 +226,7 @@ TEST(Driver, CommTrafficScalesWithExchanges) {
 TEST(Driver, SnapshotContainsExpectedVariables) {
   RunConfig cfg = tiny_config();
   cfg.nsteps = 1;
-  prof::Profiler prof;
-  const RunResult res = run_single(cfg, prof);
+  const RunResult res = run_single(cfg);
   const io::Snapshot& snap = res.snapshots[0];
   EXPECT_NE(snap.find("QVAPOR"), nullptr);
   EXPECT_NE(snap.find("T"), nullptr);

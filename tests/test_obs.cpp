@@ -10,7 +10,10 @@
 //    across every exec space and both residency modes.
 //
 // Plus the Chrome-trace structural invariants the ci.sh smoke check
-// relies on: balanced B/E pairs and monotone timestamps per track.
+// relies on: balanced B/E pairs and monotone timestamps per track; and
+// the flat-profile fold (obs::flat_profile): exclusive attribution on
+// hand-timed tracks, and inclusive time equal to summed span durations
+// on a real run.
 
 #include <gtest/gtest.h>
 
@@ -271,8 +274,7 @@ struct GateRun {
 };
 
 GateRun run_gate(const model::RunConfig& cfg) {
-  prof::Profiler prof;
-  const model::RunResult r = model::run_single(cfg, prof);
+  const model::RunResult r = model::run_single(cfg);
   return {model::state_hash(r), r.totals.fsbm};
 }
 
@@ -389,12 +391,11 @@ TEST(ObsReconcile, TransferTotalsAgreeAcrossExecAndResidency) {
           grid::decompose(cfg.domain(), 1, 1, cfg.halo)[0];
       model::RankModel rank(cfg, patch, nullptr);
       rank.init();
-      prof::Profiler prof;
       obs::TraceSink sink;
       model::StepStats totals;
       {
         obs::ScopedActive active(&sink);
-        for (int s = 0; s < cfg.nsteps; ++s) totals.merge(rank.step(prof));
+        for (int s = 0; s < cfg.nsteps; ++s) totals.merge(rank.step());
       }
       const TraceTotals tt = audit_tracks(sink);
       ASSERT_NE(rank.device(), nullptr);
@@ -431,8 +432,7 @@ TEST(ObsReconcile, TransferTotalsAgreeAcrossExecAndResidency) {
 
 TEST(ObsReconcile, RunResultPublishMatchesStructFields) {
   const model::RunConfig cfg = gate_case("serial", mem::ResidencyMode::kStep);
-  prof::Profiler prof;
-  const model::RunResult r = model::run_single(cfg, prof);
+  const model::RunResult r = model::run_single(cfg);
   obs::Registry reg;
   r.publish(reg);
   EXPECT_DOUBLE_EQ(reg.value("wrf_xfer_bytes_total", {{"dir", "h2d"}}),
@@ -481,6 +481,208 @@ TEST(ObsTrace, GoldenChromeTraceFromARealRun) {
   EXPECT_NE(doc.find("\"cat\":\"pass\""), std::string::npos);
   EXPECT_NE(doc.find("\"cat\":\"kernel\""), std::string::npos);
   EXPECT_NE(doc.find("\"cat\":\"xfer\""), std::string::npos);
+}
+
+// ------------------------------------------------------- flat profile
+
+obs::TraceEvent span_event(char phase, const char* cat, const char* name,
+                           std::uint64_t ts_us) {
+  obs::TraceEvent e;
+  e.name = name;
+  e.cat = cat;
+  e.phase = phase;
+  e.ts_us = ts_us;
+  return e;
+}
+
+/// One track of hand-timed events: {phase, name, ts_us}, category "t".
+obs::TrackEvents track_of(
+    int id, std::initializer_list<std::tuple<char, const char*, int>> evs) {
+  obs::TrackEvents t;
+  t.track = id;
+  for (const auto& [ph, name, ts] : evs) {
+    t.events.push_back(
+        span_event(ph, "t", name, static_cast<std::uint64_t>(ts)));
+  }
+  return t;
+}
+
+TEST(FlatProfile, NestedExclusiveAttribution) {
+  // Inner time is excluded from outer's exclusive but included in
+  // outer's inclusive.
+  const auto rows = obs::flat_profile({track_of(
+      0, {{'B', "outer", 0}, {'B', "inner", 4}, {'E', "inner", 12},
+          {'E', "outer", 14}})});
+  const obs::FlatRow outer = obs::flat_row(rows, "t/outer");
+  const obs::FlatRow inner = obs::flat_row(rows, "t/inner");
+  EXPECT_DOUBLE_EQ(outer.inclusive_sec, 14e-6);
+  EXPECT_DOUBLE_EQ(outer.exclusive_sec, 6e-6);
+  EXPECT_DOUBLE_EQ(inner.inclusive_sec, 8e-6);
+  EXPECT_DOUBLE_EQ(inner.exclusive_sec, 8e-6);
+  EXPECT_EQ(outer.calls, 1u);
+  EXPECT_EQ(inner.calls, 1u);
+}
+
+TEST(FlatProfile, RepeatedCallsAccumulate) {
+  obs::TrackEvents t;
+  for (int n = 0; n < 10; ++n) {
+    t.events.push_back(span_event('B', "t", "loop", 3 * n));
+    t.events.push_back(span_event('E', "t", "loop", 3 * n + 2));
+  }
+  const obs::FlatRow row = obs::flat_row(obs::flat_profile({t}), "t/loop");
+  EXPECT_EQ(row.calls, 10u);
+  EXPECT_DOUBLE_EQ(row.inclusive_sec, 20e-6);
+  EXPECT_DOUBLE_EQ(row.percent_exclusive, 100.0);
+}
+
+TEST(FlatProfile, SelfNestedSameNameCountsTwoCalls) {
+  const auto rows = obs::flat_profile({track_of(
+      0, {{'B', "rec", 0}, {'B', "rec", 1}, {'E', "rec", 3},
+          {'E', "rec", 5}})});
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].calls, 2u);
+  EXPECT_DOUBLE_EQ(rows[0].inclusive_sec, 7e-6);  // 5 + the nested 2
+  EXPECT_DOUBLE_EQ(rows[0].exclusive_sec, 5e-6);  // the outer wall, once
+}
+
+TEST(FlatProfile, RowsSortedByExclusive) {
+  const auto rows = obs::flat_profile({track_of(
+      0, {{'B', "small", 0}, {'E', "small", 1}, {'B', "big", 1},
+          {'E', "big", 9}, {'i', "census", 9}})});
+  ASSERT_EQ(rows.size(), 2u);  // instants are not spans
+  EXPECT_EQ(rows[0].name, "t/big");
+  EXPECT_EQ(rows[1].name, "t/small");
+  EXPECT_DOUBLE_EQ(rows[0].percent_exclusive + rows[1].percent_exclusive,
+                   100.0);
+}
+
+TEST(FlatProfile, TwoTracksSumPerRow) {
+  const auto rows = obs::flat_profile(
+      {track_of(0, {{'B', "fast_sbm", 0}, {'E', "fast_sbm", 10}}),
+       track_of(1, {{'B', "fast_sbm", 2},
+                    {'B', "pass", 3},
+                    {'E', "pass", 4},
+                    {'E', "fast_sbm", 7}})});
+  const obs::FlatRow sbm = obs::flat_row(rows, "t/fast_sbm");
+  EXPECT_EQ(sbm.calls, 2u);
+  EXPECT_DOUBLE_EQ(sbm.inclusive_sec, 15e-6);
+  EXPECT_DOUBLE_EQ(sbm.exclusive_sec, 14e-6);
+  EXPECT_EQ(obs::flat_row(rows, "t/pass").calls, 1u);
+  EXPECT_EQ(obs::flat_row(rows, "t/absent").calls, 0u);
+}
+
+TEST(FlatProfile, UnbalancedTrackThrowsNamingTrack) {
+  const auto message_of = [](const obs::TrackEvents& bad) {
+    try {
+      obs::flat_profile({track_of(0, {{'B', "ok", 0}, {'E', "ok", 1}}), bad});
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const std::string open = message_of(track_of(7, {{'B', "dangling", 0}}));
+  EXPECT_NE(open.find("track 7"), std::string::npos) << open;
+  EXPECT_NE(open.find("t/dangling"), std::string::npos) << open;
+  const std::string orphan = message_of(track_of(3, {{'E', "orphan", 0}}));
+  EXPECT_NE(orphan.find("track 3"), std::string::npos) << orphan;
+  const std::string crossed = message_of(track_of(
+      5, {{'B', "a", 0}, {'B', "b", 1}, {'E', "a", 2}, {'E', "b", 3}}));
+  EXPECT_NE(crossed.find("track 5"), std::string::npos) << crossed;
+  const std::string backwards =
+      message_of(track_of(4, {{'B', "a", 5}, {'E', "a", 2}}));
+  EXPECT_NE(backwards.find("track 4"), std::string::npos) << backwards;
+}
+
+TEST(FlatProfile, FormatAlignsColumnsRegardlessOfNameLength) {
+  const std::string long_name =
+      "fsbm/coalescence/kernel_table_fill/with/very/long/nested/path";
+  obs::FlatRow big;
+  big.name = long_name;
+  big.calls = 123456789ull;
+  big.inclusive_sec = big.exclusive_sec = 1234.5;
+  obs::FlatRow small;
+  small.name = "x";
+  small.calls = 1;
+  const std::string rep = obs::format_flat_profile({big, small});
+
+  // Names go last on each row, so a long name can never truncate and
+  // every row's name starts at the same column as the header's.
+  std::vector<std::string> lines;
+  std::size_t pos = 0;
+  while (pos < rep.size()) {
+    const std::size_t nl = rep.find('\n', pos);
+    lines.push_back(rep.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  const std::size_t name_col = lines[0].find("name");
+  ASSERT_NE(name_col, std::string::npos);
+  EXPECT_EQ(lines[1].substr(name_col), long_name) << rep;
+  EXPECT_EQ(lines[2].substr(name_col), "x") << rep;
+}
+
+/// A threads:2 run under a test-owned sink: the drained tracks and the
+/// run's stats.
+struct FoldedRun {
+  std::vector<obs::TrackEvents> tracks;
+  fsbm::FsbmStats fsbm;
+  int nsteps = 0;
+};
+
+FoldedRun folded_threads_run() {
+  const model::RunConfig cfg =
+      gate_case("threads:2", mem::ResidencyMode::kStep);
+  obs::TraceSink sink;
+  FoldedRun out;
+  {
+    obs::ScopedActive active(&sink);
+    out.fsbm = model::run_single(cfg).totals.fsbm;
+  }
+  out.tracks = sink.drain();
+  out.nsteps = cfg.nsteps;
+  return out;
+}
+
+TEST(FlatProfile, InclusiveEqualsSummedSpanDurationsOfARealRun) {
+  const FoldedRun run = folded_threads_run();
+  // Independent reference: match each E to its B by a per-track stack
+  // and sum E - B per "cat/name".
+  std::map<std::string, std::uint64_t> dur_us;
+  std::map<std::string, std::uint64_t> calls;
+  for (const obs::TrackEvents& t : run.tracks) {
+    std::vector<const obs::TraceEvent*> open;
+    for (const obs::TraceEvent& e : t.events) {
+      if (e.phase == 'B') open.push_back(&e);
+      if (e.phase != 'E') continue;
+      ASSERT_FALSE(open.empty());
+      const std::string key = std::string(e.cat) + "/" + e.name;
+      dur_us[key] += e.ts_us - open.back()->ts_us;
+      calls[key] += 1;
+      open.pop_back();
+    }
+  }
+  const std::vector<obs::FlatRow> rows = obs::flat_profile(run.tracks);
+  ASSERT_EQ(rows.size(), dur_us.size());
+  for (const obs::FlatRow& r : rows) {
+    EXPECT_DOUBLE_EQ(r.inclusive_sec,
+                     static_cast<double>(dur_us[r.name]) * 1e-6)
+        << r.name;
+    EXPECT_EQ(r.calls, calls[r.name]) << r.name;
+  }
+  EXPECT_EQ(obs::flat_row(rows, "step/solve_interval").calls,
+            static_cast<std::uint64_t>(run.nsteps));
+}
+
+TEST(FlatProfile, FastSbmSpanBracketsTheStatsClockPair) {
+  // The fsbm/fast_sbm span opens before FastSbm::step's clock pair and
+  // closes after it; only the microsecond truncation of the two span
+  // timestamps can make it look shorter.
+  const FoldedRun run = folded_threads_run();
+  const obs::FlatRow sbm =
+      obs::flat_row(obs::flat_profile(run.tracks), "fsbm/fast_sbm");
+  ASSERT_EQ(sbm.calls, static_cast<std::uint64_t>(run.nsteps));
+  EXPECT_GE(sbm.inclusive_sec,
+            run.fsbm.wall_total_sec - 1e-6 * static_cast<double>(sbm.calls));
 }
 
 TEST(ObsTrace, StepSeriesSortedByStepAndRank) {

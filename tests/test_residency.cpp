@@ -335,9 +335,8 @@ TEST(FastSbmResidency, PersistStopsSteadyStateRetransfer) {
     const auto patches = grid::decompose(c.domain(), 1, 1, c.halo);
     model::RankModel rank(c, patches[0], nullptr);
     rank.init();
-    prof::Profiler prof;
     model::StepStats total;
-    for (int s = 0; s < steps; ++s) total.merge(rank.step(prof));
+    for (int s = 0; s < steps; ++s) total.merge(rank.step());
     // Single rank, no snapshot: every byte the device records was moved
     // by a charged pass bracket or transport mark — the stats totals
     // must reconcile with the device-level TransferStats exactly.
@@ -389,9 +388,8 @@ TEST(FastSbmResidency, PersistCondOffloadAccountsAllTransfers) {
     params.residency = res;
     fsbm::FastSbm scheme(patch, cfg.nkr, fsbm::Version::kV3Offload3, params,
                          &dev);
-    prof::Profiler prof;
     Run r;
-    for (int s = 0; s < 2; ++s) r.stats.merge(scheme.step(state, prof));
+    for (int s = 0; s < 2; ++s) r.stats.merge(scheme.step(state));
     for (const auto& f : state.ff) {
       r.state.insert(r.state.end(), f.data(), f.data() + f.size());
     }

@@ -138,8 +138,7 @@ TEST(SvcFootprint, AdmissionEstimateMatchesResidencyAllocationExactly) {
        {fsbm::Version::kV2Offload2, fsbm::Version::kV3Offload3}) {
     const model::RunConfig cfg =
         offload_case(v, mem::ResidencyMode::kPersist);
-    prof::Profiler prof;
-    const model::RunResult run = model::run_single(cfg, prof);
+    const model::RunResult run = model::run_single(cfg);
     EXPECT_EQ(svc::job_footprint_bytes(cfg),
               run.resident_bytes_per_rank + run.pool_bytes_per_rank)
         << fsbm::version_name(v);
@@ -550,8 +549,7 @@ TEST(SvcScheduler, JobsAreBitwiseIdenticalToStandaloneRuns) {
     ASSERT_EQ(r.outcome, svc::JobOutcome::kCompleted) << r.error;
     EXPECT_EQ(r.state_hash, model::state_hash(r.run));
 
-    prof::Profiler prof;
-    const model::RunResult solo = model::run_single(r.config, prof);
+    const model::RunResult solo = model::run_single(r.config);
     EXPECT_EQ(model::state_hash(solo), r.state_hash);
     const fsbm::FsbmStats& fa = solo.totals.fsbm;
     const fsbm::FsbmStats& fb = r.run.totals.fsbm;

@@ -392,9 +392,8 @@ TEST(TuneGate, FileLoadedConfigIsBitwiseIdenticalToExplicitKnobs) {
   model::RunConfig explicit_cfg = base;
   tune::KnobSet::parse(knobs).apply_to(explicit_cfg);
 
-  prof::Profiler p1, p2;
-  const model::RunResult a = model::run_single(via_file, p1);
-  const model::RunResult b = model::run_single(explicit_cfg, p2);
+  const model::RunResult a = model::run_single(via_file);
+  const model::RunResult b = model::run_single(explicit_cfg);
   std::remove(path.c_str());
 
   EXPECT_EQ(model::state_hash(a), model::state_hash(b));
@@ -508,8 +507,7 @@ TEST(TuneSvc, SchedulerAppliesTunedKnobsAtSubmit) {
   EXPECT_TRUE(tune::KnobSet::of(r.config) == tune::KnobSet::parse(knobs));
   // ...and reproduces the job bit for bit (the svc determinism gate,
   // now across the tuning path).
-  prof::Profiler p;
-  EXPECT_EQ(r.state_hash, model::state_hash(model::run_single(r.config, p)));
+  EXPECT_EQ(r.state_hash, model::state_hash(model::run_single(r.config)));
 }
 
 TEST(TuneSvc, MissingFileArtifactFailsSchedulerConstruction) {
