@@ -131,5 +131,46 @@ TEST(Integration, CloudFractionEvolvesSensibly) {
   EXPECT_LT(std::abs(frac1 - frac0), 0.5);  // no collapse/explosion
 }
 
+/// SplitMix64 of (seed, stream): the benchmark storm's case-seed
+/// derivation (wrfbench/workloads.hpp derive_seed), restated here so the
+/// pinned hashes below name the states the benchmark actually runs.
+std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream) {
+  std::uint64_t z = seed * 0x9e3779b97f4a7c15ull + stream + 1;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+TEST(Integration, StormStateHashesArePinned) {
+  // The benchmark storm (32x24x16, nkr 33, v3 offload collapse(3), 2x1
+  // ranks, 16 steps) must keep its final state bit for bit: performance
+  // work on advection, halos or microphysics may not move physics.
+  struct Case {
+    fsbm::PhysScheme phys;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {fsbm::PhysScheme::kBin, 1, 0xf7aed226420ee00aull},
+      {fsbm::PhysScheme::kBin, 20240911, 0xeece69b91084aa5aull},
+      {fsbm::PhysScheme::kHybrid, 1, 0xdfdf0c5b2cb40cf9ull},
+      {fsbm::PhysScheme::kHybrid, 20240911, 0x26f0ead1929861f3ull},
+  };
+  for (const Case& c : cases) {
+    RunConfig cfg;
+    cfg.nx = 32;
+    cfg.ny = 24;
+    cfg.nz = 16;
+    cfg.version = fsbm::Version::kV3Offload3;
+    cfg.phys = c.phys;
+    cfg.npx = 2;
+    cfg.npy = 1;
+    cfg.nsteps = 16;
+    cfg.seed = derive_seed(c.seed, 0);
+    EXPECT_EQ(state_hash(run_simulation(cfg)), c.hash)
+        << "phys=" << fsbm::phys_name(c.phys) << " seed=" << c.seed;
+  }
+}
+
 }  // namespace
 }  // namespace wrf::model
