@@ -1,6 +1,7 @@
 #include "dyn/advection.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/constants.hpp"
@@ -20,6 +21,19 @@ double AnalyticWinds::w(int i, int k, int j) const {
                     (radius * radius);
   if (r2 > 9.0) return 0.0;
   return w_max * std::exp(-r2) * std::sin(constants::kPi * z);
+}
+
+WindTable::WindTable(const AnalyticWinds& winds, const grid::Patch& patch)
+    : u0_(winds.u0),
+      v0_(winds.v0),
+      w_(patch.ip, Range{patch.k.lo, patch.k.hi + 1}, patch.jp) {
+  for (int j = patch.jp.lo; j <= patch.jp.hi; ++j) {
+    for (int k = patch.k.lo; k <= patch.k.hi + 1; ++k) {
+      for (int i = patch.ip.lo; i <= patch.ip.hi; ++i) {
+        w_(i, k, j) = winds.w(i, k, j);
+      }
+    }
+  }
 }
 
 namespace {
@@ -50,7 +64,7 @@ constexpr double kFlopsPerCell = 66.0;  // 2x flux5 + flux3 + divergence
 
 AdvStats rk_scalar_tend(exec::ExecSpace& ex, const grid::Patch& patch,
                         const exec::Range3& r, const Field3D<float>& q,
-                        const AnalyticWinds& winds, const AdvConfig& cfg,
+                        const WindTable& winds, const AdvConfig& cfg,
                         Field3D<float>& tend) {
   const int klo = patch.k.lo;
   const int khi = patch.k.hi;
@@ -97,10 +111,11 @@ AdvStats rk_scalar_tend(exec::ExecSpace& ex, const grid::Patch& patch,
 }
 
 AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex, const grid::Patch& patch,
-                             const exec::Range3& r, const Field4D<float>& q,
-                             const AnalyticWinds& winds, const AdvConfig& cfg,
-                             Field4D<float>& tend) {
-  const int n = q.n();
+                             const exec::Range3& r, const Range& bins,
+                             const Field4D<float>& q, const WindTable& winds,
+                             const AdvConfig& cfg, Field4D<float>& tend) {
+  const int b0 = bins.lo;
+  const int b1 = bins.lo + bins.size();  // one past the last bin
   const int klo = patch.k.lo;
   const int khi = patch.k.hi;
   exec::LaunchParams lp;
@@ -155,7 +170,7 @@ AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex, const grid::Patch& patch,
           const float* const zp1 = q.slice(i, k + 1, j);
           const float* const zp2 = q.slice(i, k + 2, j);
 #pragma GCC ivdep
-          for (int b = 0; b < n; ++b) {
+          for (int b = b0; b < b1; ++b) {
             const double ht = horizontal(b);
             const double tm[4] = {zm2[b], zm1[b], c[b], zp1[b]};
             const double tp[4] = {zm1[b], c[b], zp1[b], zp2[b]};
@@ -169,7 +184,7 @@ AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex, const grid::Patch& patch,
           const float* const zm = wm > 0 ? q.slice(i, k - 1, j) : c;
           const float* const zp = wp > 0 ? c : q.slice(i, k + 1, j);
 #pragma GCC ivdep
-          for (int b = 0; b < n; ++b) {
+          for (int b = b0; b < b1; ++b) {
             const double ht = horizontal(b);
             const double fzm = wm * zm[b];
             const double fzp = wp * zp[b];
@@ -180,12 +195,12 @@ AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex, const grid::Patch& patch,
           const double fzm = 0.0;
           const double fzp = 0.0;
 #pragma GCC ivdep
-          for (int b = 0; b < n; ++b) {
+          for (int b = b0; b < b1; ++b) {
             const double ht = horizontal(b);
             out[b] = static_cast<float>(ht - (fzp - fzm) / dz);
           }
         }
-        pt.cells += static_cast<std::uint64_t>(n);
+        pt.cells += static_cast<std::uint64_t>(b1 - b0);
       });
   st.flops = static_cast<double>(st.cells) * kFlopsPerCell;
   return st;
@@ -211,10 +226,11 @@ AdvStats rk_update_scalar(exec::ExecSpace& ex, const grid::Patch& patch,
 }
 
 AdvStats rk_update_scalar_bins(exec::ExecSpace& ex, const grid::Patch& patch,
-                               const Field4D<float>& q0,
+                               const Range& bins, const Field4D<float>& q0,
                                const Field4D<float>& tend, double dt_stage,
                                Field4D<float>& q) {
-  const int n = q.n();
+  const int b0 = bins.lo;
+  const int b1 = bins.lo + bins.size();  // one past the last bin
   exec::LaunchParams lp;
   lp.name = "rk_update_scalar_bins";
   lp.collapse = 3;
@@ -225,14 +241,51 @@ AdvStats rk_update_scalar_bins(exec::ExecSpace& ex, const grid::Patch& patch,
         const float* s0 = q0.slice(i, k, j);
         const float* tn = tend.slice(i, k, j);
         float* out = q.slice(i, k, j);
-        for (int b = 0; b < n; ++b) {
+        for (int b = b0; b < b1; ++b) {
           const double v = static_cast<double>(s0[b]) + dt_stage * tn[b];
           out[b] = static_cast<float>(v > 0.0 ? v : 0.0);
         }
-        pt.cells += static_cast<std::uint64_t>(n);
+        pt.cells += static_cast<std::uint64_t>(b1 - b0);
       });
   st.flops = static_cast<double>(st.cells) * 3.0;
   return st;
+}
+
+void LiveBinScan::add(const float* slices, std::size_t count,
+                      float* copy_to) {
+  // OR every value's bits into its bin's word: one vectorizable pass with
+  // no per-value branch.
+  const int n = static_cast<int>(bits_.size());
+  std::uint32_t* const bits = bits_.data();
+  for (std::size_t c = 0; c < count; ++c) {
+    const std::size_t off = c * static_cast<std::size_t>(n);
+    const float* s = slices + off;
+    if (copy_to != nullptr) {
+      float* d = copy_to + off;
+      for (int b = 0; b < n; ++b) {
+        d[b] = s[b];
+        bits[b] |= std::bit_cast<std::uint32_t>(s[b]);
+      }
+    } else {
+      for (int b = 0; b < n; ++b) bits[b] |= std::bit_cast<std::uint32_t>(s[b]);
+    }
+  }
+}
+
+Range LiveBinScan::hull() const noexcept {
+  Range h;  // empty
+  for (int b = 0; b < static_cast<int>(bits_.size()); ++b) {
+    if (bits_[static_cast<std::size_t>(b)] == 0u) continue;
+    if (h.hi < h.lo) h.lo = b;
+    h.hi = b;
+  }
+  return h;
+}
+
+Range hull_union(const Range& a, const Range& b) noexcept {
+  if (b.size() == 0) return a;
+  if (a.size() == 0) return b;
+  return Range{std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
 }
 
 void fill_domain_boundaries(const grid::Patch& patch, Field3D<float>& q) {

@@ -13,7 +13,9 @@
 // fill at domain edges).  The vertical stencil degrades to 1st order at
 // the top/bottom boundaries and vertical flux through them is zero.
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "exec/exec.hpp"
 #include "fsbm/state.hpp"
@@ -36,9 +38,28 @@ struct AnalyticWinds {
   double dx = 12000.0;
   double dz = 400.0;
 
-  double u(int /*i*/, int /*k*/, int /*j*/) const { return u0; }
-  double v(int /*i*/, int /*k*/, int /*j*/) const { return v0; }
   double w(int i, int k, int j) const;
+};
+
+/// The stationary AnalyticWinds sampled once on one patch: u and v are
+/// uniform, and w is tabulated at every vertical face the stencils of
+/// the computational cells read (k = k.lo .. k.hi + 1), so the kernels
+/// read a double instead of evaluating exp and sin per cell, species and
+/// stage.  The table holds exactly the doubles AnalyticWinds::w returns,
+/// so tendencies are bitwise unchanged.
+class WindTable {
+ public:
+  WindTable() = default;
+  WindTable(const AnalyticWinds& winds, const grid::Patch& patch);
+
+  double u(int /*i*/, int /*k*/, int /*j*/) const noexcept { return u0_; }
+  double v(int /*i*/, int /*k*/, int /*j*/) const noexcept { return v0_; }
+  double w(int i, int k, int j) const noexcept { return w_(i, k, j); }
+
+ private:
+  double u0_ = 0.0;
+  double v0_ = 0.0;
+  Field3D<double> w_;
 };
 
 struct AdvConfig {
@@ -53,7 +74,8 @@ struct AdvConfig {
 /// this far inside the computational range never read a halo cell.
 constexpr int kStencilWidth = 3;
 
-/// Work counters for the perf model.
+/// Work counters for the perf model.  The bin variants count executed
+/// (cell, bin) pairs, so only the live bins a caller dispatches count.
 struct AdvStats {
   std::uint64_t cells = 0;
   double flops = 0.0;
@@ -73,51 +95,41 @@ struct AdvStats {
 /// any execution space.
 AdvStats rk_scalar_tend(exec::ExecSpace& ex, const grid::Patch& patch,
                         const exec::Range3& r, const Field3D<float>& q,
-                        const AnalyticWinds& winds, const AdvConfig& cfg,
+                        const WindTable& winds, const AdvConfig& cfg,
                         Field3D<float>& tend);
 
-/// Full computational range.
-inline AdvStats rk_scalar_tend(exec::ExecSpace& ex, const grid::Patch& patch,
-                               const Field3D<float>& q,
-                               const AnalyticWinds& winds,
-                               const AdvConfig& cfg, Field3D<float>& tend) {
-  return rk_scalar_tend(ex, patch, exec::Range3{patch.ip, patch.k, patch.jp},
-                        q, winds, cfg, tend);
-}
+/// Serial, full computational range.
 inline AdvStats rk_scalar_tend(const grid::Patch& patch,
                                const Field3D<float>& q,
                                const AnalyticWinds& winds,
                                const AdvConfig& cfg, Field3D<float>& tend) {
-  return rk_scalar_tend(exec::serial(), patch, q, winds, cfg, tend);
+  return rk_scalar_tend(exec::serial(), patch,
+                        exec::Range3{patch.ip, patch.k, patch.jp}, q,
+                        WindTable(winds, patch), cfg, tend);
 }
 
-/// Same tendency for every bin of a 4-D distribution (bin-fastest);
-/// the inner bin loop amortizes stencil index math as WRF's chem loop
-/// does.  The vertical-flux case is chosen per cell, outside the bin
-/// loop, so each case's bin loop vectorizes (scripts/ci.sh checks the
-/// compiler report) while computing every bin bitwise as
-/// rk_scalar_tend would.  `q` and `tend` must be distinct fields.
-/// Sub-range variant first, full-range wrappers below.
+/// Same tendency for the bins `bins` (a sub-range of [0, q.n()), empty
+/// when bins.lo > bins.hi) of a 4-D distribution (bin-fastest); the
+/// inner bin loop amortizes stencil index math as WRF's chem loop does.
+/// Bins outside `bins` keep their prior `tend` contents.  The
+/// vertical-flux case is chosen per cell, outside the bin loop, so each
+/// case's bin loop vectorizes (scripts/ci.sh checks the compiler report)
+/// while computing every bin bitwise as rk_scalar_tend would.  `q` and
+/// `tend` must be distinct fields.
 AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex, const grid::Patch& patch,
-                             const exec::Range3& r, const Field4D<float>& q,
-                             const AnalyticWinds& winds, const AdvConfig& cfg,
-                             Field4D<float>& tend);
-inline AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex,
-                                    const grid::Patch& patch,
-                                    const Field4D<float>& q,
-                                    const AnalyticWinds& winds,
-                                    const AdvConfig& cfg,
-                                    Field4D<float>& tend) {
-  return rk_scalar_tend_bins(ex, patch,
-                             exec::Range3{patch.ip, patch.k, patch.jp}, q,
-                             winds, cfg, tend);
-}
+                             const exec::Range3& r, const Range& bins,
+                             const Field4D<float>& q, const WindTable& winds,
+                             const AdvConfig& cfg, Field4D<float>& tend);
+
+/// Serial, full computational range, every bin.
 inline AdvStats rk_scalar_tend_bins(const grid::Patch& patch,
                                     const Field4D<float>& q,
                                     const AnalyticWinds& winds,
                                     const AdvConfig& cfg,
                                     Field4D<float>& tend) {
-  return rk_scalar_tend_bins(exec::serial(), patch, q, winds, cfg, tend);
+  return rk_scalar_tend_bins(
+      exec::serial(), patch, exec::Range3{patch.ip, patch.k, patch.jp},
+      Range{0, q.n() - 1}, q, WindTable(winds, patch), cfg, tend);
 }
 
 /// RK stage update: q = max(0, q0 + dt_stage * tend) over the
@@ -133,17 +145,40 @@ inline AdvStats rk_update_scalar(const grid::Patch& patch,
   return rk_update_scalar(exec::serial(), patch, q0, tend, dt_stage, q);
 }
 
-/// 4-D variant of the stage update.
+/// 4-D variant of the stage update over the bins `bins`; bins outside
+/// it keep their prior `q` contents.
 AdvStats rk_update_scalar_bins(exec::ExecSpace& ex, const grid::Patch& patch,
-                               const Field4D<float>& q0,
+                               const Range& bins, const Field4D<float>& q0,
                                const Field4D<float>& tend, double dt_stage,
                                Field4D<float>& q);
-inline AdvStats rk_update_scalar_bins(const grid::Patch& patch,
-                                      const Field4D<float>& q0,
-                                      const Field4D<float>& tend,
-                                      double dt_stage, Field4D<float>& q) {
-  return rk_update_scalar_bins(exec::serial(), patch, q0, tend, dt_stage, q);
+
+/// Per-bin OR of the bit patterns of `n`-bin slices: a bin is live iff
+/// it holds a non-zero bit pattern in some slice added (a stored -0.0
+/// counts as live).
+class LiveBinScan {
+ public:
+  explicit LiveBinScan(int n) : bits_(static_cast<std::size_t>(n), 0u) {}
+
+  /// Add `count` consecutive slices.  A non-null `copy_to` also receives
+  /// a copy of them, in the same pass.
+  void add(const float* slices, std::size_t count, float* copy_to = nullptr);
+
+  /// Smallest [lo, hi] covering every live bin; empty when there is none.
+  Range hull() const noexcept;
+
+ private:
+  std::vector<std::uint32_t> bits_;
+};
+
+/// Live-bin hull of `count` consecutive `n`-bin slices.
+inline Range live_bin_hull(const float* slices, std::size_t count, int n) {
+  LiveBinScan scan(n);
+  scan.add(slices, count);
+  return scan.hull();
 }
+
+/// Smallest range covering both `a` and `b`; an empty range adds nothing.
+Range hull_union(const Range& a, const Range& b) noexcept;
 
 /// Zero-gradient fill of halo cells on sides where the patch touches the
 /// global domain boundary (interior sides come from halo exchange).

@@ -14,6 +14,17 @@
 // WRF's comms/compute overlap.  Tile geometry and order are a pure
 // function of the range (Range3::interior / Range3::shell), and cells
 // write only their own tendency, so both modes are bitwise identical.
+//
+// Only live bins are advected.  Rk3 keeps, per species, a live-bin
+// hull [lo, hi] covering every bin that holds a non-zero bit pattern
+// anywhere in the patch's memory extent (a stored -0.0 counts as live;
+// lo > hi means the species is dead).  Outside the hull every value is
+// +0.0, the tendency of an all-+0.0 stencil is a signed zero, and the
+// update max(0, q0 + dt tend) of a +0.0 q0 writes +0.0 again — so
+// skipping those bins is bitwise exact.  The hull is computed once per
+// step by the scan fused into the stage-0 copy and only widens within a
+// step: each HaloPhases::finish reports the bins its halo writes
+// brought in.
 
 #include <array>
 #include <functional>
@@ -37,35 +48,40 @@ const char* halo_mode_name(HaloMode m) noexcept;
 /// exec::exec_from_args.
 HaloMode halo_mode_from_args(int argc, char** argv);
 
+/// Per-species live-bin hulls (see the header comment).
+using LiveBins = std::array<Range, fsbm::kNumSpecies>;
+
 /// Phased halo refresh.  `begin(state)` must post all communication for
 /// one exchange round (and may complete local work); after
-/// `finish(state)` every advected field must have valid halos.  Between
-/// the two, callers may only touch cells at least kStencilWidth inside
-/// the computational range.
+/// `finish(state, live)` every advected field must have valid halos,
+/// and `live[s]` must cover every bin of species s that finish wrote a
+/// non-zero bit pattern into.  Between the two, callers may only touch
+/// cells at least kStencilWidth inside the computational range.
 class HaloPhases {
  public:
   virtual ~HaloPhases() = default;
   virtual void begin(fsbm::MicroState& s) = 0;
-  virtual void finish(fsbm::MicroState& s) = 0;
+  virtual void finish(fsbm::MicroState& s, LiveBins& live) = 0;
 };
 
 /// Adapts a plain "fill everything" callback to the phased interface by
 /// running it entirely in finish() — the legacy blocking shape, used by
-/// single-patch tests where the refresh is just a boundary fill.
+/// single-patch tests where the refresh is just a boundary fill.  The
+/// callback may write anything, so finish rescans every bin field.
 class HaloFillFn final : public HaloPhases {
  public:
   explicit HaloFillFn(std::function<void(fsbm::MicroState&)> fn)
       : fn_(std::move(fn)) {}
   void begin(fsbm::MicroState&) override {}
-  void finish(fsbm::MicroState& s) override { fn_(s); }
+  void finish(fsbm::MicroState& s, LiveBins& live) override;
 
  private:
   std::function<void(fsbm::MicroState&)> fn_;
 };
 
 struct Rk3Stats {
-  AdvStats tend;    ///< accumulated rk_scalar_tend work
-  AdvStats update;  ///< accumulated rk_update_scalar work
+  AdvStats tend;    ///< accumulated rk_scalar_tend work (live bins only)
+  AdvStats update;  ///< accumulated rk_update_scalar work (live bins only)
 };
 
 /// Per-patch RK3 transport.  Owns the stage-0 copies and tendency
@@ -78,30 +94,43 @@ class Rk3 {
   Rk3(const grid::Patch& patch, int nkr, AdvConfig cfg, double dt,
       exec::ExecSpace* exec = nullptr, HaloMode halo_mode = HaloMode::kSync);
 
-  /// Advance qv and all bin fields one step.  `halo.begin/finish` are
-  /// invoked once per stage, bracketing the interior tendencies under
-  /// kOverlap.
-  Rk3Stats step(fsbm::MicroState& state, const AnalyticWinds& winds,
+  /// Advance qv and the live bins of every bin field one step.
+  /// `halo.begin/finish` are invoked once per stage, bracketing the
+  /// interior tendencies under kOverlap.  `winds` must be tabulated on
+  /// this Rk3's patch.
+  Rk3Stats step(fsbm::MicroState& state, const WindTable& winds,
                 HaloPhases& halo);
 
   HaloMode halo_mode() const noexcept { return halo_mode_; }
+
+  /// The live-bin hulls the last step ended with.
+  const LiveBins& live_bins() const noexcept { return live_; }
 
  private:
   exec::ExecSpace& exec_space() const noexcept {
     return exec_ != nullptr ? *exec_ : exec::serial();
   }
 
-  /// Tendencies of qv and every bin field over one sub-range.
+  /// Tendencies of qv and of the live bins of every species over one
+  /// sub-range.
   void tend_range(const exec::Range3& r, fsbm::MicroState& state,
-                  const AnalyticWinds& winds, Rk3Stats& st);
+                  const WindTable& winds, Rk3Stats& st);
+  /// Tendency of the bins `bins` of species `s` over one sub-range.
+  void tend_bins(const exec::Range3& r, int s, const Range& bins,
+                 fsbm::MicroState& state, const WindTable& winds,
+                 Rk3Stats& st);
 
   grid::Patch patch_;
   AdvConfig cfg_;
   double dt_;
   exec::ExecSpace* exec_ = nullptr;
   HaloMode halo_mode_ = HaloMode::kSync;
+  /// Stage-0 copies and tendencies, over the computational cells only
+  /// (all the updates read).  ff0_ holds every bin; ff_tend_ is valid
+  /// for the bins of the current hulls only.
   Field3D<float> qv0_, qv_tend_;
   std::array<Field4D<float>, fsbm::kNumSpecies> ff0_, ff_tend_;
+  LiveBins live_;
 };
 
 }  // namespace wrf::dyn

@@ -171,12 +171,14 @@ RankModel::RankModel(const RunConfig& config, const grid::Patch& patch,
                     persist ? rf.ff[static_cast<std::size_t>(s)]
                             : mem::kInvalidField);
   }
-  winds_.domain = config_.domain();
-  winds_.dx = config_.dx;
-  winds_.dz = config_.dz;
+  dyn::AnalyticWinds winds;
+  winds.domain = config_.domain();
+  winds.dx = config_.dx;
+  winds.dz = config_.dz;
   // Park the updraft on the squall line of the synthetic case.
-  winds_.yc = 0.42;
-  winds_.xc = 0.5;
+  winds.yc = 0.42;
+  winds.xc = 0.5;
+  winds_ = dyn::WindTable(winds, patch_);
 }
 
 void RankModel::init() { init_case_conus(config_, state_); }
@@ -202,15 +204,23 @@ void RankModel::halo_begin(fsbm::MicroState& s, StepStats* st) {
   st->halo_wall_sec += seconds_since(t0);
 }
 
-void RankModel::halo_finish(fsbm::MicroState& s, StepStats* st) {
+void RankModel::halo_finish(fsbm::MicroState& s, StepStats* st,
+                            dyn::LiveBins& live) {
   const auto t0 = Clock::now();
   if (ctx_ != nullptr && ctx_->size() > 1) {
     // res=persist: finish() only marks the unpacked shell strips
     // host-dirty — the consuming pass's charged update_to pulls them.
     halo_->finish(*ctx_);
+    // Bins a neighbor's strips brought in join the live hulls (bin
+    // fields are registered after qv, at indices 1..kNumSpecies).
+    for (std::size_t f = 0; f < live.size(); ++f) {
+      live[f] = dyn::hull_union(
+          live[f], halo_->unpacked_bins(static_cast<int>(f) + 1));
+    }
   }
   // Domain-edge boundary conditions (zero-gradient).  After the unpack:
-  // the west/east fills read corner rows delivered by the exchange.
+  // the west/east fills read corner rows delivered by the exchange.  They
+  // copy cells the hulls already cover, so the hulls need no widening.
   // Residency: these writes need no separate dirty marks — they are
   // covered by the full-field advection marks of the same step
   // (mark_advection_writes), on whichever side of the link the exec
@@ -239,7 +249,9 @@ struct RankHaloPhases final : dyn::HaloPhases {
     if (round++ > 0) model->mark_advection_writes(st);
     model->halo_begin(s, st);
   }
-  void finish(fsbm::MicroState& s) override { model->halo_finish(s, st); }
+  void finish(fsbm::MicroState& s, dyn::LiveBins& live) override {
+    model->halo_finish(s, st, live);
+  }
 };
 
 StepStats RankModel::step() {

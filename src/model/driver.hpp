@@ -81,8 +81,9 @@ class RankModel {
   /// Phase 1 of the per-stage halo refresh: pack + post the whole field
   /// set through the HaloExchange plan (nothing waited on).
   void halo_begin(fsbm::MicroState& s, StepStats* st);
-  /// Phase 2: wait + unpack, then domain-edge boundary fill.
-  void halo_finish(fsbm::MicroState& s, StepStats* st);
+  /// Phase 2: wait + unpack (widening `live` by the unpacked bins), then
+  /// domain-edge boundary fill.
+  void halo_finish(fsbm::MicroState& s, StepStats* st, dyn::LiveBins& live);
 
   /// res=persist: delegate to FastSbm::mark_transport_writes (an RK3
   /// stage update rewrote qv and every bin field; any read-coherence
@@ -104,7 +105,8 @@ class RankModel {
   /// The rank's halo plan: qv + every bin field, one round per RK3
   /// stage, tags a pure function of (round, field, side).
   std::unique_ptr<HaloExchange> halo_;
-  dyn::AnalyticWinds winds_;
+  /// The case's stationary winds, tabulated once on this patch.
+  dyn::WindTable winds_;
 };
 
 /// Result of a complete multi-rank run.

@@ -1,5 +1,6 @@
 #include "model/halo.hpp"
 
+#include "dyn/advection.hpp"
 #include "obs/trace.hpp"
 
 namespace wrf::model {
@@ -70,9 +71,12 @@ std::vector<float> pack_bins(exec::ExecSpace& ex, const Field4D<float>& q,
   return buf;
 }
 
-void unpack_bins(exec::ExecSpace& ex, Field4D<float>& q,
-                 const grid::Patch& patch, const grid::HaloRect& r,
-                 const std::vector<float>& buf) {
+/// Returns the live-bin hull of the strip it wrote (dyn::live_bin_hull
+/// of the buffer), which is how a bin that is dead on this patch but
+/// live in a neighbor's strip joins dyn::Rk3's hull.
+Range unpack_bins(exec::ExecSpace& ex, Field4D<float>& q,
+                  const grid::Patch& patch, const grid::HaloRect& r,
+                  const std::vector<float>& buf) {
   const int nb = q.n();
   ex.parallel_for(rect_range(patch, r), pack_params("halo_unpack_bins"),
                   [&](int i, int k, int j) {
@@ -80,6 +84,7 @@ void unpack_bins(exec::ExecSpace& ex, Field4D<float>& q,
                     float* d = q.slice(i, k, j);
                     for (int b = 0; b < nb; ++b) d[b] = s[b];
                   });
+  return dyn::live_bin_hull(buf.data(), buf.size() / nb, nb);
 }
 
 }  // namespace
@@ -145,6 +150,7 @@ void HaloExchange::add(Field3D<float>* q, mem::FieldId rf) {
     }
   }
   entries_.push_back(std::move(e));
+  unpacked_.resize(entries_.size());
   for (int s = 0; s < kSides; ++s) {
     if (patch_.neighbor[s] < 0) continue;
     bytes_per_round_ +=
@@ -171,6 +177,7 @@ void HaloExchange::add_bins(Field4D<float>* q, mem::FieldId rf) {
     }
   }
   entries_.push_back(std::move(e));
+  unpacked_.resize(entries_.size());
   for (int s = 0; s < kSides; ++s) {
     if (patch_.neighbor[s] < 0) continue;
     bytes_per_round_ +=
@@ -238,16 +245,19 @@ void HaloExchange::finish(par::RankCtx& ctx) {
                  {{"round", round_}, {"bytes", bytes_per_round_}});
   const double wait0 = obs::active() ? ctx.stats().wait_sec : 0.0;
   exec::ExecSpace& space = ex_ != nullptr ? *ex_ : exec::serial();
+  unpacked_.assign(entries_.size(), Range{});
   // Drain in posting order (this is where overlap shows up as reduced
   // wait_sec); unpack rectangles are disjoint, order deterministic.
   for (auto& pr : recvs_) {
     const std::vector<float> buf = pr.req.wait();
-    const Entry& e = entries_[static_cast<std::size_t>(pr.field)];
+    const auto f = static_cast<std::size_t>(pr.field);
+    const Entry& e = entries_[f];
     const grid::HaloRect rect = patch_.recv_rect(pr.side);
     if (e.f3 != nullptr) {
       unpack(space, *e.f3, patch_, rect, buf);
     } else {
-      unpack_bins(space, *e.f4, patch_, rect, buf);
+      unpacked_[f] = dyn::hull_union(
+          unpacked_[f], unpack_bins(space, *e.f4, patch_, rect, buf));
     }
     if (region_ != nullptr && e.rf != mem::kInvalidField) {
       // The unpack wrote host memory: mark exactly the shell-strip rows

@@ -71,6 +71,13 @@ class HaloExchange {
   /// Phase 2: wait for all receives of the round and unpack them.
   void finish(par::RankCtx& ctx);
 
+  /// Live-bin hull (dyn::live_bin_hull) of everything the last finish()
+  /// unpacked into bin field `field` (registration index); empty for a
+  /// 3-D field or when no strip carried a non-zero bit pattern.
+  Range unpacked_bins(int field) const {
+    return unpacked_[static_cast<std::size_t>(field)];
+  }
+
   bool in_flight() const noexcept { return in_flight_; }
   int rounds() const noexcept { return round_; }
 
@@ -110,6 +117,7 @@ class HaloExchange {
   mem::DataRegion* region_ = nullptr;
   std::vector<Entry> entries_;
   std::vector<PostedRecv> recvs_;  ///< the round's receives, posting order
+  std::vector<Range> unpacked_;    ///< per field: last finish()'s bin hull
   std::uint64_t bytes_per_round_ = 0;
   int round_ = 0;
   bool in_flight_ = false;

@@ -23,6 +23,8 @@
 //                             denominator of the Table I flat profile
 //   pass     <pass name>      pass dispatch through an exec space
 //                             (space, tiles, iters; shard lists too)
+//   pass     rk_stage0        dyn::Rk3's stage-0 copy fused with the
+//                             live-bin hull scan (host loop, no args)
 //   kernel   <kernel name>    simulated device launch (iters,
 //                             fused_passes, modeled_us)
 //   xfer     h2d | d2h        device-level transfer accounting — the

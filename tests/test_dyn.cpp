@@ -5,11 +5,19 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "dyn/advection.hpp"
 #include "dyn/rk3.hpp"
 #include "model/case_conus.hpp"
+#include "model/halo.hpp"
 #include "obs/export.hpp"
+#include "par/simpi.hpp"
 
 namespace wrf::dyn {
 namespace {
@@ -109,18 +117,35 @@ TEST(Advection, UpdateArithmetic) {
   EXPECT_EQ(st.cells, static_cast<std::uint64_t>(10) * 5 * 8);
 }
 
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// A value no kernel computes, so an overwritten slot always shows.
+constexpr float kSentinel = -7.25e30f;
+
+/// The bin sub-ranges every bin-kernel gate covers: all bins, a single
+/// bin, an interior [lo, hi] and an empty range (lo > hi).
+std::vector<Range> bin_sub_ranges(int nb) {
+  std::vector<Range> out = {Range{0, nb - 1}, Range{nb / 2, nb / 2},
+                            Range{nb / 2, nb / 2 - 1}};
+  if (nb >= 3) out.push_back(Range{1, nb - 2});
+  return out;
+}
+
 // Bitwise gate for the bin-vectorized tendency: every bin of
 // rk_scalar_tend_bins must reproduce rk_scalar_tend on that bin's 3-D
-// field bit for bit.  nz = 6 puts every vertical-flux case in the column
-// (zero flux at k = 1, 6; 1st-order upwind at k = 2, 5; 3rd order at
-// k = 3, 4), both signs of w run both arms of the 1st-order edge flux,
-// and the bin counts cover a single bin, a vector tail and WRF's 33.
-// The split variant computes the tendency the way halo=overlap
-// dispatches it: the interior range, then the four shell pieces.
-void expect_bins_match_scalar(int nb, double w_max, bool split) {
+// field bit for bit, and bins outside the requested sub-range must keep
+// their prior tendency contents.  nz = 6 puts every vertical-flux case
+// in the column (zero flux at k = 1, 6; 1st-order upwind at k = 2, 5;
+// 3rd order at k = 3, 4), both signs of w run both arms of the
+// 1st-order edge flux, and the bin counts cover a single bin, a vector
+// tail and WRF's 33.  The split variant computes the tendency the way
+// halo=overlap dispatches it: the interior range, then the four shell
+// pieces.
+void expect_bins_match_scalar(int nb, double w_max, bool split,
+                              const Range& bins) {
   const grid::Patch p = make_patch(16, 6, 12);
   Field4D<float> q4(nb, p.im, p.k, p.jm);
-  Field4D<float> tend4(nb, p.im, p.k, p.jm);
+  Field4D<float> tend4(nb, p.im, p.k, p.jm, kSentinel);
   Field3D<float> q3(p.im, p.k, p.jm);
   Field3D<float> tend3(p.im, p.k, p.jm);
   // Bin b carries a shifted pattern that varies along all three axes.
@@ -135,17 +160,23 @@ void expect_bins_match_scalar(int nb, double w_max, bool split) {
     }
   }
   const AnalyticWinds winds = uniform_winds(p, 7.0, 3.0, w_max);
+  const WindTable table(winds, p);
   AdvConfig cfg;
   const exec::Range3 comp{p.ip, p.k, p.jp};
+  AdvStats st;
   if (split) {
-    rk_scalar_tend_bins(exec::serial(), p, comp.interior(kStencilWidth), q4,
-                        winds, cfg, tend4);
+    st.merge(rk_scalar_tend_bins(exec::serial(), p,
+                                 comp.interior(kStencilWidth), bins, q4,
+                                 table, cfg, tend4));
     for (const auto& piece : comp.shell(kStencilWidth)) {
-      rk_scalar_tend_bins(exec::serial(), p, piece, q4, winds, cfg, tend4);
+      st.merge(rk_scalar_tend_bins(exec::serial(), p, piece, bins, q4, table,
+                                   cfg, tend4));
     }
   } else {
-    rk_scalar_tend_bins(p, q4, winds, cfg, tend4);
+    st = rk_scalar_tend_bins(exec::serial(), p, comp, bins, q4, table, cfg,
+                             tend4);
   }
+  EXPECT_EQ(st.cells, static_cast<std::uint64_t>(comp.size()) * bins.size());
   for (int b = 0; b < nb; ++b) {
     for (int j = p.jm.lo; j <= p.jm.hi; ++j) {
       for (int k = p.k.lo; k <= p.k.hi; ++k) {
@@ -158,11 +189,12 @@ void expect_bins_match_scalar(int nb, double w_max, bool split) {
     for (int j = p.jp.lo; j <= p.jp.hi; ++j) {
       for (int k = p.k.lo; k <= p.k.hi; ++k) {
         for (int i = p.ip.lo; i <= p.ip.hi; ++i) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(tend4(b, i, k, j)),
-                    std::bit_cast<std::uint32_t>(tend3(i, k, j)))
+          const float want = bins.contains(b) ? tend3(i, k, j) : kSentinel;
+          ASSERT_EQ(bits(tend4(b, i, k, j)), bits(want))
               << "nb=" << nb << " w_max=" << w_max << " split=" << split
-              << " at b=" << b << " i=" << i << " k=" << k << " j=" << j
-              << ": " << tend4(b, i, k, j) << " vs " << tend3(i, k, j);
+              << " bins=[" << bins.lo << "," << bins.hi << "] at b=" << b
+              << " i=" << i << " k=" << k << " j=" << j << ": "
+              << tend4(b, i, k, j) << " vs " << want;
         }
       }
     }
@@ -171,12 +203,93 @@ void expect_bins_match_scalar(int nb, double w_max, bool split) {
 
 TEST(Advection, BinsVariantMatchesScalarPerBin) {
   for (const int nb : {1, 5, 33}) {
-    for (const double w_max : {2.0, -2.0}) {
-      for (const bool split : {false, true}) {
-        expect_bins_match_scalar(nb, w_max, split);
+    for (const Range& bins : bin_sub_ranges(nb)) {
+      for (const double w_max : {2.0, -2.0}) {
+        for (const bool split : {false, true}) {
+          expect_bins_match_scalar(nb, w_max, split, bins);
+        }
       }
     }
   }
+}
+
+TEST(Advection, UpdateBinsOverSubRangesBitwise) {
+  // rk_update_scalar_bins over a bin sub-range must compute every bin in
+  // it bitwise as the 3-D update does, leave every other bin of q
+  // untouched, and count only the bins it ran.
+  const grid::Patch p = make_patch(10, 5, 8);
+  const int nb = 9;
+  Field4D<float> q0(nb, p.im, p.k, p.jm);
+  Field4D<float> tend(nb, p.im, p.k, p.jm);
+  for (int j = p.jm.lo; j <= p.jm.hi; ++j) {
+    for (int k = p.k.lo; k <= p.k.hi; ++k) {
+      for (int i = p.im.lo; i <= p.im.hi; ++i) {
+        for (int b = 0; b < nb; ++b) {
+          q0(b, i, k, j) = static_cast<float>(
+              1.0e-3 * (1.0 + std::sin(0.7 * i + 0.3 * j + k + b)));
+          tend(b, i, k, j) = static_cast<float>(
+              -2.0e-4 * std::cos(0.4 * i - 0.9 * j + 0.2 * k + b));
+        }
+      }
+    }
+  }
+  const double dt = 5.0;
+  const exec::Range3 comp{p.ip, p.k, p.jp};
+  for (const Range& bins : bin_sub_ranges(nb)) {
+    Field4D<float> q(nb, p.im, p.k, p.jm, kSentinel);
+    const AdvStats st =
+        rk_update_scalar_bins(exec::serial(), p, bins, q0, tend, dt, q);
+    EXPECT_EQ(st.cells,
+              static_cast<std::uint64_t>(comp.size()) * bins.size());
+    for (int b = 0; b < nb; ++b) {
+      Field3D<float> q03(p.im, p.k, p.jm), tend3(p.im, p.k, p.jm);
+      Field3D<float> q3(p.im, p.k, p.jm, kSentinel);
+      for (int j = p.jm.lo; j <= p.jm.hi; ++j) {
+        for (int k = p.k.lo; k <= p.k.hi; ++k) {
+          for (int i = p.im.lo; i <= p.im.hi; ++i) {
+            q03(i, k, j) = q0(b, i, k, j);
+            tend3(i, k, j) = tend(b, i, k, j);
+          }
+        }
+      }
+      if (bins.contains(b)) rk_update_scalar(p, q03, tend3, dt, q3);
+      for (int j = p.jm.lo; j <= p.jm.hi; ++j) {
+        for (int k = p.k.lo; k <= p.k.hi; ++k) {
+          for (int i = p.im.lo; i <= p.im.hi; ++i) {
+            ASSERT_EQ(bits(q(b, i, k, j)), bits(q3(i, k, j)))
+                << "bins=[" << bins.lo << "," << bins.hi << "] at b=" << b
+                << " i=" << i << " k=" << k << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Advection, LiveBinHullReadsBitPatterns) {
+  const int n = 6;
+  std::vector<float> v(3 * n, 0.0f);
+  EXPECT_EQ(live_bin_hull(v.data(), 3, n).size(), 0);
+  v[1 * n + 4] = -0.0f;  // a stored -0.0 is live
+  EXPECT_EQ(live_bin_hull(v.data(), 3, n), (Range{4, 4}));
+  v[2 * n + 1] = 1.0e-30f;
+  EXPECT_EQ(live_bin_hull(v.data(), 3, n), (Range{1, 4}));
+  // Accumulated over several adds, copying only the middle slice.
+  std::vector<float> copy(v.size(), kSentinel);
+  LiveBinScan scan(n);
+  scan.add(v.data(), 1);
+  scan.add(v.data() + n, 1, copy.data() + n);
+  EXPECT_EQ(scan.hull(), (Range{4, 4}));
+  scan.add(v.data() + 2 * n, 1);
+  EXPECT_EQ(scan.hull(), (Range{1, 4}));
+  for (std::size_t m = 0; m < v.size(); ++m) {
+    const bool copied = m >= static_cast<std::size_t>(n) &&
+                        m < static_cast<std::size_t>(2 * n);
+    EXPECT_EQ(bits(copy[m]), bits(copied ? v[m] : kSentinel)) << "slot " << m;
+  }
+  EXPECT_EQ(hull_union(Range{}, Range{2, 3}), (Range{2, 3}));
+  EXPECT_EQ(hull_union(Range{2, 3}, Range{5, 1}), (Range{2, 3}));
+  EXPECT_EQ(hull_union(Range{2, 3}, Range{0, 0}), (Range{0, 3}));
 }
 
 TEST(Advection, BoundaryFillZeroGradient) {
@@ -211,6 +324,30 @@ TEST(Winds, UpdraftShapedLikeAStorm) {
   EXPECT_LT(w.w(ic, 1, jc), w.w(ic, 10, jc));
 }
 
+TEST(Winds, TableHoldsAnalyticWBitwise) {
+  // The tabulated w must be the very doubles AnalyticWinds::w returns at
+  // every face the stencils read, the top face k.hi + 1 included, on a
+  // decomposed patch whose core straddles the rank edge.
+  grid::Domain d{Range{1, 24}, Range{1, 10}, Range{1, 18}};
+  for (const grid::Patch& p : grid::decompose(d, 2, 2, 3)) {
+    AnalyticWinds w;
+    w.domain = p.domain;
+    w.yc = 0.42;
+    const WindTable table(w, p);
+    for (int j = p.jp.lo; j <= p.jp.hi; ++j) {
+      for (int k = p.k.lo; k <= p.k.hi + 1; ++k) {
+        for (int i = p.ip.lo; i <= p.ip.hi; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(table.w(i, k, j)),
+                    std::bit_cast<std::uint64_t>(w.w(i, k, j)))
+              << "i=" << i << " k=" << k << " j=" << j;
+        }
+      }
+    }
+    EXPECT_EQ(table.u(p.ip.lo, p.k.lo, p.jp.lo), w.u0);
+    EXPECT_EQ(table.v(p.ip.lo, p.k.lo, p.jp.lo), w.v0);
+  }
+}
+
 TEST(Rk3, ConservesTracerWithPeriodicLikeInterior) {
   // RK3 over a case state: total qv changes only through boundaries;
   // with zero winds it must be exactly conserved.
@@ -222,7 +359,7 @@ TEST(Rk3, ConservesTracerWithPeriodicLikeInterior) {
   const grid::Patch p = grid::decompose(cfg.domain(), 1, 1, cfg.halo)[0];
   fsbm::MicroState state(p, cfg.nkr);
   model::init_case_conus(cfg, state);
-  AnalyticWinds winds = uniform_winds(p, 0.0, 0.0, 0.0);
+  const WindTable winds(uniform_winds(p, 0.0, 0.0, 0.0), p);
   Rk3 rk3(p, cfg.nkr, AdvConfig{}, cfg.dt);
   double qv0 = 0.0;
   for (int j = p.jp.lo; j <= p.jp.hi; ++j)
@@ -245,6 +382,291 @@ TEST(Rk3, ConservesTracerWithPeriodicLikeInterior) {
   const std::vector<obs::FlatRow> rows = obs::flat_profile(sink.drain());
   EXPECT_EQ(obs::flat_row(rows, "pass/rk_scalar_tend").calls, 3u);
   EXPECT_EQ(obs::flat_row(rows, "pass/rk_update_scalar").calls, 3u);
+}
+
+// ------------------------------------------- live-bin hull in Rk3::step
+//
+// Each gate steps dyn::Rk3 (which advects only the live-bin hull) and an
+// in-test reference RK3 that advects every bin, from the same state, and
+// requires the results to match bit for bit.
+
+constexpr int kNb = 12;
+constexpr double kDt = 5.0;
+
+float pattern(int s, int b, int i, int k, int j) {
+  return static_cast<float>(
+      1.0e-3 * (1.1 + std::sin(0.37 * i + 0.23 * j + 0.5 * k + 0.7 * b + s)));
+}
+
+/// Species s holds a positive pattern in bins [s, s + 4] over the cells
+/// (ir x all k x jr); species 3 stays dead.  qv gets a pattern too.
+void seed_state(fsbm::MicroState& st, const Range& ir, const Range& jr) {
+  for (int j = jr.lo; j <= jr.hi; ++j) {
+    for (int k = st.patch.k.lo; k <= st.patch.k.hi; ++k) {
+      for (int i = ir.lo; i <= ir.hi; ++i) {
+        st.qv(i, k, j) = 10.0f * pattern(-1, 0, i, k, j);
+        for (int s = 0; s < fsbm::kNumSpecies; ++s) {
+          if (s == 3) continue;
+          for (int b = s; b <= s + 4; ++b) {
+            st.ff[static_cast<std::size_t>(s)](b, i, k, j) =
+                pattern(s, b, i, k, j);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Zero bin b of species s over the whole memory extent.
+void clear_bin(fsbm::MicroState& st, int s, int b) {
+  Field4D<float>& f = st.ff[static_cast<std::size_t>(s)];
+  const grid::Patch& p = st.patch;
+  for (int j = p.jm.lo; j <= p.jm.hi; ++j)
+    for (int k = p.k.lo; k <= p.k.hi; ++k)
+      for (int i = p.im.lo; i <= p.im.hi; ++i) f(b, i, k, j) = 0.0f;
+}
+
+std::function<void(fsbm::MicroState&)> boundary_fill(const grid::Patch& p) {
+  return [p](fsbm::MicroState& s) {
+    fill_domain_boundaries(p, s.qv);
+    for (auto& f : s.ff) fill_domain_boundaries_bins(p, f);
+  };
+}
+
+/// The all-bins RK3 step: every bin of every species is advected and
+/// updated, whatever it holds.
+void reference_rk3(fsbm::MicroState& st, const WindTable& winds,
+                   const std::function<void(fsbm::MicroState&)>& refresh) {
+  const grid::Patch& p = st.patch;
+  const exec::Range3 comp{p.ip, p.k, p.jp};
+  const AdvConfig cfg;
+  const Range all{0, kNb - 1};
+  const Field3D<float> qv0 = st.qv;
+  const std::array<Field4D<float>, fsbm::kNumSpecies> ff0 = st.ff;
+  Field3D<float> qv_tend(p.im, p.k, p.jm);
+  std::array<Field4D<float>, fsbm::kNumSpecies> tends;
+  for (auto& t : tends) t = Field4D<float>(kNb, p.im, p.k, p.jm);
+  const double stage_dt[3] = {kDt / 3.0, kDt / 2.0, kDt};
+  for (const double dt : stage_dt) {
+    refresh(st);
+    rk_scalar_tend(exec::serial(), p, comp, st.qv, winds, cfg, qv_tend);
+    for (std::size_t s = 0; s < tends.size(); ++s) {
+      rk_scalar_tend_bins(exec::serial(), p, comp, all, st.ff[s], winds, cfg,
+                          tends[s]);
+    }
+    rk_update_scalar(exec::serial(), p, qv0, qv_tend, dt, st.qv);
+    for (std::size_t s = 0; s < tends.size(); ++s) {
+      rk_update_scalar_bins(exec::serial(), p, all, ff0[s], tends[s], dt,
+                            st.ff[s]);
+    }
+  }
+}
+
+/// `got`'s computational cells (qv and every bin) equal `want`'s, bit for
+/// bit; `want` may cover a larger patch with the same global indexing.
+void expect_comp_bitwise(const fsbm::MicroState& got,
+                         const fsbm::MicroState& want,
+                         const std::string& what) {
+  const grid::Patch& p = got.patch;
+  for (int j = p.jp.lo; j <= p.jp.hi; ++j) {
+    for (int k = p.k.lo; k <= p.k.hi; ++k) {
+      for (int i = p.ip.lo; i <= p.ip.hi; ++i) {
+        ASSERT_EQ(bits(got.qv(i, k, j)), bits(want.qv(i, k, j)))
+            << what << ": qv at i=" << i << " k=" << k << " j=" << j;
+        for (int s = 0; s < fsbm::kNumSpecies; ++s) {
+          const auto f = static_cast<std::size_t>(s);
+          for (int b = 0; b < kNb; ++b) {
+            ASSERT_EQ(bits(got.ff[f](b, i, k, j)),
+                      bits(want.ff[f](b, i, k, j)))
+                << what << ": species " << s << " bin " << b << " at i=" << i
+                << " k=" << k << " j=" << j << ": " << got.ff[f](b, i, k, j)
+                << " vs " << want.ff[f](b, i, k, j);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// One single-patch step of both Rk3 (`rk3`, state `hull`) and the
+/// reference (state `ref`), then the bitwise comparison.
+Rk3Stats step_both(Rk3& rk3, fsbm::MicroState& hull, fsbm::MicroState& ref,
+                   const WindTable& winds, const std::string& what) {
+  HaloFillFn fill(boundary_fill(hull.patch));
+  const Rk3Stats st = rk3.step(hull, winds, fill);
+  reference_rk3(ref, winds, boundary_fill(ref.patch));
+  expect_comp_bitwise(hull, ref, what);
+  return st;
+}
+
+TEST(Rk3Hull, StoredNegativeZeroIsLive) {
+  // A -0.0 is a non-zero bit pattern: its bin is live, and the update
+  // turns it into +0.0 as the all-bins step does.
+  const grid::Patch p = make_patch(16, 8, 12);
+  fsbm::MicroState hull(p, kNb);
+  seed_state(hull, p.im, p.jm);
+  hull.ff[3](5, 8, 4, 6) = -0.0f;  // species 3 is otherwise dead
+  fsbm::MicroState ref = hull;
+  const WindTable winds(uniform_winds(p, 9.0, -4.0, 3.0), p);
+  Rk3 rk3(p, kNb, AdvConfig{}, kDt);
+  step_both(rk3, hull, ref, winds, "-0.0");
+  EXPECT_EQ(rk3.live_bins()[3], (Range{5, 5}));
+  EXPECT_EQ(bits(hull.ff[3](5, 8, 4, 6)), 0u);
+}
+
+TEST(Rk3Hull, SingleLiveCellAndExecutedWorkCounts) {
+  const grid::Patch p = make_patch(16, 8, 12);
+  fsbm::MicroState hull(p, kNb);
+  seed_state(hull, p.im, p.jm);
+  for (int b = 0; b < kNb; ++b) clear_bin(hull, 2, b);
+  hull.ff[2](7, 9, 5, 4) = 2.5e-3f;
+  fsbm::MicroState ref = hull;
+  const WindTable winds(uniform_winds(p, -6.0, 5.0, -2.0), p);
+  Rk3 rk3(p, kNb, AdvConfig{}, kDt);
+  const Rk3Stats st = step_both(rk3, hull, ref, winds, "single live cell");
+  EXPECT_EQ(rk3.live_bins()[2], (Range{7, 7}));
+  EXPECT_EQ(rk3.live_bins()[3].size(), 0);
+  // dyn.cells counts executed work: qv plus the live bins, per stage.
+  std::uint64_t per_cell = 1;
+  for (const Range& h : rk3.live_bins()) per_cell += h.size();
+  const auto comp = static_cast<std::uint64_t>(
+      exec::Range3{p.ip, p.k, p.jp}.size());
+  EXPECT_EQ(per_cell, 1u + 5u * 5u + 1u);
+  EXPECT_EQ(st.tend.cells, 3 * comp * per_cell);
+  EXPECT_EQ(st.update.cells, 3 * comp * per_cell);
+}
+
+TEST(Rk3Hull, ShrinkingHullNeverReadsDepartedBins) {
+  // Step 1 fills ff_tend_ for bins [s, s + 4]; bins s + 2.. then die, so
+  // step 2's hull is [s, s + 1] and the stale tendencies of the departed
+  // bins must not be read.  Step 3 regrows a bin past the old hull.
+  const grid::Patch p = make_patch(16, 8, 12);
+  fsbm::MicroState hull(p, kNb);
+  seed_state(hull, p.im, p.jm);
+  fsbm::MicroState ref = hull;
+  const WindTable winds(uniform_winds(p, 11.0, 3.0, 4.0), p);
+  Rk3 rk3(p, kNb, AdvConfig{}, kDt);
+  step_both(rk3, hull, ref, winds, "step 1");
+  EXPECT_EQ(rk3.live_bins()[0], (Range{0, 4}));
+  for (fsbm::MicroState* st : {&hull, &ref}) {
+    for (int s = 0; s < fsbm::kNumSpecies; ++s) {
+      for (int b = s + 2; b <= s + 4; ++b) clear_bin(*st, s, b);
+    }
+  }
+  step_both(rk3, hull, ref, winds, "step 2 (shrunk)");
+  EXPECT_EQ(rk3.live_bins()[0], (Range{0, 1}));
+  for (fsbm::MicroState* st : {&hull, &ref}) st->ff[0](9, 6, 3, 5) = 1.0e-3f;
+  step_both(rk3, hull, ref, winds, "step 3 (regrown)");
+  EXPECT_EQ(rk3.live_bins()[0], (Range{0, 9}));
+}
+
+/// The driver's phased refresh restated over a HaloExchange plan:
+/// exchange, widen the hulls by what the unpack brought in, then fill
+/// the domain edges.
+class ExchangePhases final : public HaloPhases {
+ public:
+  ExchangePhases(par::RankCtx& ctx, model::HaloExchange& ex)
+      : ctx_(ctx), ex_(ex) {}
+  void begin(fsbm::MicroState&) override { ex_.begin(ctx_); }
+  void finish(fsbm::MicroState& s, LiveBins& live) override {
+    ex_.finish(ctx_);
+    for (std::size_t f = 0; f < live.size(); ++f) {
+      live[f] = hull_union(live[f], ex_.unpacked_bins(static_cast<int>(f) + 1));
+    }
+    boundary_fill(s.patch)(s);
+  }
+
+ private:
+  par::RankCtx& ctx_;
+  model::HaloExchange& ex_;
+};
+
+TEST(Rk3Hull, BinJoinsThroughHaloStrip) {
+  // Two ranks split x at i = 8.  After step A, three (species, bin)
+  // planes are cleared everywhere except global columns i = 9, 10, rank
+  // 1's cells next to the cut: the bottom and top bins of species 1 and
+  // the one bin species 3 holds.  At step B rank 0's hulls lack them
+  // (species 1 shrinks to [2, 4], species 3 is dead) until the stage-0
+  // halo strip brings them in, joining below, above and into an empty
+  // hull.  Under halo=overlap rank 0's interior tiles ran before that,
+  // over stale step-A tendencies.  Both modes must equal the
+  // single-patch reference.
+  struct Plane {
+    int species, bin;
+  };
+  constexpr Plane kPlanes[] = {{1, 1}, {1, 5}, {3, 6}};
+  const grid::Domain d{Range{1, 16}, Range{1, 8}, Range{1, 10}};
+  const auto patches = grid::decompose(d, 2, 1, 3);
+  const auto rewrite = [&](fsbm::MicroState& st) {
+    const grid::Patch& p = st.patch;
+    for (const Plane& pl : kPlanes) {
+      clear_bin(st, pl.species, pl.bin);
+      for (int j = p.jp.lo; j <= p.jp.hi; ++j) {
+        for (int k = p.k.lo; k <= p.k.hi; ++k) {
+          for (int i = std::max(p.ip.lo, 9); i <= std::min(p.ip.hi, 10);
+               ++i) {
+            st.ff[static_cast<std::size_t>(pl.species)](pl.bin, i, k, j) =
+                pattern(pl.species + 1, pl.bin, i, k, j);
+          }
+        }
+      }
+    }
+  };
+  // Species 3 (dead in seed_state) holds bin 6 only.
+  const auto seed = [](fsbm::MicroState& st, const Range& ir,
+                       const Range& jr) {
+    seed_state(st, ir, jr);
+    for (int j = jr.lo; j <= jr.hi; ++j)
+      for (int k = st.patch.k.lo; k <= st.patch.k.hi; ++k)
+        for (int i = ir.lo; i <= ir.hi; ++i)
+          st.ff[3](6, i, k, j) = pattern(3, 6, i, k, j);
+  };
+  const auto winds_on = [](const grid::Patch& p) {
+    return WindTable(uniform_winds(p, -9.0, 2.0, 3.0), p);
+  };
+
+  const grid::Patch whole = grid::decompose(d, 1, 1, 3)[0];
+  fsbm::MicroState ref(whole, kNb);
+  seed(ref, whole.im, whole.jm);
+  const WindTable ref_winds = winds_on(whole);
+  reference_rk3(ref, ref_winds, boundary_fill(whole));
+  rewrite(ref);
+  reference_rk3(ref, ref_winds, boundary_fill(whole));
+  // The planes did reach rank 0's cells next to the cut.
+  for (const Plane& pl : kPlanes) {
+    EXPECT_NE(bits(ref.ff[static_cast<std::size_t>(pl.species)](pl.bin, 8,
+                                                                4, 5)),
+              0u);
+  }
+
+  for (const HaloMode mode : {HaloMode::kSync, HaloMode::kOverlap}) {
+    std::vector<std::optional<fsbm::MicroState>> out(patches.size());
+    std::vector<LiveBins> joined(patches.size());
+    par::run(2, [&](par::RankCtx& ctx) {
+      const auto r = static_cast<std::size_t>(ctx.rank());
+      const grid::Patch& p = patches[r];
+      fsbm::MicroState st(p, kNb);
+      seed(st, p.ip, p.jp);
+      model::HaloExchange ex(p);
+      ex.add(&st.qv);
+      for (auto& f : st.ff) ex.add_bins(&f);
+      ExchangePhases phases(ctx, ex);
+      const WindTable winds = winds_on(p);
+      Rk3 rk3(p, kNb, AdvConfig{}, kDt, nullptr, mode);
+      rk3.step(st, winds, phases);
+      rewrite(st);
+      rk3.step(st, winds, phases);
+      joined[r] = rk3.live_bins();
+      out[r] = std::move(st);
+    });
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      expect_comp_bitwise(*out[r], ref,
+                          std::string("halo=") + halo_mode_name(mode) +
+                              " rank " + std::to_string(r));
+    }
+    EXPECT_EQ(joined[0][1], (Range{1, 5})) << halo_mode_name(mode);
+    EXPECT_EQ(joined[0][3], (Range{6, 6})) << halo_mode_name(mode);
+  }
 }
 
 }  // namespace
