@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "model/knobs.hpp"
 
 using namespace wrf;
 
@@ -126,7 +127,8 @@ void print_json(const std::vector<Cell>& cells, int nx, int ny, int nz,
         "\"h2d_bytes_per_step\": %.0f, \"d2h_bytes_per_step\": %.0f, "
         "\"wall_s_min\": %.4f, \"wall_s_median\": %.4f, \"wall_cv\": %.3f, "
         "\"reps\": %d, \"fused_pair\": \"%s\"}%s\n",
-        exec::fuse_name(c.fuse), mem::residency_name(c.res),
+        model::knob_name("fuse", c.fuse).c_str(),
+        model::knob_name("res", c.res).c_str(),
         c.launches_step, c.latency_ms_step, c.h2d_steady, c.d2h_steady,
         c.wall.min, c.wall.median, c.wall.cv, c.wall.reps,
         c.fused_pair.c_str(), n + 1 < cells.size() ? "," : "");
@@ -208,7 +210,8 @@ int main(int argc, char** argv) {
               "wall med s", "wall CV");
   for (const Cell& c : cells) {
     std::printf("  %-6s %-8s %12.1f %12.4f %12.3f %12.3f %10.3f %8.3f\n",
-                exec::fuse_name(c.fuse), mem::residency_name(c.res),
+                model::knob_name("fuse", c.fuse).c_str(),
+                model::knob_name("res", c.res).c_str(),
                 c.launches_step, c.latency_ms_step, mb(c.h2d_steady),
                 mb(c.d2h_steady), c.wall.median, c.wall.cv);
   }

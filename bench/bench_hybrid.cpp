@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "model/knobs.hpp"
 
 using namespace wrf;
 
@@ -123,8 +124,8 @@ void print_json(const std::vector<Mode>& modes, int nx, int ny, int nz,
         "\"cells_active\": %llu, \"promotions\": %llu, "
         "\"demotions\": %llu, \"surface_precip\": %.6e, "
         "\"bulk_flops\": %.4e, \"bin_flops\": %.4e}%s\n",
-        fsbm::phys_name(m.phys), m.wall.min, m.wall.median, m.wall.cv,
-        m.wall.reps, m.cellsteps_per_s, m.bin_fraction,
+        model::knob_name("phys", m.phys).c_str(), m.wall.min, m.wall.median,
+        m.wall.cv, m.wall.reps, m.cellsteps_per_s, m.bin_fraction,
         static_cast<unsigned long long>(m.cells_active),
         static_cast<unsigned long long>(m.promotions),
         static_cast<unsigned long long>(m.demotions), m.surface_precip,
@@ -197,8 +198,8 @@ int main(int argc, char** argv) {
               "wall min s", "wall med s", "bin frac", "wall CV");
   for (const Mode& m : modes) {
     std::printf("  %-8s %14.0f %12.4f %12.4f %10.3f %8.3f\n",
-                fsbm::phys_name(m.phys), m.cellsteps_per_s, m.wall.min,
-                m.wall.median, m.bin_fraction, m.wall.cv);
+                model::knob_name("phys", m.phys).c_str(), m.cellsteps_per_s,
+                m.wall.min, m.wall.median, m.bin_fraction, m.wall.cv);
   }
   std::printf("\nhybrid census: %.1f%% of cell-steps at bin fidelity "
               "(%llu promotions, %llu demotions over the run)\n",

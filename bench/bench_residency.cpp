@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "model/knobs.hpp"
 
 using namespace wrf;
 
@@ -107,7 +108,7 @@ void print_json(const std::vector<Cell>& cells, int nx, int ny, int nz,
         "\"transfer_ms_per_step\": %.6f, \"kernel_ms_per_step\": %.4f, "
         "\"resident_mb\": %.2f, \"wall_s_min\": %.4f, "
         "\"wall_s_median\": %.4f, \"wall_cv\": %.3f, \"reps\": %d}%s\n",
-        fsbm::version_name(c.version), mem::residency_name(c.res),
+        fsbm::version_name(c.version), model::knob_name("res", c.res).c_str(),
         c.h2d_first, c.d2h_first, c.h2d_steady, c.d2h_steady,
         c.xfer_ms_steady, c.kernel_ms_step,
         mb(static_cast<double>(c.resident_bytes)),
@@ -187,7 +188,8 @@ int main(int argc, char** argv) {
               "wall med s", "wall CV");
   for (const Cell& c : cells) {
     std::printf("  %-24s %-8s %12.3f %12.3f %12.1f %10.4f %10.3f %8.3f\n",
-                fsbm::version_name(c.version), mem::residency_name(c.res),
+                fsbm::version_name(c.version),
+                model::knob_name("res", c.res).c_str(),
                 mb(c.h2d_steady), mb(c.d2h_steady), mb(c.h2d_first),
                 c.xfer_ms_steady, c.wall.median, c.wall.cv);
   }

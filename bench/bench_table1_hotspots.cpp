@@ -11,11 +11,13 @@
 // decomposed run of the v0 baseline; the "Nsight" view profiles the
 // single rank owning the squall line (load imbalance makes its fast_sbm
 // share larger, as the paper observes).  Exit code 1 when either view
-// loses the paper's ranking fast_sbm > rk_scalar_tend > rk_update_scalar.
+// loses the paper's ranking fast_sbm > rk_scalar_tend > rk_update_scalar,
+// 2 on a bad knob.
 
 #include <thread>
 
 #include "bench_common.hpp"
+#include "model/knobs.hpp"
 #include "obs/export.hpp"
 
 using namespace wrf;
@@ -49,9 +51,11 @@ Shares shares_of(const std::vector<obs::FlatRow>& rows) {
   return s;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
+  // Only exec= is read (the host-pass sweep at the end), but every knob
+  // is checked here, before the long profile runs.
+  model::RunConfig args;
+  model::apply_knob_args(args, argc, argv);
   bench::print_config_header("Table I — hotspot time contribution (%)");
 
   // gprof view: all ranks aggregated.
@@ -102,7 +106,7 @@ int main(int argc, char** argv) {
   // Host-parallelism sweep (exec= knob): the same v0 physics pass, one
   // rank, dispatched serial vs. the requested execution space.  Pass
   // `exec=threads:N` to pick the thread count (default: hardware).
-  exec::ExecConfig sweep = exec::exec_from_args(argc, argv);
+  exec::ExecConfig sweep = args.exec;
   if (sweep.kind == exec::ExecKind::kSerial) {
     sweep.kind = exec::ExecKind::kThreads;  // default sweep target
   }
@@ -137,3 +141,7 @@ int main(int argc, char** argv) {
               t_exec.min > 0.0 ? t_serial.min / t_exec.min : 0.0);
   return exit_code;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

@@ -17,6 +17,7 @@
 
 #include <utility>
 
+#include "model/knobs.hpp"
 #include "offload_runner.hpp"
 
 using namespace wrf;
@@ -131,7 +132,8 @@ int main() {
           });
       const double wait = hr.comm.total_wait_sec();
       std::printf("%8d %9s | %10.3f %7.3f %12.3f %10.3f %9.1f%%\n",
-                  grid.first * grid.second, dyn::halo_mode_name(mode),
+                  grid.first * grid.second,
+                  model::knob_name("halo", mode).c_str(),
                   wall.min, wall.cv, hr.totals.halo_wall_sec, wait,
                   hr.totals.wall_sec > 0.0
                       ? 100.0 * wait / hr.totals.wall_sec

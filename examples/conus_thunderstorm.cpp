@@ -6,6 +6,7 @@
 // Run: ./build/conus_thunderstorm [nx ny nz nsteps] [exec=threads:N|hetero:N]
 //      [halo=sync|overlap] [phys=bin|bulk|hybrid] [obs=trace[:path]]
 //      [out=path]   (history file; default build/conus_thunderstorm_out.bin)
+// Any knob of the table (model/knobs.hpp) is accepted; a bad one exits 2.
 
 #include <cstdio>
 #include <cstdlib>
@@ -13,22 +14,17 @@
 #include <memory>
 
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 #include "obs/export.hpp"
 
 using namespace wrf;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // Positional [nx ny nz nsteps]; any key=value knob may sit anywhere.
   int pos[4] = {72, 54, 30, 12};  // nsteps default: one simulated minute
   int npos = 0;
-  std::string out_path = "build/conus_thunderstorm_out.bin";
   for (int a = 1; a < argc; ++a) {
-    const std::string s(argv[a]);
-    if (s.rfind("out=", 0) == 0) {
-      out_path = s.substr(4);
-      continue;
-    }
-    if (s.find('=') != std::string::npos) continue;
+    if (std::string(argv[a]).find('=') != std::string::npos) continue;
     if (npos < 4) pos[npos++] = std::atoi(argv[a]);
   }
   model::RunConfig cfg;
@@ -39,13 +35,10 @@ int main(int argc, char** argv) {
   cfg.npx = 2;
   cfg.npy = 2;
   cfg.version = fsbm::Version::kV3Offload3;
-  cfg.exec = exec::exec_from_args(argc, argv);
-  cfg.halo_mode = dyn::halo_mode_from_args(argc, argv);
-  cfg.phys = fsbm::phys_from_args(argc, argv);  // bin | bulk | hybrid
-  cfg.res = mem::residency_from_args(argc, argv);
-  cfg.fuse = exec::fuse_from_args(argc, argv);  // off | auto
-  cfg.obs = obs::obs_from_args(argc, argv);     // off | metrics | trace
-  cfg.tune = tune::tune_from_args(argc, argv);  // off | auto | file:<path>
+  const auto own = model::apply_knob_args(cfg, argc, argv, {"out"});
+  const std::string out_path = own.count("out")
+                                   ? own.at("out")
+                                   : "build/conus_thunderstorm_out.bin";
   cfg.validate();
 
   std::printf("CONUS-like thunderstorm\n=======================\n%s\n\n",
@@ -167,3 +160,5 @@ int main(int argc, char** argv) {
   std::printf("\nhistory written to %s\n", out_path.c_str());
   return 0;
 }
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

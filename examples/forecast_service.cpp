@@ -19,25 +19,30 @@
 //                                                   [obs=metrics|trace[:path]]
 //                                                   [tune=auto|file:tuned.json]
 //
+// obs= and tune= configure the scheduler; the other knobs apply to
+// every job (res= is set per scenario).  A bad knob exits 2.
+//
 // With obs on, the scheduler writes obs_service.prom (Prometheus text) at
 // shutdown; obs=trace additionally writes a Chrome/Perfetto trace with one
 // track per lane.
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "model/knobs.hpp"
 #include "svc/scheduler.hpp"
 
 using namespace wrf;
 
 namespace {
 
-model::RunConfig scenario(int nx, int ny, int nz, int nsteps,
-                          fsbm::Version v, mem::ResidencyMode res,
-                          std::uint64_t seed) {
-  model::RunConfig cfg;
+model::RunConfig scenario(const model::RunConfig& knobs, int nx, int ny,
+                          int nz, int nsteps, fsbm::Version v,
+                          mem::ResidencyMode res, std::uint64_t seed) {
+  model::RunConfig cfg = knobs;
   cfg.nx = nx;
   cfg.ny = ny;
   cfg.nz = nz;
@@ -49,15 +54,6 @@ model::RunConfig scenario(int nx, int ny, int nz, int nsteps,
   return cfg;
 }
 
-int lanes_from_args(int argc, char** argv) {
-  for (int n = 1; n < argc; ++n) {
-    if (std::strncmp(argv[n], "lanes=", 6) == 0) {
-      return std::atoi(argv[n] + 6);
-    }
-  }
-  return 2;
-}
-
 const char* outcome_name(svc::JobOutcome o) {
   switch (o) {
     case svc::JobOutcome::kCompleted: return "completed";
@@ -67,15 +63,15 @@ const char* outcome_name(svc::JobOutcome o) {
   return "?";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
+  model::RunConfig knobs;  // every job starts from the command line's knobs
+  const auto own = model::apply_knob_args(knobs, argc, argv, {"lanes"});
   svc::SchedulerConfig sc;
-  sc.lanes = lanes_from_args(argc, argv);
+  sc.lanes = own.count("lanes") ? std::atoi(own.at("lanes").c_str()) : 2;
   sc.batch_max = 4;
   sc.start_paused = true;  // submit the whole stream, then release it
-  sc.obs = obs::obs_from_args(argc, argv);  // off | metrics | trace[:path]
-  sc.tune = tune::tune_from_args(argc, argv);  // off | auto | file:<path>
+  sc.obs = std::exchange(knobs.obs, {});
+  sc.tune = std::exchange(knobs.tune, {});
 
   std::printf("miniWRF-SBM forecast service\n============================\n");
   std::printf("pool: %d lanes of %s (%.1f GB DRAM each)\n",
@@ -96,7 +92,7 @@ int main(int argc, char** argv) {
     job.name = "nowcast-" + std::to_string(n);
     job.cls = svc::JobClass::kInteractive;
     job.deadline_sec = 120.0;
-    job.config = scenario(24, 16, 10, 2, fsbm::Version::kV3Offload3,
+    job.config = scenario(knobs, 24, 16, 10, 2, fsbm::Version::kV3Offload3,
                           mem::ResidencyMode::kPersist, 100 + n);
     tickets.push_back(sched.submit(job));
   }
@@ -106,7 +102,7 @@ int main(int argc, char** argv) {
     svc::Job job;
     job.name = "member-" + std::to_string(n);
     job.cls = svc::JobClass::kEnsemble;
-    job.config = scenario(20, 14, 8, 2, fsbm::Version::kV2Offload2,
+    job.config = scenario(knobs, 20, 14, 8, 2, fsbm::Version::kV2Offload2,
                           mem::ResidencyMode::kStep, 200 + n);
     tickets.push_back(sched.submit(job));
   }
@@ -115,7 +111,8 @@ int main(int argc, char** argv) {
     svc::Job job;
     job.name = "reanalysis-" + std::to_string(n);
     job.cls = svc::JobClass::kBatch;
-    job.config = scenario(16, 12, 8, 3, fsbm::Version::kV1LookupOnDemand,
+    job.config = scenario(knobs, 16, 12, 8, 3,
+                          fsbm::Version::kV1LookupOnDemand,
                           mem::ResidencyMode::kStep, 300 + n);
     tickets.push_back(sched.submit(job));
   }
@@ -125,7 +122,8 @@ int main(int argc, char** argv) {
     svc::Job job;
     job.name = "continental-oversize";
     job.cls = svc::JobClass::kBatch;
-    job.config = scenario(4000, 3000, 50, 1, fsbm::Version::kV3Offload3,
+    job.config = scenario(knobs, 4000, 3000, 50, 1,
+                          fsbm::Version::kV3Offload3,
                           mem::ResidencyMode::kPersist, 400);
     tickets.push_back(sched.submit(job));
   }
@@ -231,3 +229,7 @@ int main(int argc, char** argv) {
                                       : "SERVICE GUARANTEES VIOLATED");
   return failures == 0 ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

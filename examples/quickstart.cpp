@@ -8,15 +8,17 @@
 //                                             [exec=hetero:N] [phys=hybrid]
 //                                             [obs=trace[:path]]
 //                                             [tune=auto|file:tuned.json]
+// Any knob of the table (model/knobs.hpp) is accepted; a bad one exits 2.
 
 #include <cstdio>
 
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 #include "obs/export.hpp"
 
 using namespace wrf;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   model::RunConfig cfg;
   cfg.nx = 48;
   cfg.ny = 36;
@@ -25,14 +27,7 @@ int main(int argc, char** argv) {
   cfg.nsteps = 3;
   cfg.npx = 2;
   cfg.npy = 2;
-  cfg.exec = exec::exec_from_args(argc, argv);  // serial | threads:N |
-                                                // device | hetero:N
-  cfg.halo_mode = dyn::halo_mode_from_args(argc, argv);  // sync | overlap
-  cfg.res = mem::residency_from_args(argc, argv);  // step | persist
-  cfg.fuse = exec::fuse_from_args(argc, argv);     // off | auto
-  cfg.phys = fsbm::phys_from_args(argc, argv);     // bin | bulk | hybrid
-  cfg.obs = obs::obs_from_args(argc, argv);        // off | metrics | trace
-  cfg.tune = tune::tune_from_args(argc, argv);     // off | auto | file:<path>
+  model::apply_knob_args(cfg, argc, argv);
 
   std::printf("miniWRF-SBM quickstart\n======================\n");
   std::printf("case: %s\n\n", cfg.describe().c_str());
@@ -88,3 +83,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

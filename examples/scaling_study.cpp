@@ -4,24 +4,29 @@
 // Table VII bench uses, but lets you vary GPUs and rank counts.
 //
 // Run: ./build/scaling_study [ngpus] [exec=threads:N|hetero:N]
-//      [halo=sync|overlap] [obs=trace[:path]]
+//      [halo=sync|overlap] [phys=bin|bulk|hybrid] [obs=trace[:path]]
+// Any knob of the table (model/knobs.hpp) sets the calibration run; a
+// bad one exits 2.
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 #include "perfmodel/scaling.hpp"
+#include "util/error.hpp"
 
 using namespace wrf;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   int ngpus = 16;
   for (int a = 1; a < argc; ++a) {
     if (std::string(argv[a]).find('=') != std::string::npos) continue;
     ngpus = std::atoi(argv[a]);
     break;
   }
+  if (ngpus < 1) throw ConfigError("scaling_study: ngpus must be >= 1");
 
   // Measure a work profile from a real scaled-down run.
   model::RunConfig cfg;
@@ -31,12 +36,8 @@ int main(int argc, char** argv) {
   cfg.npx = cfg.npy = 2;
   cfg.nsteps = 2;
   cfg.version = fsbm::Version::kV1LookupOnDemand;
-  cfg.exec = exec::exec_from_args(argc, argv);
-  cfg.halo_mode = dyn::halo_mode_from_args(argc, argv);
-  cfg.res = mem::residency_from_args(argc, argv);
-  cfg.fuse = exec::fuse_from_args(argc, argv);
-  cfg.obs = obs::obs_from_args(argc, argv);  // traces the calibration run
-  cfg.tune = tune::tune_from_args(argc, argv);  // off | auto | file:<path>
+  model::apply_knob_args(cfg, argc, argv);
+  std::printf("calibration run: %s\n", cfg.describe().c_str());
   const model::RunResult res = model::run_simulation(cfg);
 
   perfmodel::WorkProfile w;
@@ -109,3 +110,5 @@ int main(int argc, char** argv) {
               "1.56x @64 ranks)\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

@@ -223,7 +223,21 @@ run_tune_smoke() {
   python3 -m json.tool "${artifact}" > /dev/null
   (cd "${build_dir}" && ./quickstart \
     tune="file:$(basename "${artifact}")" > /dev/null)
-  echo "tune smoke: artifact parses, gates pass, tune=file: loads"
+  # Knobs come from one table: a bad value or a misspelled key exits 2
+  # with the key on stderr, and every example reads every knob.
+  local knob err rc
+  for knob in exec=warp9 phsy=bulk; do
+    rc=0
+    err="$("${build_dir}/quickstart" "${knob}" 2>&1 > /dev/null)" || rc=$?
+    if [ "${rc}" -ne 2 ] || [[ "${err}" != *"${knob%%=*}"* ]]; then
+      echo "tune smoke: quickstart ${knob} exited ${rc}: ${err}"
+      return 1
+    fi
+  done
+  [[ "$("${build_dir}/scaling_study" phys=bulk)" == *"phys=bulk"* ]] \
+    || { echo "tune smoke: scaling_study dropped phys=bulk"; return 1; }
+  echo "tune smoke: artifact parses, gates pass, tune=file: loads," \
+    "bad knobs exit 2"
 }
 
 check_prof_fence

@@ -4,28 +4,6 @@
 
 namespace wrf::dyn {
 
-HaloMode parse_halo_mode(const std::string& s) {
-  if (s == "sync") return HaloMode::kSync;
-  if (s == "overlap") return HaloMode::kOverlap;
-  throw ConfigError("HaloMode: unknown halo mode '" + s +
-                    "' (want sync | overlap)");
-}
-
-const char* halo_mode_name(HaloMode m) noexcept {
-  return m == HaloMode::kOverlap ? "overlap" : "sync";
-}
-
-HaloMode halo_mode_from_args(int argc, char** argv) {
-  const std::string prefix = "halo=";
-  for (int a = 1; a < argc; ++a) {
-    const std::string s = argv[a];
-    if (s.rfind(prefix, 0) == 0) {
-      return parse_halo_mode(s.substr(prefix.size()));
-    }
-  }
-  return HaloMode::kSync;
-}
-
 Rk3::Rk3(const grid::Patch& patch, int nkr, AdvConfig cfg, double dt,
          exec::ExecSpace* exec, HaloMode halo_mode)
     : patch_(patch),

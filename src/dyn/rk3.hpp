@@ -28,7 +28,6 @@
 
 #include <array>
 #include <functional>
-#include <string>
 #include <utility>
 
 #include "dyn/advection.hpp"
@@ -36,17 +35,9 @@
 
 namespace wrf::dyn {
 
-/// The `halo=` knob: blocking exchange vs comms/compute overlap.
+/// The `halo=` knob: blocking exchange vs comms/compute overlap.  Its
+/// names live in the knob table (model/knobs.hpp).
 enum class HaloMode : int { kSync = 0, kOverlap = 1 };
-
-/// Parse "sync" | "overlap"; throws ConfigError on anything else.
-HaloMode parse_halo_mode(const std::string& s);
-const char* halo_mode_name(HaloMode m) noexcept;
-
-/// Scan argv for a `halo=<mode>` argument (any position); returns kSync
-/// when absent.  Shared by the examples and benches, like
-/// exec::exec_from_args.
-HaloMode halo_mode_from_args(int argc, char** argv);
 
 /// Per-species live-bin hulls (see the header comment).
 using LiveBins = std::array<Range, fsbm::kNumSpecies>;

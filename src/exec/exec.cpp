@@ -299,63 +299,40 @@ void HeteroSpace::run_split(const SplitPlan& sp, const LaunchParams& p,
 
 // ----------------------------------------------------------------- config
 
-namespace {
-
-/// Parse the ":N" suffix of a "mode:N" knob; throws ConfigError naming
-/// `what` when N is missing, non-numeric, trailing-junked, or < 1.
-int parse_thread_suffix(const std::string& s, const std::string& prefix,
-                        const char* what) {
-  const std::string num = s.substr(prefix.size());
-  std::size_t pos = 0;
-  int n = 0;
-  try {
-    n = std::stoi(num, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != num.size() || num.empty() || n < 1) {
-    throw ConfigError("ExecConfig: bad thread count in '" + s + "' (want " +
-                      what + ":N with N >= 1)");
-  }
-  return n;
-}
-
-}  // namespace
-
 ExecConfig ExecConfig::parse(const std::string& s) {
+  const auto unknown = [&] {
+    return ConfigError("ExecConfig: unknown exec mode '" + s +
+                       "' (want serial | threads[:N] | device | hetero[:N])");
+  };
+  const std::size_t colon = s.find(':');
+  const std::string mode = s.substr(0, colon);
   ExecConfig cfg;
-  if (s == "serial") {
+  if (mode == "serial") {
     cfg.kind = ExecKind::kSerial;
-    return cfg;
-  }
-  if (s == "device") {
+  } else if (mode == "device") {
     cfg.kind = ExecKind::kDevice;
-    return cfg;
-  }
-  if (s == "threads") {
+  } else if (mode == "threads") {
     cfg.kind = ExecKind::kThreads;
-    cfg.nthreads = 0;
-    return cfg;
-  }
-  if (s == "hetero") {
+  } else if (mode == "hetero") {
     cfg.kind = ExecKind::kHetero;
-    cfg.nthreads = 0;
-    return cfg;
+  } else {
+    throw unknown();
   }
-  const std::string threads_prefix = "threads:";
-  if (s.rfind(threads_prefix, 0) == 0) {
-    cfg.kind = ExecKind::kThreads;
-    cfg.nthreads = parse_thread_suffix(s, threads_prefix, "threads");
-    return cfg;
+  if (colon == std::string::npos) return cfg;
+  if (cfg.kind != ExecKind::kThreads && cfg.kind != ExecKind::kHetero) {
+    throw unknown();
   }
-  const std::string hetero_prefix = "hetero:";
-  if (s.rfind(hetero_prefix, 0) == 0) {
-    cfg.kind = ExecKind::kHetero;
-    cfg.nthreads = parse_thread_suffix(s, hetero_prefix, "hetero");
-    return cfg;
+  // N is canonical decimal (no sign, no leading zero), so describe()
+  // renders exactly the text parsed; nine digits cannot overflow an int.
+  const std::string num = s.substr(colon + 1);
+  bool ok = !num.empty() && num.size() <= 9 && num[0] != '0';
+  for (const char c : num) ok = ok && c >= '0' && c <= '9';
+  if (!ok) {
+    throw ConfigError("ExecConfig: bad thread count in '" + s + "' (want " +
+                      mode + ":N with N a decimal integer >= 1)");
   }
-  throw ConfigError("ExecConfig: unknown exec mode '" + s +
-                    "' (want serial | threads[:N] | device | hetero[:N])");
+  cfg.nthreads = std::stoi(num);
+  return cfg;
 }
 
 std::string ExecConfig::describe() const {
@@ -395,17 +372,6 @@ std::unique_ptr<ExecSpace> make_space(const ExecConfig& cfg,
 ExecSpace& serial() {
   static SerialSpace space;
   return space;
-}
-
-ExecConfig exec_from_args(int argc, char** argv) {
-  const std::string prefix = "exec=";
-  for (int a = 1; a < argc; ++a) {
-    const std::string s = argv[a];
-    if (s.rfind(prefix, 0) == 0) {
-      return ExecConfig::parse(s.substr(prefix.size()));
-    }
-  }
-  return ExecConfig{};
 }
 
 }  // namespace wrf::exec

@@ -428,7 +428,8 @@ struct ExecConfig {
   int nthreads = 0;  ///< threads/hetero modes: 0 = hardware concurrency
 
   /// Parse "serial" | "threads" | "threads:N" | "device" |
-  /// "hetero" | "hetero:N" (N = host-shard threads).
+  /// "hetero" | "hetero:N" (N = host-shard threads, canonical decimal
+  /// >= 1; the exec= knob row caps it at model::kMaxExecThreads).
   /// Throws ConfigError on anything else.
   static ExecConfig parse(const std::string& s);
 
@@ -444,11 +445,5 @@ std::unique_ptr<ExecSpace> make_space(const ExecConfig& cfg,
 /// Process-wide SerialSpace, for call sites that take an optional
 /// ExecSpace* and fall back to serial dispatch.
 ExecSpace& serial();
-
-/// Scan argv for an `exec=<mode>` argument (any position) and parse it;
-/// returns the default (serial) config when absent.  Shared by the
-/// examples and benches so every binary sweeps host parallelism the same
-/// way it sweeps FSBM versions.
-ExecConfig exec_from_args(int argc, char** argv);
 
 }  // namespace wrf::exec

@@ -2,27 +2,7 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-
 namespace wrf::exec {
-
-FuseMode parse_fuse(const std::string& s) {
-  if (s == "off") return FuseMode::kOff;
-  if (s == "auto") return FuseMode::kAuto;
-  throw ConfigError("fuse=" + s + ": expected fuse=off or fuse=auto");
-}
-
-const char* fuse_name(FuseMode m) noexcept {
-  return m == FuseMode::kAuto ? "auto" : "off";
-}
-
-FuseMode fuse_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("fuse=", 0) == 0) return parse_fuse(arg.substr(5));
-  }
-  return FuseMode::kOff;
-}
 
 std::size_t PassGraph::add(PassNode node) {
   nodes_.push_back(std::move(node));

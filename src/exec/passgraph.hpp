@@ -45,20 +45,12 @@
 
 namespace wrf::exec {
 
-/// The `fuse=` knob: cross-pass kernel fusion policy.
+/// The `fuse=` knob: cross-pass kernel fusion policy.  Its names live
+/// in the knob table (model/knobs.hpp).
 enum class FuseMode : int {
   kOff = 0,   ///< every pass launches separately (the paper's layout)
   kAuto = 1,  ///< fuse adjacent device passes the analyzer proves legal
 };
-
-/// Parse "off" | "auto"; throws ConfigError on anything else.
-FuseMode parse_fuse(const std::string& s);
-
-/// Render back to the knob syntax.
-const char* fuse_name(FuseMode m) noexcept;
-
-/// Scan argv for a `fuse=<mode>` argument (any position); default off.
-FuseMode fuse_from_args(int argc, char** argv);
 
 /// One pass's declared footprint and tile plan.
 struct PassNode {

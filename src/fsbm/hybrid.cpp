@@ -2,34 +2,7 @@
 
 #include <cmath>
 
-#include "util/error.hpp"
-
 namespace wrf::fsbm {
-
-const char* phys_name(PhysScheme p) {
-  switch (p) {
-    case PhysScheme::kBin: return "bin";
-    case PhysScheme::kBulk: return "bulk";
-    case PhysScheme::kHybrid: return "hybrid";
-  }
-  return "?";
-}
-
-PhysScheme parse_phys(const std::string& s) {
-  if (s == "bin") return PhysScheme::kBin;
-  if (s == "bulk") return PhysScheme::kBulk;
-  if (s == "hybrid") return PhysScheme::kHybrid;
-  throw ConfigError("phys: unknown mode '" + s +
-                    "' (want bin | bulk | hybrid)");
-}
-
-PhysScheme phys_from_args(int argc, char** argv) {
-  for (int a = 1; a < argc; ++a) {
-    const std::string arg(argv[a]);
-    if (arg.rfind("phys=", 0) == 0) return parse_phys(arg.substr(5));
-  }
-  return PhysScheme::kBin;
-}
 
 BulkMoments demote_liquid(float* liq, int nkr, const HybridConfig& cfg) {
   BulkMoments m;

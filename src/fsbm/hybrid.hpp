@@ -42,24 +42,14 @@
 // with ulp-scaled tolerances in tests/test_fsbm_properties.cpp.
 
 #include <cstdint>
-#include <string>
 
 #include "bulk/kessler.hpp"
 
 namespace wrf::fsbm {
 
-/// The `phys=` knob: which microphysics fidelity the scheme runs.
+/// The `phys=` knob: which microphysics fidelity the scheme runs.  Its
+/// names live in the knob table (model/knobs.hpp).
 enum class PhysScheme : int { kBin = 0, kBulk = 1, kHybrid = 2 };
-
-const char* phys_name(PhysScheme p);
-
-/// Parse "bin" | "bulk" | "hybrid"; throws ConfigError on anything else.
-PhysScheme parse_phys(const std::string& s);
-
-/// Scan argv for a `phys=<mode>` argument (any position); returns the
-/// default (bin) when absent.  Shared by the examples and benches, like
-/// exec::exec_from_args.
-PhysScheme phys_from_args(int argc, char** argv);
 
 /// Per-cell fidelity codes (Field3D<uint8_t> values).
 constexpr std::uint8_t kFidelityBulk = 0;

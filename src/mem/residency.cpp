@@ -23,30 +23,6 @@ void note_region(obs::TraceSink* sink, const char* dir,
 
 }  // namespace
 
-// ------------------------------------------------------------ res= knob
-
-ResidencyMode parse_residency(const std::string& s) {
-  if (s == "step") return ResidencyMode::kStep;
-  if (s == "persist") return ResidencyMode::kPersist;
-  throw ConfigError("ResidencyMode: unknown res mode '" + s +
-                    "' (want step | persist)");
-}
-
-const char* residency_name(ResidencyMode m) noexcept {
-  return m == ResidencyMode::kPersist ? "persist" : "step";
-}
-
-ResidencyMode residency_from_args(int argc, char** argv) {
-  const std::string prefix = "res=";
-  for (int a = 1; a < argc; ++a) {
-    const std::string s = argv[a];
-    if (s.rfind(prefix, 0) == 0) {
-      return parse_residency(s.substr(prefix.size()));
-    }
-  }
-  return ResidencyMode::kStep;
-}
-
 // ------------------------------------------------------------ DirtySpans
 
 void DirtySpans::add(std::uint64_t off, std::uint64_t len) {

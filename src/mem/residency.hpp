@@ -46,16 +46,8 @@ namespace wrf::mem {
 
 /// The `res=` knob: per-launch `target data` regions (the paper's
 /// as-ported behavior) vs persistent device residency across steps.
+/// Its names live in the knob table (model/knobs.hpp).
 enum class ResidencyMode : int { kStep = 0, kPersist = 1 };
-
-/// Parse "step" | "persist"; throws ConfigError on anything else.
-ResidencyMode parse_residency(const std::string& s);
-const char* residency_name(ResidencyMode m) noexcept;
-
-/// Scan argv for a `res=<mode>` argument (any position); returns kStep
-/// when absent.  Shared by the examples and benches, like
-/// exec::exec_from_args and fsbm::phys_from_args.
-ResidencyMode residency_from_args(int argc, char** argv);
 
 /// One contiguous byte range of a field's storage (e.g. a strip row).
 struct ByteRange {

@@ -46,14 +46,14 @@ struct RunConfig {
   /// tiles go to the device shard, the cheap remainder runs on an
   /// N-thread host shard concurrently, with shard-granular transfers
   /// (bitwise identical to device and threads:N — tests/test_exec.cpp).
-  /// Parse with exec::ExecConfig::parse.
+  /// Parsed, printed and validated by the knob table (model/knobs.hpp),
+  /// as are the knobs below.
   exec::ExecConfig exec;
 
   /// The `halo=` knob: sync posts and completes each stage's exchange
   /// before any tendency; overlap computes interior tiles between the
   /// HaloExchange begin/finish phases (bitwise-identical results —
-  /// asserted in tests/test_halo_overlap.cpp).  Parse with
-  /// dyn::parse_halo_mode / dyn::halo_mode_from_args.
+  /// asserted in tests/test_halo_overlap.cpp).
   dyn::HaloMode halo_mode = dyn::HaloMode::kSync;
 
   /// The `phys=` knob: bin runs the full FSBM chain in every cell (the
@@ -62,8 +62,7 @@ struct RunConfig {
   /// chain, the calm remainder runs Kessler, with hysteresis so cells
   /// don't flap (fsbm/hybrid.hpp).  phys=hybrid with an all-bin
   /// fidelity override is bitwise identical to phys=bin — asserted in
-  /// tests/test_hybrid.cpp.  Parse with fsbm::parse_phys /
-  /// fsbm::phys_from_args.  Tunables live in fsbm_params.hybrid.
+  /// tests/test_hybrid.cpp.  Tunables live in fsbm_params.hybrid.
   fsbm::PhysScheme phys = fsbm::PhysScheme::kBin;
 
   /// The `res=` knob: step re-maps every offloaded field h2d/d2h around
@@ -71,8 +70,7 @@ struct RunConfig {
   /// keeps the fields resident on the device across steps with per-field
   /// dirty tracking, so steady-state traffic shrinks to dirty strips
   /// (bitwise-identical state and physics stats either way — asserted in
-  /// tests/test_exec.cpp).  A no-op for the host-only versions.  Parse
-  /// with mem::parse_residency / mem::residency_from_args.
+  /// tests/test_exec.cpp).  A no-op for the host-only versions.
   mem::ResidencyMode res = mem::ResidencyMode::kStep;
 
   /// The `fuse=` knob: cross-pass kernel fusion (exec/passgraph.hpp).
@@ -80,8 +78,7 @@ struct RunConfig {
   /// proves over their embedded kernel sources (cond+coal when
   /// offload_condensation is on); off keeps one launch per pass.
   /// Bitwise-identical state and physics stats either way — asserted in
-  /// tests/test_fusion.cpp.  Parse with exec::parse_fuse /
-  /// exec::fuse_from_args.
+  /// tests/test_fusion.cpp.
   exec::FuseMode fuse = exec::FuseMode::kOff;
 
   /// The `obs=` knob: off records nothing (bitwise identical to a build
@@ -90,8 +87,7 @@ struct RunConfig {
   /// metrics JSONL; trace additionally records spans for every pass
   /// dispatch, halo round, transfer, kernel launch, and fidelity flip,
   /// and writes Chrome trace-event JSON (Perfetto-loadable).  Neither
-  /// mode changes physics.  Parse with obs::ObsConfig::parse /
-  /// obs::obs_from_args.
+  /// mode changes physics.
   obs::ObsConfig obs;
 
   /// The `tune=` knob: off runs the knobs exactly as set (the default);
@@ -101,8 +97,7 @@ struct RunConfig {
   /// is missing or malformed; auto does the same from ./tuned.json but
   /// treats a missing file as "not tuned yet" (no-op).  Applying a
   /// tuned entry is bitwise identical to setting the same knobs
-  /// explicitly — asserted in tests/test_tune.cpp.  Parse with
-  /// tune::TuneSpec::parse / tune::tune_from_args.
+  /// explicitly — asserted in tests/test_tune.cpp.
   tune::TuneSpec tune;
 
   // Decomposition.
@@ -142,6 +137,8 @@ struct RunConfig {
   /// Validate and throw ConfigError with a precise message on problems.
   void validate() const;
 
+  /// The run header: grid, version, then the knob table's rows (obs=
+  /// and tune= only when set).  svc::job_shape_key builds on it.
   std::string describe() const;
 
   /// The scheme parameters a rank's FastSbm runs with: fsbm_params plus

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "model/halo.hpp"
+#include "model/knobs.hpp"
 #include "obs/export.hpp"
 #include "tune/artifact.hpp"
 
@@ -86,11 +87,7 @@ void RunConfig::validate() const {
   }
   if (dt <= 0.0 || nsteps < 0) throw ConfigError("RunConfig: bad time axis");
   if (ngpus < 1) throw ConfigError("RunConfig: ngpus must be >= 1");
-  if ((exec.kind == exec::ExecKind::kThreads ||
-       exec.kind == exec::ExecKind::kHetero) &&
-      exec.nthreads < 0) {
-    throw ConfigError("RunConfig: exec thread count must be >= 0");
-  }
+  for (const Knob& k : knobs()) k.check(*this);
   if (halo < dyn::kStencilWidth) {
     throw ConfigError("RunConfig: halo narrower than the advection stencil");
   }
@@ -99,25 +96,25 @@ void RunConfig::validate() const {
 }
 
 std::string RunConfig::describe() const {
-  char buf[320];
+  char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "grid %dx%dx%d dx=%.0fm dt=%.1fs nkr=%d ranks=%dx%d "
-                "version=%s exec=%s halo=%s phys=%s res=%s fuse=%s "
-                "ngpus=%d",
+                "version=%s",
                 nx, ny, nz, dx, dt, nkr, npx, npy,
-                fsbm::version_name(version), exec.describe().c_str(),
-                dyn::halo_mode_name(halo_mode), fsbm::phys_name(phys),
-                mem::residency_name(res), exec::fuse_name(fuse), ngpus);
-  std::string out = buf;
-  // Appended only when enabled: obs is pure observation (no physics
-  // effect), so default describe() strings — and the svc shape keys
-  // derived from them — stay exactly as before the knob existed.
-  if (!obs.off()) out += " obs=" + obs.describe();
-  // Same contract for tune=: the spec never changes physics, and the
-  // run entry points resolve it to explicit knobs (tune forced off)
-  // before any work, so a resolved config describes like a hand-set one.
-  if (!tune.off()) out += " tune=" + tune.describe();
-  return out;
+                fsbm::version_name(version));
+  std::string out = buf, when_set;
+  // Rows not shown at their default (obs, tune) never change physics,
+  // so default describe() strings — and the svc shape keys derived from
+  // them — stay as they were before those knobs existed.
+  static const RunConfig kDefaults;
+  for (const Knob& k : knobs()) {
+    if (k.shown_at_default) {
+      out.append(" ").append(k.token(*this));
+    } else if (k.print(*this) != k.print(kDefaults)) {
+      when_set.append(" ").append(k.token(*this));
+    }
+  }
+  return out.append(" ngpus=").append(std::to_string(ngpus)).append(when_set);
 }
 
 fsbm::FsbmParams RunConfig::scheme_params() const {

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 
 #include "util/error.hpp"
@@ -9,13 +10,8 @@ namespace wrf::obs {
 
 // ------------------------------------------------------------ obs= knob
 
-const char* obs_mode_name(ObsMode m) noexcept {
-  switch (m) {
-    case ObsMode::kOff: return "off";
-    case ObsMode::kMetrics: return "metrics";
-    case ObsMode::kTrace: return "trace";
-  }
-  return "?";
+namespace {
+constexpr const char* kModeNames[] = {"off", "metrics", "trace"};
 }
 
 std::string ObsConfig::export_path() const {
@@ -24,47 +20,29 @@ std::string ObsConfig::export_path() const {
 }
 
 ObsConfig ObsConfig::parse(const std::string& s) {
-  ObsConfig cfg;
-  std::string mode = s;
   const std::size_t colon = s.find(':');
-  if (colon != std::string::npos) {
-    mode = s.substr(0, colon);
-    cfg.path = s.substr(colon + 1);
-    if (cfg.path.empty()) {
-      throw ConfigError("ObsConfig: empty path in obs='" + s + "'");
-    }
-  }
-  if (mode == "off") {
-    if (!cfg.path.empty()) {
-      throw ConfigError("ObsConfig: obs=off takes no path ('" + s + "')");
-    }
-    cfg.mode = ObsMode::kOff;
-  } else if (mode == "metrics") {
-    cfg.mode = ObsMode::kMetrics;
-  } else if (mode == "trace") {
-    cfg.mode = ObsMode::kTrace;
-  } else {
+  const auto name = std::find(std::begin(kModeNames), std::end(kModeNames),
+                              s.substr(0, colon));
+  if (name == std::end(kModeNames)) {
     throw ConfigError("ObsConfig: unknown obs mode '" + s +
                       "' (want off | metrics[:path] | trace[:path])");
+  }
+  ObsConfig cfg;
+  cfg.mode = static_cast<ObsMode>(name - std::begin(kModeNames));
+  if (colon != std::string::npos) {
+    cfg.path = s.substr(colon + 1);
+    if (cfg.path.empty() || cfg.off()) {
+      throw ConfigError("ObsConfig: obs='" + s +
+                        "' (a path must be non-empty, after metrics or trace)");
+    }
   }
   return cfg;
 }
 
 std::string ObsConfig::describe() const {
-  std::string out = obs_mode_name(mode);
+  std::string out = kModeNames[static_cast<int>(mode)];
   if (!path.empty()) out += ":" + path;
   return out;
-}
-
-ObsConfig obs_from_args(int argc, char** argv) {
-  const std::string prefix = "obs=";
-  for (int a = 1; a < argc; ++a) {
-    const std::string s = argv[a];
-    if (s.rfind(prefix, 0) == 0) {
-      return ObsConfig::parse(s.substr(prefix.size()));
-    }
-  }
-  return ObsConfig{};
 }
 
 // ---------------------------------------------------------------- sink

@@ -53,8 +53,6 @@ namespace wrf::obs {
 
 enum class ObsMode { kOff, kMetrics, kTrace };
 
-const char* obs_mode_name(ObsMode m) noexcept;
-
 /// The `obs=off|metrics|trace[:path]` knob.  `off` records nothing;
 /// `metrics` collects the per-step time series + registry totals and
 /// writes metrics JSONL; `trace` additionally installs the active
@@ -74,9 +72,6 @@ struct ObsConfig {
   static ObsConfig parse(const std::string& s);
   std::string describe() const;
 };
-
-/// Scan argv for "obs=..."; absent means off.
-ObsConfig obs_from_args(int argc, char** argv);
 
 // --------------------------------------------------------------- events
 

@@ -344,8 +344,10 @@ Artifact load_artifact(const std::string& path) {
       require(machine, "hw_threads", Json::kNum, "machine").num);
   art.machine.device = require(machine, "device", Json::kStr, "machine").str;
 
-  for (const Json& je :
-       require(root, "entries", Json::kArr, "document").arr) {
+  const std::vector<Json>& entries =
+      require(root, "entries", Json::kArr, "document").arr;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Json& je = entries[i];
     TunedEntry e;
     e.shape = require(je, "shape", Json::kStr, "entry").str;
     e.knobs = require(je, "knobs", Json::kStr, "entry").str;
@@ -378,7 +380,12 @@ Artifact load_artifact(const std::string& path) {
     // The loadability contract: a winner that does not parse back into
     // a KnobSet can never be applied — reject at load time, where the
     // artifact (not the requesting run) is identifiably at fault.
-    (void)KnobSet::parse(e.knobs);
+    try {
+      (void)KnobSet::parse(e.knobs);
+    } catch (const ConfigError& err) {
+      throw ConfigError(path + ": entries[" + std::to_string(i) +
+                        "].knobs: " + err.what());
+    }
     art.entries.push_back(std::move(e));
   }
   return art;

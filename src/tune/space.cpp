@@ -2,42 +2,48 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <sstream>
 
+#include "model/knobs.hpp"
 #include "util/error.hpp"
 
 namespace wrf::tune {
 
+namespace {
+
+/// Copy the tunable rows through their text, the form tuned.json keeps.
+void copy_tunable(const model::RunConfig& from, model::RunConfig& to) {
+  for (const model::Knob& row : model::knobs()) {
+    if (row.tunable) row.set(to, row.print(from));
+  }
+}
+
+}  // namespace
+
 KnobSet KnobSet::of(const model::RunConfig& cfg) {
   KnobSet k;
-  k.exec = cfg.exec;
-  k.halo = cfg.halo_mode;
-  k.res = cfg.res;
-  k.fuse = cfg.fuse;
+  copy_tunable(cfg, k.cfg);
   return k;
 }
 
-void KnobSet::apply_to(model::RunConfig& cfg) const {
-  cfg.exec = exec;
-  cfg.halo_mode = halo;
-  cfg.res = res;
-  cfg.fuse = fuse;
+void KnobSet::apply_to(model::RunConfig& target) const {
+  copy_tunable(cfg, target);
 }
 
 std::string KnobSet::describe() const {
-  std::string out = "exec=" + exec.describe();
-  out += " halo=";
-  out += dyn::halo_mode_name(halo);
-  out += " res=";
-  out += mem::residency_name(res);
-  out += " fuse=";
-  out += exec::fuse_name(fuse);
+  std::string out;
+  for (const model::Knob& row : model::knobs()) {
+    if (!row.tunable) continue;
+    if (!out.empty()) out += ' ';
+    out += row.token(cfg);
+  }
   return out;
 }
 
 KnobSet KnobSet::parse(const std::string& s) {
   KnobSet k;
-  bool seen[4] = {false, false, false, false};
+  std::set<std::string> seen;
   std::istringstream in(s);
   std::string token;
   while (in >> token) {
@@ -46,37 +52,22 @@ KnobSet KnobSet::parse(const std::string& s) {
       throw ConfigError("KnobSet: token '" + token +
                         "' is not key=value in '" + s + "'");
     }
-    const std::string key = token.substr(0, eq);
-    const std::string val = token.substr(eq + 1);
-    int which = -1;
-    if (key == "exec") {
-      which = 0;
-      k.exec = exec::ExecConfig::parse(val);
-    } else if (key == "halo") {
-      which = 1;
-      k.halo = dyn::parse_halo_mode(val);
-    } else if (key == "res") {
-      which = 2;
-      k.res = mem::parse_residency(val);
-    } else if (key == "fuse") {
-      which = 3;
-      k.fuse = exec::parse_fuse(val);
-    } else {
-      throw ConfigError("KnobSet: unknown knob '" + key + "' in '" + s +
-                        "' (tunable knobs: exec halo res fuse)");
+    const model::Knob& row = model::knob(token.substr(0, eq));
+    if (!row.tunable) {
+      throw ConfigError("KnobSet: knob '" + row.key + "' in '" + s +
+                        "' is not tunable");
     }
-    if (seen[which]) {
-      throw ConfigError("KnobSet: duplicate knob '" + key + "' in '" + s +
-                        "'");
+    if (!seen.insert(row.key).second) {
+      throw ConfigError("KnobSet: duplicate knob '" + row.key + "' in '" +
+                        s + "'");
     }
-    seen[which] = true;
+    row.set(k.cfg, token.substr(eq + 1));
   }
   return k;
 }
 
-bool KnobSet::operator==(const KnobSet& o) const noexcept {
-  return exec.kind == o.exec.kind && exec.nthreads == o.exec.nthreads &&
-         halo == o.halo && res == o.res && fuse == o.fuse;
+bool KnobSet::operator==(const KnobSet& o) const {
+  return describe() == o.describe();
 }
 
 std::string shape_key(const model::RunConfig& cfg) {
@@ -84,7 +75,8 @@ std::string shape_key(const model::RunConfig& cfg) {
   std::snprintf(buf, sizeof(buf),
                 "grid %dx%dx%d nkr=%d ranks=%dx%d version=%s phys=%s",
                 cfg.nx, cfg.ny, cfg.nz, cfg.nkr, cfg.npx, cfg.npy,
-                fsbm::version_name(cfg.version), fsbm::phys_name(cfg.phys));
+                fsbm::version_name(cfg.version),
+                model::knob_name("phys", cfg.phys).c_str());
   return buf;
 }
 
@@ -92,7 +84,7 @@ SearchSpace SearchSpace::enumerate(const model::RunConfig& base,
                                    int hw_threads) {
   const bool offloaded = base.offloaded();
   const bool multi_rank = base.nranks() > 1;
-  if (hw_threads < 1) hw_threads = 1;
+  hw_threads = std::clamp(hw_threads, 1, model::kMaxExecThreads);
 
   // Candidate values per dimension, base-config validity applied here.
   std::vector<exec::ExecConfig> execs;
@@ -157,10 +149,10 @@ SearchSpace SearchSpace::enumerate(const model::RunConfig& base,
       for (const auto& r : reses) {
         for (const auto& f : fuses) {
           KnobSet k;
-          k.exec = e;
-          k.halo = h;
-          k.res = r;
-          k.fuse = f;
+          k.cfg.exec = e;
+          k.cfg.halo_mode = h;
+          k.cfg.res = r;
+          k.cfg.fuse = f;
           if (!space.contains(k)) space.points.push_back(k);
         }
       }

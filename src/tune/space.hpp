@@ -2,8 +2,8 @@
 // The tunable knob subset and the legal search space over it.
 //
 // A KnobSet is the slice of model::RunConfig the tuner may touch: the
-// four performance-neutral knobs (exec/halo/res/fuse, including the
-// numeric sub-dimensions threads:N / hetero:N).  Every one of them is
+// knob table's tunable rows (exec/halo/res/fuse, including the numeric
+// sub-dimensions threads:N / hetero:N).  Every one of them is
 // covered by a bitwise-equivalence gate elsewhere in the tree
 // (tests/test_exec.cpp, test_halo_overlap.cpp, test_fusion.cpp), which
 // is precisely what makes them tunable: swapping them changes speed,
@@ -23,12 +23,10 @@
 
 namespace wrf::tune {
 
-/// The performance-neutral knobs of one configuration point.
+/// The performance-neutral knobs of one configuration point: the knob
+/// table's tunable rows, held in a RunConfig (other fields default).
 struct KnobSet {
-  exec::ExecConfig exec;
-  dyn::HaloMode halo = dyn::HaloMode::kSync;
-  mem::ResidencyMode res = mem::ResidencyMode::kStep;
-  exec::FuseMode fuse = exec::FuseMode::kOff;
+  model::RunConfig cfg;
 
   /// Extract the tunable slice of a config.
   static KnobSet of(const model::RunConfig& cfg);
@@ -40,13 +38,13 @@ struct KnobSet {
   ///   "exec=threads:4 halo=sync res=persist fuse=auto"
   std::string describe() const;
 
-  /// Parse a knob string: whitespace-separated key=value tokens, keys
-  /// from {exec, halo, res, fuse}, each at most once; values go
-  /// through the knobs' own parsers.  Missing keys keep defaults.
-  /// Throws ConfigError on unknown keys, duplicates, or bad values.
+  /// Parse a knob string: whitespace-separated key=value tokens, each
+  /// key a tunable row, at most once; values go through the rows'
+  /// parsers.  Missing keys keep defaults.  Throws ConfigError on
+  /// unknown or untunable keys, duplicates, or bad values.
   static KnobSet parse(const std::string& s);
 
-  bool operator==(const KnobSet& o) const noexcept;
+  bool operator==(const KnobSet& o) const;
 };
 
 /// What a tuned entry is keyed by: everything that defines the workload
@@ -64,7 +62,8 @@ std::string shape_key(const model::RunConfig& cfg);
 ///     runs have no exchange to overlap);
 ///   - thread counts are derived from the machine's hardware
 ///     concurrency (plus an oversubscribed point — on a busy host the
-///     measured rung, not the enumeration, decides).
+///     measured rung, not the enumeration, decides), capped at
+///     model::kMaxExecThreads.
 /// The base config's own KnobSet is always point [0], so the tuner can
 /// never return something worse than "untuned" without having measured
 /// it.

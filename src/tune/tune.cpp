@@ -4,15 +4,6 @@
 
 namespace wrf::tune {
 
-const char* tune_mode_name(TuneMode m) noexcept {
-  switch (m) {
-    case TuneMode::kOff: return "off";
-    case TuneMode::kAuto: return "auto";
-    case TuneMode::kFile: return "file";
-  }
-  return "?";
-}
-
 std::string TuneSpec::artifact_path() const {
   switch (mode) {
     case TuneMode::kOff: return "";
@@ -24,38 +15,21 @@ std::string TuneSpec::artifact_path() const {
 
 TuneSpec TuneSpec::parse(const std::string& s) {
   TuneSpec spec;
-  if (s == "off") return spec;
   if (s == "auto") {
     spec.mode = TuneMode::kAuto;
-    return spec;
-  }
-  const std::string file_prefix = "file:";
-  if (s.rfind(file_prefix, 0) == 0) {
+  } else if (s.rfind("file:", 0) == 0 && s.size() > 5) {
     spec.mode = TuneMode::kFile;
-    spec.path = s.substr(file_prefix.size());
-    if (spec.path.empty()) {
-      throw ConfigError("TuneSpec: empty path in tune='" + s + "'");
-    }
-    return spec;
+    spec.path = s.substr(5);
+  } else if (s != "off") {
+    throw ConfigError("TuneSpec: unknown tune mode '" + s +
+                      "' (want off | auto | file:<path>)");
   }
-  throw ConfigError("TuneSpec: unknown tune mode '" + s +
-                    "' (want off | auto | file:<path>)");
+  return spec;
 }
 
 std::string TuneSpec::describe() const {
   if (mode == TuneMode::kFile) return "file:" + path;
-  return tune_mode_name(mode);
-}
-
-TuneSpec tune_from_args(int argc, char** argv) {
-  const std::string prefix = "tune=";
-  for (int a = 1; a < argc; ++a) {
-    const std::string s = argv[a];
-    if (s.rfind(prefix, 0) == 0) {
-      return TuneSpec::parse(s.substr(prefix.size()));
-    }
-  }
-  return TuneSpec{};
+  return mode == TuneMode::kAuto ? "auto" : "off";
 }
 
 }  // namespace wrf::tune

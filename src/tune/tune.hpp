@@ -16,8 +16,6 @@ enum class TuneMode : int {
   kFile = 2,  ///< load a named tuned.json; missing/broken file is an error
 };
 
-const char* tune_mode_name(TuneMode m) noexcept;
-
 /// Where tune=auto looks for an artifact (relative to the working
 /// directory, like every other default output path in this tree).
 inline constexpr const char* kDefaultArtifactPath = "tuned.json";
@@ -41,9 +39,5 @@ struct TuneSpec {
   static TuneSpec parse(const std::string& s);
   std::string describe() const;
 };
-
-/// Scan argv for "tune=..."; absent means off.  Shared by the examples
-/// and benches like exec::exec_from_args.
-TuneSpec tune_from_args(int argc, char** argv);
 
 }  // namespace wrf::tune

@@ -107,8 +107,8 @@ TuneReport Tuner::tune(const model::RunConfig& base) const {
   for (std::size_t i = 0; i < space.points.size(); ++i) {
     const KnobSet& k = space.points[i];
     prior_s[i] = perfmodel::knob_prior_step_seconds(
-        report.work, k.exec, k.halo, k.res, k.fuse, cpu, net,
-        report.base.device_spec, hw);
+        report.work, k.cfg.exec, k.cfg.halo_mode, k.cfg.res, k.cfg.fuse,
+        cpu, net, report.base.device_spec, hw);
   }
   std::vector<std::size_t> order(space.points.size());
   std::iota(order.begin(), order.end(), 0);

@@ -16,6 +16,7 @@
 #include "dyn/rk3.hpp"
 #include "model/case_conus.hpp"
 #include "model/halo.hpp"
+#include "model/knobs.hpp"
 #include "obs/export.hpp"
 #include "par/simpi.hpp"
 
@@ -661,11 +662,11 @@ TEST(Rk3Hull, BinJoinsThroughHaloStrip) {
     });
     for (std::size_t r = 0; r < out.size(); ++r) {
       expect_comp_bitwise(*out[r], ref,
-                          std::string("halo=") + halo_mode_name(mode) +
+                          "halo=" + model::knob_name("halo", mode) +
                               " rank " + std::to_string(r));
     }
-    EXPECT_EQ(joined[0][1], (Range{1, 5})) << halo_mode_name(mode);
-    EXPECT_EQ(joined[0][3], (Range{6, 6})) << halo_mode_name(mode);
+    EXPECT_EQ(joined[0][1], (Range{1, 5})) << model::knob_name("halo", mode);
+    EXPECT_EQ(joined[0][3], (Range{6, 6})) << model::knob_name("halo", mode);
   }
 }
 

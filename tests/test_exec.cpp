@@ -18,6 +18,7 @@
 #include "gpu/device.hpp"
 #include "mem/residency.hpp"
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 
 namespace wrf {
 namespace {
@@ -361,81 +362,7 @@ TEST(HeteroSpace, GenericDispatchMatchesThreadsAndSplitRunsBothShards) {
 }
 
 // ------------------------------------------------------------- knob
-
-TEST(ExecConfig, ParseAndDescribe) {
-  EXPECT_EQ(ExecConfig::parse("serial").kind, ExecKind::kSerial);
-  EXPECT_EQ(ExecConfig::parse("device").kind, ExecKind::kDevice);
-  const ExecConfig t = ExecConfig::parse("threads");
-  EXPECT_EQ(t.kind, ExecKind::kThreads);
-  EXPECT_EQ(t.nthreads, 0);
-  const ExecConfig t8 = ExecConfig::parse("threads:8");
-  EXPECT_EQ(t8.kind, ExecKind::kThreads);
-  EXPECT_EQ(t8.nthreads, 8);
-  EXPECT_EQ(t8.describe(), "threads:8");
-  EXPECT_THROW(ExecConfig::parse("threads:0"), ConfigError);
-  EXPECT_THROW(ExecConfig::parse("threads:abc"), ConfigError);
-  EXPECT_THROW(ExecConfig::parse("threads:8x"), ConfigError);
-  EXPECT_THROW(ExecConfig::parse("gpu"), ConfigError);
-  EXPECT_THROW(ExecConfig::parse(""), ConfigError);
-}
-
-TEST(ExecConfig, HeteroParseAndDescribe) {
-  // The hetero:<threads> form, mirroring the threads:<N> parser tests:
-  // bare mode, explicit host-shard width, and the negative inputs (bad
-  // N, missing colon, trailing junk).
-  const ExecConfig bare = ExecConfig::parse("hetero");
-  EXPECT_EQ(bare.kind, ExecKind::kHetero);
-  EXPECT_EQ(bare.nthreads, 0);
-  EXPECT_EQ(bare.describe(), "hetero");
-  const ExecConfig h4 = ExecConfig::parse("hetero:4");
-  EXPECT_EQ(h4.kind, ExecKind::kHetero);
-  EXPECT_EQ(h4.nthreads, 4);
-  EXPECT_EQ(h4.describe(), "hetero:4");
-  // Round trip through the argv scanner like every other knob.
-  const char* argv[] = {"prog", "res=step", "exec=hetero:2"};
-  const ExecConfig scanned = exec::exec_from_args(3, const_cast<char**>(argv));
-  EXPECT_EQ(scanned.kind, ExecKind::kHetero);
-  EXPECT_EQ(scanned.nthreads, 2);
-  // Bad N.
-  EXPECT_THROW(ExecConfig::parse("hetero:0"), ConfigError);
-  EXPECT_THROW(ExecConfig::parse("hetero:-2"), ConfigError);
-  EXPECT_THROW(ExecConfig::parse("hetero:abc"), ConfigError);
-  EXPECT_THROW(ExecConfig::parse("hetero:"), ConfigError);
-  // Missing colon.
-  EXPECT_THROW(ExecConfig::parse("hetero8"), ConfigError);
-  // Trailing junk.
-  EXPECT_THROW(ExecConfig::parse("hetero:8x"), ConfigError);
-  EXPECT_THROW(ExecConfig::parse("hetero:4:2"), ConfigError);
-  EXPECT_THROW(ExecConfig::parse("heterogeneous"), ConfigError);
-}
-
-TEST(FuseConfig, ParseAndDescribe) {
-  // The fuse= knob, mirroring the hetero:<N> parser tests above: the
-  // two valid modes, the argv scanner, and the negative inputs.
-  EXPECT_EQ(exec::parse_fuse("off"), exec::FuseMode::kOff);
-  EXPECT_EQ(exec::parse_fuse("auto"), exec::FuseMode::kAuto);
-  EXPECT_STREQ(exec::fuse_name(exec::FuseMode::kOff), "off");
-  EXPECT_STREQ(exec::fuse_name(exec::FuseMode::kAuto), "auto");
-  // Round trip through the argv scanner like every other knob.
-  const char* argv[] = {"prog", "res=persist", "fuse=auto"};
-  EXPECT_EQ(exec::fuse_from_args(3, const_cast<char**>(argv)),
-            exec::FuseMode::kAuto);
-  const char* argv_def[] = {"prog", "res=persist"};
-  EXPECT_EQ(exec::fuse_from_args(2, const_cast<char**>(argv_def)),
-            exec::FuseMode::kOff);
-  // Negatives: no on/off synonyms, no parameters, case-sensitive.
-  EXPECT_THROW(exec::parse_fuse("on"), ConfigError);
-  EXPECT_THROW(exec::parse_fuse(""), ConfigError);
-  EXPECT_THROW(exec::parse_fuse("auto:2"), ConfigError);
-  EXPECT_THROW(exec::parse_fuse("Off"), ConfigError);
-  EXPECT_THROW(exec::parse_fuse("fused"), ConfigError);
-  EXPECT_THROW(exec::parse_fuse("of"), ConfigError);
-  // The knob shows up in RunConfig::describe() either way.
-  model::RunConfig cfg;
-  EXPECT_NE(cfg.describe().find("fuse=off"), std::string::npos);
-  cfg.fuse = exec::FuseMode::kAuto;
-  EXPECT_NE(cfg.describe().find("fuse=auto"), std::string::npos);
-}
+// (parse/print/validate of exec= and fuse= live in tests/test_knobs.cpp)
 
 TEST(ExecConfig, MakeSpace) {
   EXPECT_STREQ(exec::make_space(ExecConfig{})->name(), "serial");
@@ -608,7 +535,8 @@ TEST(ExecFsbm, ResPersistMultiRankBitwiseUnderBothHaloModes) {
         const model::RunResult b = model::run_simulation(persist_cfg);
         expect_same_physics(a, b,
                             (std::string(fsbm::version_name(v)) + " halo=" +
-                             dyn::halo_mode_name(h) + " exec=" + e.describe() +
+                             model::knob_name("halo", h) +
+                             " exec=" + e.describe() +
                              " res step vs persist")
                                 .c_str());
       }
@@ -666,7 +594,7 @@ TEST(ExecFsbm, HeteroMatchesDeviceAndThreadsBitwiseAcrossAllVersions) {
       const model::RunResult d = model::run_single(dev_cfg);
       const model::RunResult t = model::run_single(thr_cfg);
       const std::string label = std::string(fsbm::version_name(v)) +
-                                " res=" + mem::residency_name(res);
+                                " res=" + model::knob_name("res", res);
       expect_same_physics(h, d, (label + " hetero vs device").c_str());
       expect_same_physics(h, t, (label + " hetero vs threads").c_str());
       if (het_cfg.offloaded()) {
@@ -781,8 +709,8 @@ TEST(ExecFsbm, HeteroMultiRankBitwiseUnderBothHaloAndResModes) {
         const model::RunResult d = model::run_simulation(dev_cfg);
         const model::RunResult t = model::run_simulation(thr_cfg);
         const std::string label = std::string(fsbm::version_name(v)) +
-                                  " halo=" + dyn::halo_mode_name(hm) +
-                                  " res=" + mem::residency_name(res);
+                                  " halo=" + model::knob_name("halo", hm) +
+                                  " res=" + model::knob_name("res", res);
         expect_same_physics(h, d, (label + " hetero vs device").c_str());
         expect_same_physics(h, t, (label + " hetero vs threads").c_str());
       }
@@ -798,7 +726,7 @@ TEST(ExecFsbm, HeteroTransfersReconcileWithDeviceTransferStats) {
   // exactly, under both residency modes.
   for (const mem::ResidencyMode res :
        {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
-    SCOPED_TRACE(mem::residency_name(res));
+    SCOPED_TRACE(model::knob_name("res", res));
     model::RunConfig cfg = hetero_tall_case(fsbm::Version::kV3Offload3);
     cfg.res = res;
     cfg.validate();

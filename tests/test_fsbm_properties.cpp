@@ -39,6 +39,7 @@
 #include "fsbm/sedimentation.hpp"
 #include "model/case_conus.hpp"
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
 
@@ -422,7 +423,7 @@ TEST(FsbmProperties, SeedDeterminismUnderHeteroDispatch) {
   // reaches above the 223.15 K coal gate so the split is two-sided.
   for (const mem::ResidencyMode res :
        {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
-    SCOPED_TRACE(mem::residency_name(res));
+    SCOPED_TRACE(model::knob_name("res", res));
     model::RunConfig cfg;
     cfg.nx = 12;
     cfg.ny = 10;
@@ -457,7 +458,7 @@ TEST(FsbmProperties, SeedDeterminismUnderResidencyModes) {
   int n = 0;
   for (const mem::ResidencyMode res :
        {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
-    SCOPED_TRACE(mem::residency_name(res));
+    SCOPED_TRACE(model::knob_name("res", res));
     model::RunConfig cfg;
     cfg.nx = 16;
     cfg.ny = 12;

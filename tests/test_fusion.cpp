@@ -16,6 +16,7 @@
 #include "exec/passgraph.hpp"
 #include "grid/decomp.hpp"
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 
 namespace wrf {
 namespace {
@@ -95,7 +96,7 @@ TEST(Fusion, AutoBitwiseMatchesOffAcrossTheMatrix) {
       for (const exec::ExecConfig& e : {dev, het2}) {
         const std::string label =
             std::string(fsbm::version_name(v)) + "/res=" +
-            mem::residency_name(res) + "/exec=" + e.describe();
+            model::knob_name("res", res) + "/exec=" + e.describe();
         const auto off = run(
             fusion_case(v, exec::FuseMode::kOff, res, e));
         const auto fused = run(
@@ -457,9 +458,9 @@ TEST(Fusion, TransferAndLaunchLedgerIsPinned) {
             model::RunConfig cfg = fusion_case(v, fuse, res, e);
             cfg.fsbm_params.offload_condensation = cond;
             cells.emplace_back(std::string(fsbm::version_name(v)) +
-                                   "/res=" + mem::residency_name(res) +
+                                   "/res=" + model::knob_name("res", res) +
                                    "/exec=" + e.describe() +
-                                   "/fuse=" + exec::fuse_name(fuse) +
+                                   "/fuse=" + model::knob_name("fuse", fuse) +
                                    (cond ? "/cond=device" : "/cond=host"),
                                cfg);
           }
@@ -474,7 +475,7 @@ TEST(Fusion, TransferAndLaunchLedgerIsPinned) {
     cfg.phys = fsbm::PhysScheme::kHybrid;
     cells.emplace_back(std::string("phys=hybrid/v3/res=persist/exec=device"
                                    "/cond=device/fuse=") +
-                           exec::fuse_name(fuse),
+                           model::knob_name("fuse", fuse),
                        cfg);
   }
 

@@ -15,6 +15,7 @@
 #include "fsbm/fast_sbm.hpp"
 #include "model/case_conus.hpp"
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 #include "util/constants.hpp"
 
 namespace wrf::fsbm {
@@ -82,23 +83,6 @@ void expect_bitwise_equal(const model::RunResult& a,
   }
 }
 
-TEST(Hybrid, KnobParsing) {
-  EXPECT_EQ(parse_phys("bin"), PhysScheme::kBin);
-  EXPECT_EQ(parse_phys("bulk"), PhysScheme::kBulk);
-  EXPECT_EQ(parse_phys("hybrid"), PhysScheme::kHybrid);
-  EXPECT_THROW(parse_phys("kessler"), ConfigError);
-  EXPECT_THROW(parse_phys(""), ConfigError);
-  EXPECT_STREQ(phys_name(PhysScheme::kBin), "bin");
-  EXPECT_STREQ(phys_name(PhysScheme::kBulk), "bulk");
-  EXPECT_STREQ(phys_name(PhysScheme::kHybrid), "hybrid");
-
-  char prog[] = "prog";
-  char arg[] = "phys=hybrid";
-  char* argv[] = {prog, arg};
-  EXPECT_EQ(phys_from_args(2, argv), PhysScheme::kHybrid);
-  EXPECT_EQ(phys_from_args(1, argv), PhysScheme::kBin);  // default
-}
-
 TEST(Hybrid, DescribeShowsTheKnob) {
   const model::RunConfig cfg = hybrid_case(PhysScheme::kHybrid);
   EXPECT_NE(cfg.describe().find("phys=hybrid"), std::string::npos)
@@ -139,7 +123,7 @@ TEST(Hybrid, AllBinOverrideBitwiseMatchesBinAcrossTheMatrix) {
             HybridConfig::Override::kAllBin;
         const std::string label = std::string(version_name(v)) + "/exec=" +
                                   e.describe() + "/res=" +
-                                  mem::residency_name(res);
+                                  model::knob_name("res", res);
         const std::uint64_t extra =
             e.kind == exec::ExecKind::kDevice
                 ? static_cast<std::uint64_t>(bin.nsteps)

@@ -6,6 +6,7 @@
 
 #include "io/snapshot.hpp"
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 #include "obs/export.hpp"
 
 namespace wrf::model {
@@ -168,7 +169,7 @@ TEST(Integration, StormStateHashesArePinned) {
     cfg.nsteps = 16;
     cfg.seed = derive_seed(c.seed, 0);
     EXPECT_EQ(state_hash(run_simulation(cfg)), c.hash)
-        << "phys=" << fsbm::phys_name(c.phys) << " seed=" << c.seed;
+        << "phys=" << model::knob_name("phys", c.phys) << " seed=" << c.seed;
   }
 }
 

@@ -9,16 +9,22 @@
 // over a one-knob-at-a-time matrix plus a digest over the full product
 // of every knob value.  A schema-2 tuned.json written by the tuner must
 // keep loading and must apply to the knobs it names.
+//
+// The KnobTable suite is generated from model::knobs(): every row's
+// sample values must print back as parsed, and malformed values must
+// throw a ConfigError naming the key.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 #include "svc/job.hpp"
 #include "tune/artifact.hpp"
 #include "tune/space.hpp"
@@ -328,6 +334,288 @@ TEST(KnobPins, Schema2ArtifactLoadsAndApplies) {
             "version=v3-offload-collapse3 exec=threads:4 halo=sync phys=bin "
             "res=step fuse=off ngpus=4");
   EXPECT_NE(cfg.describe(), before);
+}
+
+// ------------------------------------------------- the table, row by row
+
+struct RowSamples {
+  const char* key;
+  std::vector<std::string> good;  ///< canonical: print(parse(v)) == v
+  std::vector<std::string> bad;
+};
+
+const std::vector<RowSamples>& samples() {
+  static const std::vector<RowSamples> rows = {
+      {"exec",
+       {"serial", "threads", "threads:1", "threads:8", "threads:256",
+        "device", "hetero", "hetero:4", "hetero:256"},
+       {"", "Serial", "gpu", "serial:2", "device:1", "threads:0",
+        "threads:abc", "threads:8x", "threads:+4", "threads:04",
+        "threads:-2", "threads:", "threads:99999999999", "threads:257",
+        "hetero:0", "hetero:-2", "hetero:abc", "hetero:", "hetero8",
+        "hetero:8x", "hetero:4:2", "hetero:04", "hetero:257",
+        "heterogeneous", "\xff\xfe"}},
+      {"halo",
+       {"sync", "overlap"},
+       {"", "Sync", "overlapped", "sync:2", "sync ", "\xff"}},
+      {"phys",
+       {"bin", "bulk", "hybrid"},
+       {"", "kessler", "Bin", "bin ", "bulk:1", "\xc3\x28"}},
+      {"res",
+       {"step", "persist"},
+       {"", "resident", "Step", "persist2", "\xff"}},
+      {"fuse",
+       {"off", "auto"},
+       {"", "on", "auto:2", "Off", "fused", "of", "\xff"}},
+      {"obs",
+       {"off", "metrics", "trace", "metrics:m.jsonl", "trace:runs/a.json"},
+       {"", "tracing", "Trace", "off:x.json", "trace:", "\xff"}},
+      {"tune",
+       {"off", "auto", "file:runs/t.json"},
+       {"", "file", "file:", "bogus", "Auto", "auto:tuned.json",
+        "off:tuned.json", "\xff"}},
+  };
+  return rows;
+}
+
+/// Expect `fn` to throw a ConfigError whose message contains `needle`.
+template <class Fn>
+void expect_config_error(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "no ConfigError; wanted one naming '" << needle << "'";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Apply argv-style tokens (after a program name) to `cfg`.
+std::map<std::string, std::string> apply_args(
+    model::RunConfig& cfg, std::vector<std::string> tokens,
+    const std::vector<std::string>& own_keys = {}) {
+  tokens.insert(tokens.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& t : tokens) argv.push_back(t.data());
+  return model::apply_knob_args(cfg, static_cast<int>(argv.size()),
+                                argv.data(), own_keys);
+}
+
+TEST(KnobTable, RowsKeysAndFlags) {
+  std::string keys, tunable, when_set;
+  for (const model::Knob& k : model::knobs()) {
+    keys += k.key + " ";
+    if (k.tunable) tunable += k.key + " ";
+    if (!k.shown_at_default) when_set += k.key + " ";
+  }
+  EXPECT_EQ(keys, "exec halo phys res fuse obs tune ");
+  EXPECT_EQ(tunable, "exec halo res fuse ");
+  EXPECT_EQ(when_set, "obs tune ");
+  ASSERT_EQ(samples().size(), model::knobs().size());
+  for (std::size_t i = 0; i < samples().size(); ++i) {
+    EXPECT_EQ(samples()[i].key, model::knobs()[i].key);
+  }
+}
+
+TEST(KnobTable, EveryValuePrintsBackAsParsed) {
+  for (const RowSamples& r : samples()) {
+    const model::Knob& row = model::knob(r.key);
+    for (std::size_t i = 0; i < row.choices.size(); ++i) {
+      EXPECT_EQ(r.good[i], row.choices[i]) << r.key;  // choices all sampled
+    }
+    for (const std::string& v : r.good) {
+      SCOPED_TRACE(std::string(r.key) + "=" + v);
+      model::RunConfig cfg;
+      row.set(cfg, v);
+      EXPECT_EQ(row.print(cfg), v);
+      EXPECT_NO_THROW(cfg.validate());
+      // The argv parser and the tuner's knob strings take the same path.
+      model::RunConfig from_argv;
+      apply_args(from_argv, {"x=1", std::string(r.key) + "=" + v}, {"x"});
+      EXPECT_EQ(row.print(from_argv), v);
+      if (row.tunable) {
+        const std::string t = std::string(r.key) + "=" + v;
+        EXPECT_EQ(row.print(tune::KnobSet::parse(t).cfg), v);
+      }
+    }
+  }
+}
+
+TEST(KnobTable, MalformedValuesNameTheKey) {
+  for (const RowSamples& r : samples()) {
+    for (const std::string& v : r.bad) {
+      const std::string token = std::string(r.key) + "=" + v;
+      SCOPED_TRACE(token);
+      model::RunConfig cfg;
+      expect_config_error([&] { apply_args(cfg, {token}); }, token + ": ");
+    }
+  }
+}
+
+TEST(KnobTable, TypedValues) {
+  // What each value text means, for the rows the print round trip above
+  // cannot see into.
+  model::RunConfig c;
+  const auto set = [&](const char* key, const char* v) {
+    model::knob(key).set(c, v);
+  };
+  set("exec", "serial");
+  EXPECT_EQ(c.exec.kind, exec::ExecKind::kSerial);
+  set("exec", "device");
+  EXPECT_EQ(c.exec.kind, exec::ExecKind::kDevice);
+  set("exec", "threads");
+  EXPECT_EQ(c.exec.kind, exec::ExecKind::kThreads);
+  EXPECT_EQ(c.exec.nthreads, 0);
+  set("exec", "threads:8");
+  EXPECT_EQ(c.exec.kind, exec::ExecKind::kThreads);
+  EXPECT_EQ(c.exec.nthreads, 8);
+  set("exec", "hetero");
+  EXPECT_EQ(c.exec.kind, exec::ExecKind::kHetero);
+  EXPECT_EQ(c.exec.nthreads, 0);
+  set("exec", "hetero:4");
+  EXPECT_EQ(c.exec.kind, exec::ExecKind::kHetero);
+  EXPECT_EQ(c.exec.nthreads, 4);
+
+  set("halo", "overlap");
+  EXPECT_EQ(c.halo_mode, dyn::HaloMode::kOverlap);
+  set("halo", "sync");
+  EXPECT_EQ(c.halo_mode, dyn::HaloMode::kSync);
+  set("phys", "bulk");
+  EXPECT_EQ(c.phys, fsbm::PhysScheme::kBulk);
+  set("phys", "hybrid");
+  EXPECT_EQ(c.phys, fsbm::PhysScheme::kHybrid);
+  set("phys", "bin");
+  EXPECT_EQ(c.phys, fsbm::PhysScheme::kBin);
+  set("res", "persist");
+  EXPECT_EQ(c.res, mem::ResidencyMode::kPersist);
+  set("res", "step");
+  EXPECT_EQ(c.res, mem::ResidencyMode::kStep);
+  set("fuse", "auto");
+  EXPECT_EQ(c.fuse, exec::FuseMode::kAuto);
+  set("fuse", "off");
+  EXPECT_EQ(c.fuse, exec::FuseMode::kOff);
+  EXPECT_EQ(model::knob_name("phys", fsbm::PhysScheme::kHybrid), "hybrid");
+  EXPECT_EQ(model::knob_name("res", mem::ResidencyMode::kPersist), "persist");
+
+  set("obs", "off");
+  EXPECT_TRUE(c.obs.off());
+  set("obs", "metrics");
+  EXPECT_EQ(c.obs.mode, obs::ObsMode::kMetrics);
+  EXPECT_FALSE(c.obs.off());
+  EXPECT_FALSE(c.obs.trace());
+  EXPECT_EQ(c.obs.export_path(), "obs_metrics.jsonl");
+  set("obs", "trace");
+  EXPECT_TRUE(c.obs.trace());
+  EXPECT_EQ(c.obs.export_path(), "obs_trace.json");
+  set("obs", "trace:runs/a.json");
+  EXPECT_TRUE(c.obs.trace());
+  EXPECT_EQ(c.obs.export_path(), "runs/a.json");
+
+  set("tune", "off");
+  EXPECT_TRUE(c.tune.off());
+  set("tune", "auto");
+  EXPECT_EQ(c.tune.mode, tune::TuneMode::kAuto);
+  EXPECT_FALSE(c.tune.off());
+  EXPECT_EQ(c.tune.artifact_path(), tune::kDefaultArtifactPath);
+  set("tune", "file:runs/t.json");
+  EXPECT_EQ(c.tune.mode, tune::TuneMode::kFile);
+  EXPECT_EQ(c.tune.path, "runs/t.json");
+  EXPECT_EQ(c.tune.artifact_path(), "runs/t.json");
+}
+
+TEST(KnobTable, ArgvDefaultsPositionalsAndOwnKeys) {
+  // Absent knobs keep the config's values; positionals are skipped.
+  model::RunConfig cfg;
+  cfg.res = mem::ResidencyMode::kPersist;
+  const auto own = apply_args(cfg, {"24", "exec=hetero:2", "out=a.bin", "3"},
+                              {"out", "lanes"});
+  EXPECT_EQ(cfg.exec.kind, exec::ExecKind::kHetero);
+  EXPECT_EQ(cfg.exec.nthreads, 2);
+  EXPECT_EQ(cfg.res, mem::ResidencyMode::kPersist);
+  EXPECT_EQ(cfg.fuse, exec::FuseMode::kOff);
+  EXPECT_EQ(cfg.phys, fsbm::PhysScheme::kBin);
+  EXPECT_TRUE(cfg.obs.off());
+  EXPECT_TRUE(cfg.tune.off());
+  EXPECT_EQ(own, (std::map<std::string, std::string>{{"out", "a.bin"}}));
+
+  model::RunConfig b;
+  apply_args(b, {"exec=serial", "obs=trace:t.json", "tune=file:x.json"});
+  EXPECT_TRUE(b.obs.trace());
+  EXPECT_EQ(b.obs.path, "t.json");
+  EXPECT_EQ(b.tune.mode, tune::TuneMode::kFile);
+  EXPECT_EQ(b.tune.path, "x.json");
+}
+
+TEST(KnobTable, ArgvRejectsDuplicateUnknownAndRetiredKeys) {
+  model::RunConfig cfg;
+  expect_config_error(
+      [&] { apply_args(cfg, {"exec=serial", "exec=device"}); },
+      "duplicate knob 'exec'");
+  expect_config_error([&] { apply_args(cfg, {"out=a", "out=b"}, {"out"}); },
+                      "duplicate knob 'out'");
+  expect_config_error([&] { apply_args(cfg, {"phsy=bulk"}); },
+                      "unknown knob 'phsy'");
+  expect_config_error([&] { apply_args(cfg, {"sed=column"}); },
+                      "unknown knob 'sed'");  // retired
+  expect_config_error([&] { apply_args(cfg, {"lanes=2"}); },
+                      "unknown knob 'lanes'");  // not this caller's
+  expect_config_error([&] { apply_args(cfg, {"=bulk"}); }, "unknown knob ''");
+}
+
+TEST(KnobTable, ThreadCountCap) {
+  // Parse rejects N above the cap (samples above); validate rejects a
+  // config whose fields were set directly.
+  model::RunConfig cfg;
+  cfg.exec.kind = exec::ExecKind::kThreads;
+  cfg.exec.nthreads = model::kMaxExecThreads;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.exec.nthreads = model::kMaxExecThreads + 1;
+  expect_config_error([&] { cfg.validate(); }, "exec=threads:257");
+  cfg.exec.kind = exec::ExecKind::kHetero;
+  expect_config_error([&] { cfg.validate(); }, "exec=hetero:257");
+  cfg.exec.nthreads = -1;
+  expect_config_error([&] { cfg.validate(); }, "exec=");
+  cfg.exec.kind = exec::ExecKind::kSerial;  // N is ignored off threads
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(KnobTable, ValidateRejectsEnumValuesWithoutAName) {
+  model::RunConfig cfg;
+  cfg.phys = static_cast<fsbm::PhysScheme>(3);
+  expect_config_error([&] { cfg.validate(); }, "phys=");
+  cfg = model::RunConfig{};
+  cfg.res = static_cast<mem::ResidencyMode>(-1);
+  expect_config_error([&] { cfg.validate(); }, "res=");
+}
+
+TEST(KnobTable, ArtifactKnobErrorsNameTheFileAndEntry) {
+  // A tuned.json entry is outside input: an out-of-cap or unknown knob
+  // string is rejected at load, naming where it sits.
+  std::string text = kSchema2Artifact;
+  const std::string winner = "\"knobs\": \"exec=threads:4 ";
+  const std::size_t at = text.find(winner);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, winner.size(), "\"knobs\": \"exec=threads:4096 ");
+  const std::string path = "test_knobs_badcap.json";
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  expect_config_error([&] { tune::load_artifact(path); },
+                      path + ": entries[0].knobs: exec=threads:4096: ");
+  std::remove(path.c_str());
+}
+
+int throws_config(int, char**) { throw ConfigError("bad knob"); }
+int throws_io(int, char**) { throw IoError("unreadable"); }
+int returns_seven(int, char**) { return 7; }
+
+TEST(KnobTable, RunMainTurnsInputErrorsIntoExitTwo) {
+  char prog[] = "prog";
+  char* argv[] = {prog, nullptr};
+  EXPECT_EQ(model::run_main(throws_config, 1, argv), 2);
+  EXPECT_EQ(model::run_main(throws_io, 1, argv), 2);
+  EXPECT_EQ(model::run_main(returns_seven, 1, argv), 7);
 }
 
 }  // namespace

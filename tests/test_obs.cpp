@@ -23,47 +23,12 @@
 #include <vector>
 
 #include "model/driver.hpp"
+#include "model/knobs.hpp"
 #include "obs/export.hpp"
 #include "util/error.hpp"
 
 namespace wrf {
 namespace {
-
-// ------------------------------------------------------------ obs= knob
-
-TEST(ObsConfig, ParseModesAndPaths) {
-  EXPECT_EQ(obs::ObsConfig::parse("off").mode, obs::ObsMode::kOff);
-  EXPECT_TRUE(obs::ObsConfig::parse("off").off());
-
-  const obs::ObsConfig m = obs::ObsConfig::parse("metrics");
-  EXPECT_EQ(m.mode, obs::ObsMode::kMetrics);
-  EXPECT_FALSE(m.off());
-  EXPECT_FALSE(m.trace());
-  EXPECT_EQ(m.export_path(), "obs_metrics.jsonl");
-
-  const obs::ObsConfig t = obs::ObsConfig::parse("trace");
-  EXPECT_TRUE(t.trace());
-  EXPECT_EQ(t.export_path(), "obs_trace.json");
-
-  const obs::ObsConfig tp = obs::ObsConfig::parse("trace:runs/a.json");
-  EXPECT_TRUE(tp.trace());
-  EXPECT_EQ(tp.export_path(), "runs/a.json");
-  EXPECT_EQ(tp.describe(), "trace:runs/a.json");
-
-  EXPECT_THROW(obs::ObsConfig::parse(""), ConfigError);
-  EXPECT_THROW(obs::ObsConfig::parse("tracing"), ConfigError);
-  EXPECT_THROW(obs::ObsConfig::parse("off:x.json"), ConfigError);
-  EXPECT_THROW(obs::ObsConfig::parse("trace:"), ConfigError);
-}
-
-TEST(ObsConfig, FromArgsDefaultsOff) {
-  const char* argv1[] = {"prog"};
-  EXPECT_TRUE(obs::obs_from_args(1, const_cast<char**>(argv1)).off());
-  const char* argv2[] = {"prog", "exec=serial", "obs=trace:t.json"};
-  const obs::ObsConfig cfg = obs::obs_from_args(3, const_cast<char**>(argv2));
-  EXPECT_TRUE(cfg.trace());
-  EXPECT_EQ(cfg.path, "t.json");
-}
 
 // ------------------------------------------------------------- registry
 
@@ -385,7 +350,7 @@ TEST(ObsReconcile, TransferTotalsAgreeAcrossExecAndResidency) {
   for (const char* exec : {"serial", "threads:2", "device", "hetero:2"}) {
     for (const mem::ResidencyMode res :
          {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
-      SCOPED_TRACE(std::string(exec) + "/" + mem::residency_name(res));
+      SCOPED_TRACE(std::string(exec) + "/" + model::knob_name("res", res));
       const model::RunConfig cfg = gate_case(exec, res);
       const grid::Patch patch =
           grid::decompose(cfg.domain(), 1, 1, cfg.halo)[0];

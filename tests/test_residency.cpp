@@ -412,22 +412,5 @@ TEST(FastSbmResidency, PersistCondOffloadAccountsAllTransfers) {
   EXPECT_LE(persist.stats.d2h_bytes, step.stats.d2h_bytes);
 }
 
-// ------------------------------------------------------------- res knob
-
-TEST(ResidencyKnob, ParseAndDescribe) {
-  EXPECT_EQ(mem::parse_residency("step"), ResidencyMode::kStep);
-  EXPECT_EQ(mem::parse_residency("persist"), ResidencyMode::kPersist);
-  EXPECT_THROW(mem::parse_residency("resident"), ConfigError);
-  EXPECT_THROW(mem::parse_residency(""), ConfigError);
-  EXPECT_STREQ(mem::residency_name(ResidencyMode::kStep), "step");
-  EXPECT_STREQ(mem::residency_name(ResidencyMode::kPersist), "persist");
-
-  const char* argv[] = {"prog", "exec=serial", "res=persist"};
-  EXPECT_EQ(mem::residency_from_args(3, const_cast<char**>(argv)),
-            ResidencyMode::kPersist);
-  EXPECT_EQ(mem::residency_from_args(2, const_cast<char**>(argv)),
-            ResidencyMode::kStep);
-}
-
 }  // namespace
 }  // namespace wrf

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "perfmodel/machine.hpp"
+#include "model/knobs.hpp"
 #include "svc/scheduler.hpp"
 
 namespace wrf {
@@ -533,7 +534,7 @@ TEST(SvcScheduler, JobsAreBitwiseIdenticalToStandaloneRuns) {
                                 /*seed=*/jobs.size() + 1);
       job.config.exec = exec::ExecConfig::parse(e);
       job.cls = svc::JobClass::kEnsemble;
-      job.name = std::string(e) + "/" + mem::residency_name(res);
+      job.name = std::string(e) + "/" + model::knob_name("res", res);
       jobs.push_back(job);
     }
   }

@@ -1,5 +1,6 @@
-// Autotuner guarantees (src/tune): the tune= knob grammar, the knob
-// round-trip contract behind tuned.json loadability, search-space
+// Autotuner guarantees (src/tune): the knob-string round-trip contract
+// behind tuned.json loadability (the tune= grammar itself is tested
+// with the rest of the knob table in test_knobs.cpp), search-space
 // legality, artifact schema strictness, and the two hard gates the
 // subsystem is built around —
 //
@@ -43,43 +44,6 @@ std::string scratch_path(const char* stem) {
   return std::string("test_tune_") + stem + ".json";
 }
 
-// ------------------------------------------------------------ tune= knob
-
-TEST(TuneSpec, ParseModes) {
-  EXPECT_TRUE(tune::TuneSpec::parse("off").off());
-  EXPECT_EQ(tune::TuneSpec::parse("off").describe(), "off");
-
-  const tune::TuneSpec a = tune::TuneSpec::parse("auto");
-  EXPECT_EQ(a.mode, tune::TuneMode::kAuto);
-  EXPECT_FALSE(a.off());
-  EXPECT_EQ(a.artifact_path(), tune::kDefaultArtifactPath);
-  EXPECT_EQ(a.describe(), "auto");
-
-  const tune::TuneSpec f = tune::TuneSpec::parse("file:runs/t.json");
-  EXPECT_EQ(f.mode, tune::TuneMode::kFile);
-  EXPECT_EQ(f.path, "runs/t.json");
-  EXPECT_EQ(f.artifact_path(), "runs/t.json");
-  EXPECT_EQ(f.describe(), "file:runs/t.json");
-}
-
-TEST(TuneSpec, ParseRejectsMalformed) {
-  EXPECT_THROW(tune::TuneSpec::parse(""), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("file"), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("file:"), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("bogus"), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("auto:tuned.json"), ConfigError);
-  EXPECT_THROW(tune::TuneSpec::parse("off:tuned.json"), ConfigError);
-}
-
-TEST(TuneSpec, FromArgsDefaultsOff) {
-  const char* argv1[] = {"prog"};
-  EXPECT_TRUE(tune::tune_from_args(1, const_cast<char**>(argv1)).off());
-  const char* argv2[] = {"prog", "exec=serial", "tune=file:x.json"};
-  const tune::TuneSpec s = tune::tune_from_args(3, const_cast<char**>(argv2));
-  EXPECT_EQ(s.mode, tune::TuneMode::kFile);
-  EXPECT_EQ(s.path, "x.json");
-}
-
 // -------------------------------------------------- knob string round trip
 
 TEST(TuneKnobs, DescribeParseIdentityAcrossTheMatrix) {
@@ -92,14 +56,15 @@ TEST(TuneKnobs, DescribeParseIdentityAcrossTheMatrix) {
   execs.push_back(exec::ExecConfig::parse("device"));
   execs.push_back(exec::ExecConfig::parse("hetero:3"));
   for (const auto& e : execs) {
-    for (const char* halo : {"sync", "overlap"}) {
-      for (const char* res : {"step", "persist"}) {
-        for (const char* fuse : {"off", "auto"}) {
+    for (const auto halo : {dyn::HaloMode::kSync, dyn::HaloMode::kOverlap}) {
+      for (const auto res :
+           {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
+        for (const auto fuse : {exec::FuseMode::kOff, exec::FuseMode::kAuto}) {
           tune::KnobSet k;
-          k.exec = e;
-          k.halo = dyn::parse_halo_mode(halo);
-          k.res = mem::parse_residency(res);
-          k.fuse = exec::parse_fuse(fuse);
+          k.cfg.exec = e;
+          k.cfg.halo_mode = halo;
+          k.cfg.res = res;
+          k.cfg.fuse = fuse;
           const std::string s = k.describe();
           const tune::KnobSet back = tune::KnobSet::parse(s);
           EXPECT_EQ(back.describe(), s);
@@ -185,9 +150,9 @@ TEST(TuneSpace, EnumerationRespectsValidityConstraints) {
   const tune::SearchSpace ds = tune::SearchSpace::enumerate(dev, 4);
   bool saw_device = false, saw_persist = false, saw_fuse = false;
   for (const tune::KnobSet& k : ds.points) {
-    saw_device |= k.exec.kind == exec::ExecKind::kDevice;
-    saw_persist |= k.res == mem::ResidencyMode::kPersist;
-    saw_fuse |= k.fuse == exec::FuseMode::kAuto;
+    saw_device |= k.cfg.exec.kind == exec::ExecKind::kDevice;
+    saw_persist |= k.cfg.res == mem::ResidencyMode::kPersist;
+    saw_fuse |= k.cfg.fuse == exec::FuseMode::kAuto;
   }
   EXPECT_TRUE(saw_device);
   EXPECT_TRUE(saw_persist);
@@ -203,9 +168,9 @@ TEST(TuneSpace, EnumerationRespectsValidityConstraints) {
   const tune::SearchSpace cs = tune::SearchSpace::enumerate(cond, 4);
   bool saw_fused_point = false;
   for (const tune::KnobSet& k : cs.points) {
-    if (k.fuse != exec::FuseMode::kAuto) continue;
+    if (k.cfg.fuse != exec::FuseMode::kAuto) continue;
     saw_fused_point = true;
-    EXPECT_NE(k.exec.kind, exec::ExecKind::kHetero) << k.describe();
+    EXPECT_NE(k.cfg.exec.kind, exec::ExecKind::kHetero) << k.describe();
   }
   EXPECT_TRUE(saw_fused_point);
 
@@ -215,7 +180,7 @@ TEST(TuneSpace, EnumerationRespectsValidityConstraints) {
   bool saw_overlap = false;
   for (const tune::KnobSet& k :
        tune::SearchSpace::enumerate(multi, 4).points) {
-    saw_overlap |= k.halo == dyn::HaloMode::kOverlap;
+    saw_overlap |= k.cfg.halo_mode == dyn::HaloMode::kOverlap;
   }
   EXPECT_TRUE(saw_overlap);
 }
