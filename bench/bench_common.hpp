@@ -1,20 +1,20 @@
 #pragma once
-// Shared helpers for the table/figure reproduction benches.
+// Shared helpers for the benches.
 //
 // Every bench prints (a) real wall-clock measurements of the functional
 // C++ implementation on this host and (b), where the paper's number
 // depends on Perlmutter hardware, modeled values clearly labeled
 // `modeled`.  Reproduction targets are the *shapes* (who wins, by what
-// factor, where crossovers fall); see EXPERIMENTS.md.
+// factor, where crossovers fall); bench_paper_claims gates them and
+// README's "Paper claims" section lists them.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "model/driver.hpp"
-#include "perfmodel/scaling.hpp"
+#include "model/knobs.hpp"
 #include "tune/measure.hpp"
 
 namespace wrf::bench {
@@ -44,26 +44,6 @@ inline void print_config_header(const char* what) {
   std::printf("================================================================\n\n");
 }
 
-/// The scaled-down CONUS case used for functional measurements.
-/// `exec` is the host-dispatch knob (serial | threads:N | device) and
-/// `halo` the exchange mode (sync | overlap), swept by benches the same
-/// way they sweep FSBM versions.
-inline model::RunConfig bench_case(fsbm::Version v, int nsteps = 2,
-                                   exec::ExecConfig exec = {},
-                                   dyn::HaloMode halo = dyn::HaloMode::kSync) {
-  model::RunConfig cfg;
-  cfg.nx = 64;
-  cfg.ny = 48;
-  cfg.nz = 24;
-  cfg.npx = 2;
-  cfg.npy = 2;
-  cfg.nsteps = nsteps;
-  cfg.version = v;
-  cfg.exec = exec;
-  cfg.halo_mode = halo;
-  return cfg;
-}
-
 /// One rank's patch at the paper's full CONUS-12km scale (425x300x50
 /// over 16 ranks), used for the device-model benches.  Functional
 /// execution of this patch is feasible (a few seconds per step).
@@ -79,46 +59,33 @@ inline model::RunConfig conus_rank_patch(fsbm::Version v, int nsteps = 1) {
   return cfg;
 }
 
-/// Build a per-rank-step WorkProfile (16-rank CONUS equivalent) from a
-/// functional run of the scaled case.
-inline perfmodel::WorkProfile profile_from_run(const model::RunResult& res,
-                                               const model::RunConfig& cfg) {
-  perfmodel::WorkProfile w;
-  const double rank_steps =
-      static_cast<double>(cfg.nranks()) * cfg.nsteps;
-  const auto& f = res.totals.fsbm;
-  w.cells = static_cast<double>(cfg.domain().cells()) / cfg.nranks();
-  w.coal_flops = f.coal_flops / rank_steps;
-  w.coal_flops_v0 = w.coal_flops;  // caller overrides from a v0 run
-  w.cond_nucl_flops = (f.cond_flops + f.nucl_flops) / rank_steps;
-  w.sed_flops = f.sed_flops / rank_steps;
-  w.adv_flops =
-      (res.totals.dyn.tend.flops + res.totals.dyn.update.flops) / rank_steps;
-  w.halo_bytes =
-      static_cast<double>(res.comm.total_bytes()) / rank_steps;
-  w.halo_messages =
-      static_cast<double>(res.comm.total_messages()) / rank_steps;
-  // Scale per-cell work up to the CONUS-12km per-rank patch.
-  const double cell_ratio = (425.0 * 300.0 * 50.0 / 16.0) / w.cells;
-  w = w.scaled_to(cell_ratio);
-  w.cells = 425.0 * 300.0 * 50.0 / 16.0;
-  return w;
-}
-
-struct PaperRow {
-  const char* name;
-  double paper;
-  double ours;
+/// The optional positional grid `nx ny nz nsteps` of the sweep benches:
+/// all four or none (then `grid` stands), each a model::parse_count.
+struct Grid {
+  int nx, ny, nz, nsteps;
 };
 
-inline void print_rows(const char* title, const PaperRow* rows, int n) {
-  std::printf("%s\n", title);
-  std::printf("  %-34s %10s %10s\n", "quantity", "paper", "ours");
-  for (int i = 0; i < n; ++i) {
-    std::printf("  %-34s %10.3g %10.3g\n", rows[i].name, rows[i].paper,
-                rows[i].ours);
+inline Grid grid_args(int argc, char** argv, Grid grid) {
+  std::vector<std::string> pos;
+  for (int a = 1; a < argc; ++a) {
+    if (std::strchr(argv[a], '=') == nullptr) pos.emplace_back(argv[a]);
   }
-  std::printf("\n");
+  if (pos.empty()) return grid;
+  if (pos.size() != 4) {
+    throw ConfigError("want all four of nx ny nz nsteps (got " +
+                      std::to_string(pos.size()) + " positional args)");
+  }
+  return {model::parse_count("nx", pos[0]), model::parse_count("ny", pos[1]),
+          model::parse_count("nz", pos[2]),
+          model::parse_count("nsteps", pos[3])};
+}
+
+/// True when argv asks for the google-benchmark-style JSON records.
+inline bool json_format(int argc, char** argv) {
+  for (int a = 1; a < argc; ++a) {
+    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) return true;
+  }
+  return false;
 }
 
 }  // namespace wrf::bench

@@ -22,7 +22,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -136,31 +135,9 @@ void print_json(const std::vector<Cell>& cells, int nx, int ny, int nz,
   std::printf("  ]\n}\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  int nx = 107, ny = 75, nz = 50, nsteps = 3;
-  bool json = false;
-  int npos = 0;
-  int pos[4] = {0, 0, 0, 0};
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (npos < 4 && std::strchr(argv[a], '=') == nullptr) {
-      pos[npos++] = std::atoi(argv[a]);
-    }
-  }
-  if (npos == 4 && pos[0] > 0) {
-    nx = pos[0];
-    ny = pos[1];
-    nz = pos[2];
-    nsteps = pos[3];
-  } else if (npos != 0) {
-    std::fprintf(stderr,
-                 "bench_fusion: want all four of nx ny nz nsteps "
-                 "(got %d positional args)\n", npos);
-    return 2;
-  }
+int run(int argc, char** argv) {
+  const bool json = bench::json_format(argc, argv);
+  auto [nx, ny, nz, nsteps] = bench::grid_args(argc, argv, {107, 75, 50, 3});
   if (nsteps < 2) nsteps = 2;  // steady state needs a second step
   const int reps = 3;
 
@@ -231,3 +208,7 @@ int main(int argc, char** argv) {
               fewer_launches ? "yes" : "NO", fewer_bytes ? "yes" : "NO");
   return exit_code;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

@@ -1,43 +1,29 @@
-// Table IV reproduction: offloading the isolated collision loop with
-// collapse(2) (v1 -> v2).
-//
-// Paper:                       current   cumulative
-//   coal_bott_new loop          6.47x      6.47x
-//   fast_sbm                    1.54x      2.67x
-//   overall                     1.33x      2.09x
-//
-// Times for the GPU side come from the gpusim device model (occupancy +
-// cache + roofline) applied to the real per-step work of a full-size
-// CONUS-12km rank patch; CPU-side physics is priced with the Milan core
-// model.  "Cumulative" compares against v0 for fast_sbm/overall and
-// against v1 for the collision loop, as in the paper.
-//
-// The bench also sweeps the heterogeneous dispatch (exec=hetero) of the
-// same collision pass per offloaded version: split fraction
-// (device-shard cells / total), per-shard wall time, and the
-// shard-granular transfer traffic vs the full-field re-maps.  The gate
-// (exit code) asserts the coherence contract: device-shard h2d traffic
-// scales with predicate-true cells EXACTLY (interior predicate-false
-// cells never transfer), i.e. het_h2d * total_cells == base_h2d *
-// device_cells, and the CONUS sounding splits nontrivially (rows above
-// the 223.15 K coal gate stay on the host shard).
+// Heterogeneous dispatch sweep (exec=hetero) of the collision pass per
+// offloaded version: split fraction (device-shard cells / total),
+// per-shard wall time, and the shard-granular transfer traffic vs the
+// full-field re-maps.  The gate (exit code) asserts the coherence
+// contract: device-shard h2d traffic scales with predicate-true cells
+// EXACTLY (interior predicate-false cells never transfer), i.e.
+// het_h2d * total_cells == base_h2d * device_cells, and the CONUS
+// sounding splits nontrivially (rows above the 223.15 K coal gate stay
+// on the host shard).
 //
 // Per-shard wall times are min/median/CV aggregates over N hetero reps
 // (bench_common.hpp aggregate_samples — both shard walls come from the
 // same rep, so they are collected side by side and aggregated per
 // metric); the counter columns are deterministic and measured once.
 //
-// Usage: bench_table4_offload2 [nx ny nz nsteps] [--benchmark_format=json]
-//   JSON mode runs only the hetero sweep and emits one record per
-//   version; scripts/bench_json.sh distills BENCH_hetero.json from it.
+// Usage: bench_hetero [nx ny nz nsteps] [--benchmark_format=json]
+//   default: the CONUS rank patch of the paper tables (50 levels reach
+//   20 km, so ~40% of each column sits above the coal gate).  JSON mode
+//   emits one record per version; scripts/bench_json.sh distills
+//   BENCH_hetero.json from it.
 
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 
-#include "offload_runner.hpp"
+#include "bench_common.hpp"
 
 using namespace wrf;
-using bench::OffloadMeasurement;
 
 namespace {
 
@@ -113,7 +99,7 @@ HeteroCell measure_hetero(fsbm::Version v, int nx, int ny, int nz,
 
 void print_hetero_json(const HeteroCell* cells, int n, int nx, int ny, int nz,
                        int nsteps) {
-  std::printf("{\n  \"context\": {\"executable\": \"bench_table4_offload2\", "
+  std::printf("{\n  \"context\": {\"executable\": \"bench_hetero\", "
               "\"grid\": \"%dx%dx%d\", \"nsteps\": %d, \"sweep\": "
               "\"hetero\"},\n",
               nx, ny, nz, nsteps);
@@ -159,100 +145,22 @@ int hetero_gate(const HeteroCell* cells, int n) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  bool json = false;
-  int npos = 0;
-  int pos[4] = {0, 0, 0, 0};
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (npos < 4 && std::strchr(argv[a], '=') == nullptr) {
-      pos[npos++] = std::atoi(argv[a]);
-    }
-  }
-  // Default: the CONUS rank patch of the paper tables (50 levels reach
-  // 20 km, so ~40% of each column sits above the coal gate).
-  int nx = 107, ny = 75, nz = 50, nsteps = 1;
-  if (npos == 4 && pos[0] > 0) {
-    nx = pos[0];
-    ny = pos[1];
-    nz = pos[2];
-    nsteps = pos[3];
-  }
-
+int run(int argc, char** argv) {
+  const bool json = bench::json_format(argc, argv);
+  const auto [nx, ny, nz, nsteps] =
+      bench::grid_args(argc, argv, {107, 75, 50, 1});
   const int reps = 3;
-  HeteroCell het[2];
-  auto sweep_hetero = [&]() {
-    het[0] =
-        measure_hetero(fsbm::Version::kV2Offload2, nx, ny, nz, nsteps, reps);
-    het[1] =
-        measure_hetero(fsbm::Version::kV3Offload3, nx, ny, nz, nsteps, reps);
-  };
-
+  const HeteroCell het[2] = {
+      measure_hetero(fsbm::Version::kV2Offload2, nx, ny, nz, nsteps, reps),
+      measure_hetero(fsbm::Version::kV3Offload3, nx, ny, nz, nsteps, reps)};
   if (json) {
-    sweep_hetero();
     print_hetero_json(het, 2, nx, ny, nz, nsteps);
     return hetero_gate(het, 2);
   }
 
-  bench::print_config_header(
-      "Table IV — collapse(2) offload of coal_bott_new");
-
-  const OffloadMeasurement v1 =
-      bench::run_conus_rank(fsbm::Version::kV1LookupOnDemand);
-  const OffloadMeasurement v2 =
-      bench::run_conus_rank(fsbm::Version::kV2Offload2);
-
-  // v0's modeled times: v1 scaled by the measured v0/v1 wall ratio.
-  const bench::V0V1Ratio r01 = bench::measure_v0_v1_ratio();
-  const double v0_fast = v1.fast_sbm_sec * r01.fast_sbm;
-  const double v0_overall = v1.overall_sec * r01.overall;
-
-  std::printf("modeled Perlmutter times per step (1 rank of 16, CONUS):\n");
-  std::printf("  %-18s %10s %10s\n", "", "v1 (CPU)", "v2 (GPU)");
-  std::printf("  %-18s %10.4f %10.4f  s\n", "coal loop", v1.coal_loop_sec,
-              v2.coal_loop_sec);
-  std::printf("  %-18s %10.4f %10.4f  s\n", "fast_sbm", v1.fast_sbm_sec,
-              v2.fast_sbm_sec);
-  std::printf("  %-18s %10.4f %10.4f  s\n", "overall", v1.overall_sec,
-              v2.overall_sec);
-  std::printf("  v2 kernel %.2f ms + H2D %.2f ms + D2H %.2f ms; occupancy "
-              "%.2f%% (%s-limited)\n",
-              v2.kernel_ms, v2.h2d_ms, v2.d2h_ms,
-              100.0 * v2.kernel->occupancy.achieved,
-              v2.kernel->occupancy.limiter);
-  std::printf("  v2 transfer traffic per step: H2D %.1f MB in %llu maps, "
-              "D2H %.1f MB in %llu maps (res=step re-maps every field; "
-              "see bench_residency for the res=persist collapse)\n\n",
-              static_cast<double>(v2.fsbm_stats.h2d_bytes) / 1e6,
-              static_cast<unsigned long long>(v2.fsbm_stats.h2d_transfers),
-              static_cast<double>(v2.fsbm_stats.d2h_bytes) / 1e6,
-              static_cast<unsigned long long>(v2.fsbm_stats.d2h_transfers));
-
-  const bench::PaperRow rows[] = {
-      {"coal loop speedup (current)", 6.47,
-       v1.coal_loop_sec / v2.coal_loop_sec},
-      {"fast_sbm speedup (current)", 1.54, v1.fast_sbm_sec / v2.fast_sbm_sec},
-      {"fast_sbm speedup (cumulative)", 2.67, v0_fast / v2.fast_sbm_sec},
-      {"overall speedup (current)", 1.33, v1.overall_sec / v2.overall_sec},
-      {"overall speedup (cumulative)", 2.09, v0_overall / v2.overall_sec},
-  };
-  bench::print_rows("Table IV (modeled):", rows, 5);
-
-  std::printf("functional wall per step on this host: v1 %.2fs, v2 %.2fs\n",
-              v1.wall_step_sec, v2.wall_step_sec);
-  std::printf("shape check: GPU wins the loop by >3x (%s); occupancy is "
-              "grid-limited single-digit (%s)\n\n",
-              v1.coal_loop_sec / v2.coal_loop_sec > 3 ? "yes" : "NO",
-              v2.kernel->occupancy.achieved < 0.10 ? "yes" : "NO");
-
-  // ---- heterogeneous dispatch sweep (exec=hetero) -------------------
-  sweep_hetero();
-  std::printf("heterogeneous dispatch (exec=hetero, %dx%dx%d, %d step%s, "
-              "%d wall reps):\n",
-              nx, ny, nz, nsteps, nsteps == 1 ? "" : "s", reps);
+  bench::print_config_header("heterogeneous dispatch (exec=hetero)");
+  std::printf("%dx%dx%d, %d step%s, %d wall reps:\n", nx, ny, nz, nsteps,
+              nsteps == 1 ? "" : "s", reps);
   std::printf("  %-24s %8s %12s %12s %8s %12s %12s %10s\n", "version",
               "split", "dev med s", "host med s", "wall CV", "h2d MB",
               "full h2d", "kern ms");
@@ -270,3 +178,7 @@ int main(int argc, char** argv) {
               gate == 0 ? "yes" : "NO");
   return gate;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

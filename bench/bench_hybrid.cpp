@@ -22,8 +22,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -134,31 +132,10 @@ void print_json(const std::vector<Mode>& modes, int nx, int ny, int nz,
   std::printf("  ]\n}\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  int nx = 64, ny = 48, nz = 24, nsteps = 3;
-  bool json = false;
-  int npos = 0;
-  int pos[4] = {0, 0, 0, 0};
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (npos < 4 && std::strchr(argv[a], '=') == nullptr) {
-      pos[npos++] = std::atoi(argv[a]);
-    }
-  }
-  if (npos == 4 && pos[0] > 0) {
-    nx = pos[0];
-    ny = pos[1];
-    nz = pos[2];
-    nsteps = pos[3];
-  } else if (npos != 0) {
-    std::fprintf(stderr,
-                 "bench_hybrid: want all four of nx ny nz nsteps "
-                 "(got %d positional args)\n", npos);
-    return 2;
-  }
+int run(int argc, char** argv) {
+  const bool json = bench::json_format(argc, argv);
+  const auto [nx, ny, nz, nsteps] =
+      bench::grid_args(argc, argv, {64, 48, 24, 3});
   // Adaptive reps: at least 3, growing to 8 until every mode's wall CV
   // drops under 10% — the same tune::MeasurePolicy discipline the
   // autotuner's rungs use, so a noisy host spends reps instead of
@@ -214,3 +191,7 @@ int main(int argc, char** argv) {
               "census (%s)\n", exit_code == 0 ? "yes" : "NO");
   return exit_code;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

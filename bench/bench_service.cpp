@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -229,23 +228,18 @@ void print_json(const std::vector<SweepAgg>& sweeps, int jobs_per_class,
   std::printf("  ]\n}\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   int jobs_per_class = 8;
   int reps = 3;
-  bool json = false;
+  const bool json = bench::json_format(argc, argv);
   for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (std::strncmp(argv[a], "reps=", 5) == 0) {
-      reps = std::atoi(argv[a] + 5);
+    if (std::strncmp(argv[a], "reps=", 5) == 0) {
+      reps = model::parse_count("reps", argv[a] + 5);
     } else if (std::strchr(argv[a], '=') == nullptr) {
-      jobs_per_class = std::atoi(argv[a]);
+      jobs_per_class = model::parse_count("jobs_per_class", argv[a]);
     }
   }
   if (jobs_per_class < 2) jobs_per_class = 2;
-  if (reps < 1) reps = 1;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   std::vector<SweepAgg> sweeps;
@@ -317,3 +311,7 @@ int main(int argc, char** argv) {
               throughput_holds ? "yes" : "NO");
   return exit_code;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

@@ -100,27 +100,22 @@ void print_json(const tune::TuneReport& rep, const Side& untuned,
   std::printf("  ]\n}\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  int nx = 107, ny = 75, nz = 50, compare_steps = 2;
+int run(int argc, char** argv) {
+  const auto [nx, ny, nz, compare_steps] =
+      bench::grid_args(argc, argv, {107, 75, 50, 2});
   std::string artifact_path = "tuned.json";
   fsbm::Version version = fsbm::Version::kV3Offload3;
-  bool json = false;
+  const bool json = bench::json_format(argc, argv);
   tune::TunerOptions opts;
   opts.prior_keep = 10;
   opts.policy.max_reps = 8;
 
-  int npos = 0;
-  int pos[4] = {0, 0, 0, 0};
   for (int a = 1; a < argc; ++a) {
     const char* arg = argv[a];
-    if (std::strcmp(arg, "--benchmark_format=json") == 0) {
-      json = true;
-    } else if (std::strncmp(arg, "artifact=", 9) == 0) {
+    if (std::strncmp(arg, "artifact=", 9) == 0) {
       artifact_path = arg + 9;
     } else if (std::strncmp(arg, "keep=", 5) == 0) {
-      opts.prior_keep = std::atoi(arg + 5);
+      opts.prior_keep = model::parse_count("keep", arg + 5);
     } else if (std::strncmp(arg, "target_cv=", 10) == 0) {
       opts.policy.target_cv = std::atof(arg + 10);
     } else if (std::strncmp(arg, "version=", 8) == 0) {
@@ -138,20 +133,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bench_tuner: unknown version '%s'\n", v);
         return 2;
       }
-    } else if (npos < 4 && std::strchr(arg, '=') == nullptr) {
-      pos[npos++] = std::atoi(arg);
     }
-  }
-  if (npos == 4 && pos[0] > 0) {
-    nx = pos[0];
-    ny = pos[1];
-    nz = pos[2];
-    compare_steps = pos[3];
-  } else if (npos != 0) {
-    std::fprintf(stderr,
-                 "bench_tuner: want all four of nx ny nz nsteps "
-                 "(got %d positional args)\n", npos);
-    return 2;
   }
 
   model::RunConfig base = bench::conus_rank_patch(version, compare_steps);
@@ -234,3 +216,7 @@ int main(int argc, char** argv) {
               stable ? "yes" : "NO", bitwise_ok ? "yes" : "NO");
   return exit_code;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return model::run_main(run, argc, argv); }

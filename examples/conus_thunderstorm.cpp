@@ -9,7 +9,6 @@
 // Any knob of the table (model/knobs.hpp) is accepted; a bad one exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 
@@ -22,10 +21,13 @@ using namespace wrf;
 int run(int argc, char** argv) {
   // Positional [nx ny nz nsteps]; any key=value knob may sit anywhere.
   int pos[4] = {72, 54, 30, 12};  // nsteps default: one simulated minute
+  const char* const names[4] = {"nx", "ny", "nz", "nsteps"};
   int npos = 0;
   for (int a = 1; a < argc; ++a) {
     if (std::string(argv[a]).find('=') != std::string::npos) continue;
-    if (npos < 4) pos[npos++] = std::atoi(argv[a]);
+    if (npos == 4) throw ConfigError("want at most nx ny nz nsteps");
+    pos[npos] = model::parse_count(names[npos], argv[a]);
+    ++npos;
   }
   model::RunConfig cfg;
   cfg.nx = pos[0];

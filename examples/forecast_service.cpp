@@ -27,7 +27,6 @@
 // track per lane.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,7 +66,10 @@ int run(int argc, char** argv) {
   model::RunConfig knobs;  // every job starts from the command line's knobs
   const auto own = model::apply_knob_args(knobs, argc, argv, {"lanes"});
   svc::SchedulerConfig sc;
-  sc.lanes = own.count("lanes") ? std::atoi(own.at("lanes").c_str()) : 2;
+  // Each lane is an OS thread, so a lane count from outside is capped.
+  sc.lanes = own.count("lanes") ? model::parse_count("lanes", own.at("lanes"),
+                                                     model::kMaxExecThreads)
+                                : 2;
   sc.batch_max = 4;
   sc.start_paused = true;  // submit the whole stream, then release it
   sc.obs = std::exchange(knobs.obs, {});

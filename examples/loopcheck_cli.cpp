@@ -5,6 +5,9 @@
 //   loopcheck_cli checks    <file.f90>
 //   loopcheck_cli rewrite   <file.f90> <line> [collapse_limit]
 //
+// `line` and `collapse_limit` are counts >= 1; omit `collapse_limit` to
+// collapse the full nest.  A malformed count exits 2.
+//
 // `rewrite` prints the annotated source to stdout (use shell redirection
 // for in-place-style workflows).
 
@@ -16,6 +19,7 @@
 #include "analyzer/checks.hpp"
 #include "analyzer/parser.hpp"
 #include "analyzer/rewrite.hpp"
+#include "model/knobs.hpp"
 
 using namespace wrf::analyzer;
 
@@ -76,8 +80,9 @@ int main(int argc, char** argv) {
     }
     if (cmd == "rewrite") {
       if (argc < 4) return usage();
-      const int line = std::atoi(argv[3]);
-      const int collapse = argc > 4 ? std::atoi(argv[4]) : 0;
+      const int line = wrf::model::parse_count("line", argv[3]);
+      const int collapse =
+          argc > 4 ? wrf::model::parse_count("collapse_limit", argv[4]) : 0;
       const RewriteResult res = rewrite_offload(src, line, collapse);
       for (const auto& n : res.notes) {
         std::fprintf(stderr, "note: %s\n", n.c_str());
@@ -88,6 +93,9 @@ int main(int argc, char** argv) {
   } catch (const ParseError& e) {
     std::fprintf(stderr, "loopcheck: %s\n", e.what());
     return 3;
+  } catch (const wrf::ConfigError& e) {
+    std::fprintf(stderr, "loopcheck: %s\n", e.what());
+    return 2;
   }
   return usage();
 }

@@ -9,7 +9,6 @@
 // bad one exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "model/driver.hpp"
@@ -21,12 +20,13 @@ using namespace wrf;
 
 int run(int argc, char** argv) {
   int ngpus = 16;
+  bool have_ngpus = false;
   for (int a = 1; a < argc; ++a) {
     if (std::string(argv[a]).find('=') != std::string::npos) continue;
-    ngpus = std::atoi(argv[a]);
-    break;
+    if (have_ngpus) throw ConfigError("want at most one ngpus argument");
+    ngpus = model::parse_count("ngpus", argv[a]);
+    have_ngpus = true;
   }
-  if (ngpus < 1) throw ConfigError("scaling_study: ngpus must be >= 1");
 
   // Measure a work profile from a real scaled-down run.
   model::RunConfig cfg;

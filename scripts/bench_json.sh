@@ -8,7 +8,7 @@
 #     tracks.
 #
 #   BENCH_hetero.json — the heterogeneous-dispatch point from
-#     bench_table4_offload2: split fraction (device-shard cells /
+#     bench_hetero: split fraction (device-shard cells /
 #     total), per-shard wall time, and shard-granular vs full-field
 #     transfer traffic per offloaded version, plus the exact-scaling
 #     gate (device-shard h2d == per-cell footprint x predicate-true
@@ -81,7 +81,7 @@ if [ ! -d "${BUILD}" ]; then
   cmake -B "${BUILD}" -S . -DCMAKE_BUILD_TYPE=Release
 fi
 cmake --build "${BUILD}" -j "$(nproc)" \
-  --target bench_residency bench_table4_offload2 bench_fusion bench_service \
+  --target bench_residency bench_hetero bench_fusion bench_service \
   bench_hybrid bench_tuner
 
 ARGS=("$@")
@@ -161,7 +161,7 @@ PY
 RAW_H=$(mktemp)
 trap 'rm -f "${RAW}" "${RAW_H}"' EXIT
 rc_h=0
-"${BUILD}/bench_table4_offload2" ${HETERO_ARGS[@]+"${HETERO_ARGS[@]}"} \
+"${BUILD}/bench_hetero" ${HETERO_ARGS[@]+"${HETERO_ARGS[@]}"} \
   --benchmark_format=json > "${RAW_H}" || rc_h=$?
 
 python3 - "${RAW_H}" "${OUT_HETERO}" <<'PY'

@@ -15,7 +15,10 @@
 # Release additionally checks that the advection bin loops still
 # vectorize (run_vec_check).
 #
-# Every configuration first runs check_prof_fence (see below).
+# Every configuration first runs check_prof_fence (see below).  The
+# matrix's ctest includes paper_claims_smoke (the paper's modeled and
+# count claims on a small patch); the bench smoke runs every claim,
+# wall-clock ones included, on the paper-scale patch.
 #
 # Usage: scripts/ci.sh [Debug|Release|tsan|asan|bench]
 #        (no argument = Debug+Release plus the bench, obs and tune smokes)
@@ -189,13 +192,23 @@ run_bench_smoke() {
   # gates (pool multiplexing, shrinking waits, fair-share wait
   # ordering, ensemble batching, clean completions), the phys=hybrid
   # gates (strict bulk > hybrid > bin throughput ordering with a
-  # two-sided fidelity census), Table I's hotspot ranking (fast_sbm >
-  # rk_scalar_tend > rk_update_scalar in both the all-ranks and the
-  # one-rank view), and that the JSON distillation pipeline stays
-  # runnable.
-  echo "=== Table I smoke ==="
-  "build-ci-release/bench_table1_hotspots" > /dev/null \
-    || { echo "Table I smoke: hotspot ranking lost"; return 1; }
+  # two-sided fidelity census), every claim of the paper
+  # (bench_paper_claims claims=paper: wall, modeled and count rows on
+  # the full CONUS rank patch; PAPER_CLAIMS.json must parse and hold a
+  # passing verdict for every claim), and that the JSON distillation
+  # pipeline stays runnable.
+  echo "=== paper claims ==="
+  local build_dir="build-ci-release"
+  (cd "${build_dir}" && ./bench_paper_claims claims=paper > /dev/null) \
+    || { echo "paper claims: a claim of the paper no longer holds"; return 1; }
+  python3 -m json.tool "${build_dir}/PAPER_CLAIMS.json" > /dev/null
+  python3 - "${build_dir}/PAPER_CLAIMS.json" <<'EOF'
+import json, sys
+claims = json.load(open(sys.argv[1]))["claims"]
+failed = [c["id"] for c in claims if c["pass"] is not True]
+assert claims and not failed, f"claims not passing: {failed}"
+print(f"paper claims: all {len(claims)} hold")
+EOF
   echo "=== bench_json smoke ==="
   BENCH_SMOKE=1 BUILD=build-ci-release \
     OUT=build-ci-release/BENCH_residency_smoke.json \

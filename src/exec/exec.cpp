@@ -6,6 +6,7 @@
 
 #include "gpu/device.hpp"
 #include "mem/residency.hpp"
+#include "model/knobs.hpp"
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
 
@@ -322,16 +323,10 @@ ExecConfig ExecConfig::parse(const std::string& s) {
   if (cfg.kind != ExecKind::kThreads && cfg.kind != ExecKind::kHetero) {
     throw unknown();
   }
-  // N is canonical decimal (no sign, no leading zero), so describe()
-  // renders exactly the text parsed; nine digits cannot overflow an int.
-  const std::string num = s.substr(colon + 1);
-  bool ok = !num.empty() && num.size() <= 9 && num[0] != '0';
-  for (const char c : num) ok = ok && c >= '0' && c <= '9';
-  if (!ok) {
-    throw ConfigError("ExecConfig: bad thread count in '" + s + "' (want " +
-                      mode + ":N with N a decimal integer >= 1)");
-  }
-  cfg.nthreads = std::stoi(num);
+  // N is a canonical decimal, so describe() renders exactly the text
+  // parsed.
+  cfg.nthreads =
+      model::parse_count(mode + " thread count", s.substr(colon + 1));
   return cfg;
 }
 

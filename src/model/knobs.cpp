@@ -143,6 +143,20 @@ std::map<std::string, std::string> apply_knob_args(
   return own;
 }
 
+int parse_count(const std::string& name, const std::string& text, int max) {
+  bool digits = !text.empty() && text[0] != '0';
+  for (const char c : text) digits = digits && c >= '0' && c <= '9';
+  if (!digits) {
+    throw ConfigError(name + " '" + text + "': want a decimal count >= 1");
+  }
+  // Ten digits cannot overflow a long long; more are over any int cap.
+  if (text.size() > 10 || std::stoll(text) > max) {
+    throw ConfigError(name + " '" + text + "': want at most " +
+                      std::to_string(max));
+  }
+  return static_cast<int>(std::stoll(text));
+}
+
 int run_main(int (*body)(int, char**), int argc, char** argv) {
   try {
     return body(argc, argv);

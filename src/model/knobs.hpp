@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -64,6 +65,12 @@ const std::string& knob_name(const std::string& key, E value) {
 std::map<std::string, std::string> apply_knob_args(
     RunConfig& cfg, int argc, char** argv,
     const std::vector<std::string>& own_keys = {});
+
+/// Parse a command-line count (a grid size, step count, lane count...):
+/// canonical decimal, no sign, space or leading zero, from 1 to `max`.
+/// Anything else is a ConfigError naming `name` and the text.
+int parse_count(const std::string& name, const std::string& text,
+                int max = std::numeric_limits<int>::max());
 
 /// Run a command-line main: a ConfigError or IoError from `body` is
 /// printed to stderr and exits 2.

@@ -11,7 +11,7 @@
 // prior's job is ordering, not accuracy: it prunes the obviously bad
 // corner of the grid, and short measured runs (successive halving)
 // correct it on the actual host.  Constants follow the documented
-// perfmodel calibration style (see machine.hpp / EXPERIMENTS.md).
+// perfmodel calibration style (see machine.hpp).
 
 #include "dyn/rk3.hpp"
 #include "exec/exec.hpp"

@@ -7,8 +7,9 @@
 // with explicit hardware models.  Each model is a handful of documented
 // constants — the point is that the *shapes* (who wins, crossover
 // locations) emerge from mechanism, not from dialing in the answer.
-// EXPERIMENTS.md records the calibration (a single throughput constant
-// per machine, set so the 16-rank baseline magnitude matches Table VII).
+// The calibration is a single throughput constant per machine, set so
+// the 16-rank baseline magnitude matches Table VII; PAPER_CLAIMS.json
+// (row table7.r16_baseline_s) records the result next to the paper's.
 
 #include <cmath>
 #include <cstdint>
@@ -21,7 +22,7 @@ namespace wrf::perfmodel {
 struct CpuSpec {
   double freq_ghz = 2.45;
   /// Sustained FLOP/cycle for this (branchy, short-vector) code path;
-  /// calibrated, documented in EXPERIMENTS.md.
+  /// calibrated against Table VII's 16-rank baseline (see above).
   double flops_per_cycle = 1.6;
   /// Per-core share of the socket's ~204.8 GB/s.
   double mem_bw_gbs = 3.2;

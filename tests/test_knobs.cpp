@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -577,6 +578,54 @@ TEST(KnobTable, ThreadCountCap) {
   expect_config_error([&] { cfg.validate(); }, "exec=");
   cfg.exec.kind = exec::ExecKind::kSerial;  // N is ignored off threads
   EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(KnobTable, CountArguments) {
+  // Every positional count and count-valued key of the examples and
+  // benches (grids, nsteps, ngpus, lanes=, reps=, keep=) goes through
+  // parse_count: canonical decimal >= 1, nothing else.
+  struct Case {
+    const char* text;
+    int max;
+    int want;  ///< 0: a ConfigError naming the argument
+  };
+  const int kInt = std::numeric_limits<int>::max();
+  const Case cases[] = {
+      {"1", kInt, 1},
+      {"24", kInt, 24},
+      {"2147483647", kInt, 2147483647},
+      {"256", model::kMaxExecThreads, 256},
+      {"", kInt, 0},
+      {"0", kInt, 0},
+      {"00", kInt, 0},
+      {"024", kInt, 0},
+      {"-1", kInt, 0},
+      {"+4", kInt, 0},
+      {"24x", kInt, 0},
+      {"x24", kInt, 0},
+      {" 24", kInt, 0},
+      {"24 ", kInt, 0},
+      {"2 4", kInt, 0},
+      {"1e3", kInt, 0},
+      {"0x10", kInt, 0},
+      {"3.0", kInt, 0},
+      {"\xef\xbc\x93", kInt, 0},  // fullwidth digit three
+      {"2147483648", kInt, 0},
+      {"99999999999", kInt, 0},
+      {"18446744073709551617", kInt, 0},
+      // A lane or thread count starts that many OS threads: parse only.
+      {"257", model::kMaxExecThreads, 0},
+      {"100000", model::kMaxExecThreads, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    if (c.want > 0) {
+      EXPECT_EQ(model::parse_count("lanes", c.text, c.max), c.want);
+    } else {
+      expect_config_error([&] { model::parse_count("lanes", c.text, c.max); },
+                          std::string("lanes '") + c.text + "'");
+    }
+  }
 }
 
 TEST(KnobTable, ValidateRejectsEnumValuesWithoutAName) {
