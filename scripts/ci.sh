@@ -64,9 +64,10 @@ run_matrix_config() {
 }
 
 run_vec_check() {
-  # The bin loops of dyn::rk_scalar_tend_bins (one per vertical-flux
-  # case, each marked `#pragma GCC ivdep`) are fast only because GCC
-  # vectorizes them, and a later edit could silently undo that.  Compile
+  # The bin loops of dyn::rk_scalar_tend_bins (the x, y and z face
+  # seeds plus one per vertical-flux case, each marked `#pragma GCC
+  # ivdep`) are fast only because GCC vectorizes them, and a later edit
+  # could silently undo that.  Compile
   # the file with the Release build's flags (compiler: $CXX, as CMake
   # picks it, else g++) plus -fopt-info-vec-optimized, and require a
   # "loop vectorized" report on the loop line after every ivdep pragma.
@@ -77,8 +78,8 @@ run_vec_check() {
     -Isrc -fopt-info-vec-optimized -c "${src}" -o /dev/null 2>&1)"
   local loops
   loops="$(grep -n '^#pragma GCC ivdep' "${src}" | cut -d: -f1)"
-  if [ "$(wc -w <<< "${loops}")" -lt 3 ]; then
-    echo "vec check: expected 3 ivdep bin loops in ${src}"
+  if [ "$(wc -w <<< "${loops}")" -lt 6 ]; then
+    echo "vec check: expected 6 ivdep bin loops in ${src}"
     return 1
   fi
   local line

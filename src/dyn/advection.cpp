@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 #include "util/constants.hpp"
 
@@ -60,6 +61,12 @@ inline double flux3(double vel, const double q[4]) {
 
 constexpr double kFlopsPerCell = 66.0;  // 2x flux5 + flux3 + divergence
 
+/// j-planes per rk_scalar_tend_bins tile.  Each tile seeds its own
+/// first y faces, so deeper slabs compute fewer faces twice but leave
+/// fewer tiles to spread over threads.  The cut is a pure function of
+/// the range.
+constexpr int kSlabPlanes = 4;
+
 }  // namespace
 
 AdvStats rk_scalar_tend(exec::ExecSpace& ex, const grid::Patch& patch,
@@ -114,94 +121,201 @@ AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex, const grid::Patch& patch,
                              const exec::Range3& r, const Range& bins,
                              const Field4D<float>& q, const WindTable& winds,
                              const AdvConfig& cfg, Field4D<float>& tend) {
+  if (r.empty()) return {};
   const int b0 = bins.lo;
-  const int b1 = bins.lo + bins.size();  // one past the last bin
+  const int nb = bins.size();
   const int klo = patch.k.lo;
   const int khi = patch.k.hi;
+  const int ni = r.i.size();
+  const int nk = r.k.size();
+  // First level whose k-1/2 face is its lower neighbour's carried k+1/2
+  // face: both cells inside the range and both 3rd order.
+  const int kcarry = std::max(r.k.lo + 1, klo + 3);
+  const std::int64_t plane = r.plane();
   exec::LaunchParams lp;
   lp.name = "rk_scalar_tend_bins";
   lp.collapse = 3;
+  lp.grain = plane * kSlabPlanes;
   lp.flops_per_iter = kFlopsPerCell;
-  AdvStats st = ex.parallel_reduce<AdvStats>(
-      r, lp,
-      [&](AdvStats& pt, int i, int k, int j) {
-        const double uu = winds.u(i, k, j);
-        const double vv = winds.v(i, k, j);
-        const double wm = winds.w(i, k, j);
-        const double wp = winds.w(i, k + 1, j);
-        const double dx = cfg.dx;
-        const double dy = cfg.dy;
-        const double dz = cfg.dz;
-        // The 13 slices of the horizontal stencil (bin-fastest layout):
-        // x at i-3..i+3 and y at j-3..j+3, sharing the center c.
-        const float* const xm3 = q.slice(i - 3, k, j);
-        const float* const xm2 = q.slice(i - 2, k, j);
-        const float* const xm1 = q.slice(i - 1, k, j);
-        const float* const c = q.slice(i, k, j);
-        const float* const xp1 = q.slice(i + 1, k, j);
-        const float* const xp2 = q.slice(i + 2, k, j);
-        const float* const xp3 = q.slice(i + 3, k, j);
-        const float* const ym3 = q.slice(i, k, j - 3);
-        const float* const ym2 = q.slice(i, k, j - 2);
-        const float* const ym1 = q.slice(i, k, j - 1);
-        const float* const yp1 = q.slice(i, k, j + 1);
-        const float* const yp2 = q.slice(i, k, j + 2);
-        const float* const yp3 = q.slice(i, k, j + 3);
-        // -(fxp - fxm)/dx - (fyp - fym)/dy of bin b: the leading terms
-        // of the tendency, in the order rk_scalar_tend evaluates them.
-        auto horizontal = [&](int b) {
-          const double sxm[6] = {xm3[b], xm2[b], xm1[b], c[b], xp1[b], xp2[b]};
-          const double sxp[6] = {xm2[b], xm1[b], c[b], xp1[b], xp2[b], xp3[b]};
-          const double sym[6] = {ym3[b], ym2[b], ym1[b], c[b], yp1[b], yp2[b]};
-          const double syp[6] = {ym2[b], ym1[b], c[b], yp1[b], yp2[b], yp3[b]};
-          const double fxm = flux5(uu, sxm);
-          const double fxp = flux5(uu, sxp);
-          const double fym = flux5(vv, sym);
-          const double fyp = flux5(vv, syp);
-          return -(fxp - fxm) / dx - (fyp - fym) / dy;
-        };
-        float* const out = tend.slice(i, k, j);
-        // The vertical-flux case depends only on k, so each case is its
-        // own bin loop.  `tend` and `q` are always distinct fields.
-        if (k > klo + 1 && k < khi - 1) {
-          // 3rd-order upwind.
-          const float* const zm2 = q.slice(i, k - 2, j);
-          const float* const zm1 = q.slice(i, k - 1, j);
-          const float* const zp1 = q.slice(i, k + 1, j);
-          const float* const zp2 = q.slice(i, k + 2, j);
+  // One slab tile: planes [j0, j1) of the range.
+  auto slab = [&](std::int64_t, std::int64_t begin, std::int64_t end) {
+    if (nb == 0) return;
+    const int j0 = r.j.lo + static_cast<int>(begin / plane);
+    const int j1 = r.j.lo + static_cast<int>(end / plane);  // one past
+    // u and v are uniform, which is also what makes a carried x or y
+    // face equal to the one its far-side cell would compute.
+    const double uu = winds.u(r.i.lo, r.k.lo, j0);
+    const double vv = winds.v(r.i.lo, r.k.lo, j0);
+    const double dx = cfg.dx;
+    const double dy = cfg.dy;
+    const double dz = cfg.dz;
+    // Carried face fluxes, per bin: fy_at(i, k) the tile's j-1/2 faces,
+    // fz_at(i) one plane's k-1/2 faces, fx one row's i-1/2 face.  The
+    // buffer is per thread and only grows.
+    const auto nbz = static_cast<std::size_t>(nb);
+    const std::size_t ny_faces = static_cast<std::size_t>(ni) * nk * nbz;
+    const std::size_t nz_faces = static_cast<std::size_t>(ni) * nbz;
+    thread_local std::vector<double> scratch;
+    if (scratch.size() < ny_faces + nz_faces + nbz) {
+      scratch.resize(ny_faces + nz_faces + nbz);
+    }
+    double* const faces = scratch.data();
+    double* const fx = faces + ny_faces + nz_faces;
+    auto fy_at = [&](int i, int k) {
+      return faces +
+             (static_cast<std::size_t>(k - r.k.lo) * ni + (i - r.i.lo)) * nbz;
+    };
+    auto fz_at = [&](int i) {
+      return faces + ny_faces + static_cast<std::size_t>(i - r.i.lo) * nbz;
+    };
+    // Bin b0 of the slice at (i, k, j): the bin loops run over [0, nb).
+    auto at = [&](int i, int k, int j) { return q.slice(i, k, j) + b0; };
+
+    // Seed the y faces at j0 - 1/2.
+    for (int k = r.k.lo; k <= r.k.hi; ++k) {
+      for (int i = r.i.lo; i <= r.i.hi; ++i) {
+        const float* const ym3 = at(i, k, j0 - 3);
+        const float* const ym2 = at(i, k, j0 - 2);
+        const float* const ym1 = at(i, k, j0 - 1);
+        const float* const c = at(i, k, j0);
+        const float* const yp1 = at(i, k, j0 + 1);
+        const float* const yp2 = at(i, k, j0 + 2);
+        double* const fy = fy_at(i, k);
 #pragma GCC ivdep
-          for (int b = b0; b < b1; ++b) {
-            const double ht = horizontal(b);
-            const double tm[4] = {zm2[b], zm1[b], c[b], zp1[b]};
-            const double tp[4] = {zm1[b], c[b], zp1[b], zp2[b]};
-            const double fzm = flux3(wm, tm);
-            const double fzp = flux3(wp, tp);
-            out[b] = static_cast<float>(ht - (fzp - fzm) / dz);
-          }
-        } else if (k > klo && k < khi) {
-          // 1st-order upwind near the vertical boundaries: the upwind
-          // level of each interface is fixed by the sign of w there.
-          const float* const zm = wm > 0 ? q.slice(i, k - 1, j) : c;
-          const float* const zp = wp > 0 ? c : q.slice(i, k + 1, j);
+        for (int b = 0; b < nb; ++b) {
+          const double s[6] = {ym3[b], ym2[b], ym1[b], c[b], yp1[b], yp2[b]};
+          fy[b] = flux5(vv, s);
+        }
+      }
+    }
+
+    for (int j = j0; j < j1; ++j) {
+      for (int k = r.k.lo; k <= r.k.hi; ++k) {
+        // The vertical-flux case depends only on k.
+        const bool third = k > klo + 1 && k < khi - 1;
+        const bool first = !third && k > klo && k < khi;
+        {
+          // Seed the row's x face at i.lo - 1/2.
+          const int i = r.i.lo;
+          const float* const xm3 = at(i - 3, k, j);
+          const float* const xm2 = at(i - 2, k, j);
+          const float* const xm1 = at(i - 1, k, j);
+          const float* const c = at(i, k, j);
+          const float* const xp1 = at(i + 1, k, j);
+          const float* const xp2 = at(i + 2, k, j);
 #pragma GCC ivdep
-          for (int b = b0; b < b1; ++b) {
-            const double ht = horizontal(b);
-            const double fzm = wm * zm[b];
-            const double fzp = wp * zp[b];
-            out[b] = static_cast<float>(ht - (fzp - fzm) / dz);
-          }
-        } else {
-          // Zero flux through the domain top and bottom.
-          const double fzm = 0.0;
-          const double fzp = 0.0;
-#pragma GCC ivdep
-          for (int b = b0; b < b1; ++b) {
-            const double ht = horizontal(b);
-            out[b] = static_cast<float>(ht - (fzp - fzm) / dz);
+          for (int b = 0; b < nb; ++b) {
+            const double s[6] = {xm3[b], xm2[b], xm1[b],
+                                 c[b],   xp1[b], xp2[b]};
+            fx[b] = flux5(uu, s);
           }
         }
-        pt.cells += static_cast<std::uint64_t>(b1 - b0);
-      });
+        if (third && k < kcarry) {
+          // Seed the plane's z faces at k - 1/2.
+          for (int i = r.i.lo; i <= r.i.hi; ++i) {
+            const double wm = winds.w(i, k, j);
+            const float* const zm2 = at(i, k - 2, j);
+            const float* const zm1 = at(i, k - 1, j);
+            const float* const c = at(i, k, j);
+            const float* const zp1 = at(i, k + 1, j);
+            double* const fz = fz_at(i);
+#pragma GCC ivdep
+            for (int b = 0; b < nb; ++b) {
+              const double t[4] = {zm2[b], zm1[b], c[b], zp1[b]};
+              fz[b] = flux3(wm, t);
+            }
+          }
+        }
+        for (int i = r.i.lo; i <= r.i.hi; ++i) {
+          // The upwind-side slices of the x and y faces at +1/2.
+          const float* const xm2 = at(i - 2, k, j);
+          const float* const xm1 = at(i - 1, k, j);
+          const float* const c = at(i, k, j);
+          const float* const xp1 = at(i + 1, k, j);
+          const float* const xp2 = at(i + 2, k, j);
+          const float* const xp3 = at(i + 3, k, j);
+          const float* const ym2 = at(i, k, j - 2);
+          const float* const ym1 = at(i, k, j - 1);
+          const float* const yp1 = at(i, k, j + 1);
+          const float* const yp2 = at(i, k, j + 2);
+          const float* const yp3 = at(i, k, j + 3);
+          double* const fy = fy_at(i, k);
+          float* const out = tend.slice(i, k, j) + b0;
+          // Each bin loop reads the -1/2 faces from fx/fy(/fz), writes
+          // its +1/2 faces back for the next cell, and evaluates the
+          // tendency in rk_scalar_tend's operation order.  `tend` and
+          // `q` are always distinct fields.
+          if (third) {
+            // 3rd-order upwind.
+            const double wp = winds.w(i, k + 1, j);
+            const float* const zm1 = at(i, k - 1, j);
+            const float* const zp1 = at(i, k + 1, j);
+            const float* const zp2 = at(i, k + 2, j);
+            double* const fz = fz_at(i);
+#pragma GCC ivdep
+            for (int b = 0; b < nb; ++b) {
+              const double sx[6] = {xm2[b], xm1[b], c[b],
+                                    xp1[b], xp2[b], xp3[b]};
+              const double sy[6] = {ym2[b], ym1[b], c[b],
+                                    yp1[b], yp2[b], yp3[b]};
+              const double t[4] = {zm1[b], c[b], zp1[b], zp2[b]};
+              const double fxp = flux5(uu, sx);
+              const double fyp = flux5(vv, sy);
+              const double fzp = flux3(wp, t);
+              const double ht = -(fxp - fx[b]) / dx - (fyp - fy[b]) / dy;
+              out[b] = static_cast<float>(ht - (fzp - fz[b]) / dz);
+              fx[b] = fxp;
+              fy[b] = fyp;
+              fz[b] = fzp;
+            }
+          } else if (first) {
+            // 1st-order upwind near the vertical boundaries: the upwind
+            // level of each interface is fixed by the sign of w there.
+            const double wm = winds.w(i, k, j);
+            const double wp = winds.w(i, k + 1, j);
+            const float* const zm = wm > 0 ? at(i, k - 1, j) : c;
+            const float* const zp = wp > 0 ? c : at(i, k + 1, j);
+#pragma GCC ivdep
+            for (int b = 0; b < nb; ++b) {
+              const double sx[6] = {xm2[b], xm1[b], c[b],
+                                    xp1[b], xp2[b], xp3[b]};
+              const double sy[6] = {ym2[b], ym1[b], c[b],
+                                    yp1[b], yp2[b], yp3[b]};
+              const double fxp = flux5(uu, sx);
+              const double fyp = flux5(vv, sy);
+              const double fzm = wm * zm[b];
+              const double fzp = wp * zp[b];
+              const double ht = -(fxp - fx[b]) / dx - (fyp - fy[b]) / dy;
+              out[b] = static_cast<float>(ht - (fzp - fzm) / dz);
+              fx[b] = fxp;
+              fy[b] = fyp;
+            }
+          } else {
+            // Zero flux through the domain top and bottom.
+            const double fzm = 0.0;
+            const double fzp = 0.0;
+#pragma GCC ivdep
+            for (int b = 0; b < nb; ++b) {
+              const double sx[6] = {xm2[b], xm1[b], c[b],
+                                    xp1[b], xp2[b], xp3[b]};
+              const double sy[6] = {ym2[b], ym1[b], c[b],
+                                    yp1[b], yp2[b], yp3[b]};
+              const double fxp = flux5(uu, sx);
+              const double fyp = flux5(vv, sy);
+              const double ht = -(fxp - fx[b]) / dx - (fyp - fy[b]) / dy;
+              out[b] = static_cast<float>(ht - (fzp - fzm) / dz);
+              fx[b] = fxp;
+              fy[b] = fyp;
+            }
+          }
+        }
+      }
+    }
+  };
+  ex.run_tiles(ex.plan_for(r, lp), lp, slab);
+  AdvStats st;
+  st.cells = static_cast<std::uint64_t>(r.size()) *
+             static_cast<std::uint64_t>(nb);
   st.flops = static_cast<double>(st.cells) * kFlopsPerCell;
   return st;
 }

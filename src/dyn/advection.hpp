@@ -111,11 +111,25 @@ inline AdvStats rk_scalar_tend(const grid::Patch& patch,
 /// Same tendency for the bins `bins` (a sub-range of [0, q.n()), empty
 /// when bins.lo > bins.hi) of a 4-D distribution (bin-fastest); the
 /// inner bin loop amortizes stencil index math as WRF's chem loop does.
-/// Bins outside `bins` keep their prior `tend` contents.  The
-/// vertical-flux case is chosen per cell, outside the bin loop, so each
-/// case's bin loop vectorizes (scripts/ci.sh checks the compiler report)
-/// while computing every bin bitwise as rk_scalar_tend would.  `q` and
-/// `tend` must be distinct fields.
+/// Bins outside `bins` keep their prior `tend` contents.  `q` and `tend`
+/// must be distinct fields.
+///
+/// Face-once sweep: every interior face flux is computed once and
+/// handed to the cell on its other side, instead of once per cell.  The
+/// range is cut into slab tiles of a fixed number of j-planes (a pure
+/// function of the range).  Within a tile each (k, j) row seeds its
+/// i.lo-1/2 face and carries the x face along i; the y faces are
+/// carried across the tile's planes in a per-(k, i) buffer seeded at
+/// the tile's first plane; the z face is carried up a column only
+/// between two 3rd-order levels, while the 1st-order and zero-flux
+/// levels compute their own faces.  The carry buffers are per thread
+/// and only grow.  Bitwise safety: u and v are uniform and w is read at
+/// the shared face, so both neighbours of a face evaluate the same
+/// expression on the same doubles; any sub-range (interior, shell
+/// pieces, late bin ranges) yields the per-cell tendencies bit for bit.
+/// The vertical-flux case is chosen per (cell, level), outside the bin
+/// loop, so every bin loop vectorizes (scripts/ci.sh checks the
+/// compiler report).  AdvStats counts executed (cell, bin) pairs.
 AdvStats rk_scalar_tend_bins(exec::ExecSpace& ex, const grid::Patch& patch,
                              const exec::Range3& r, const Range& bins,
                              const Field4D<float>& q, const WindTable& winds,

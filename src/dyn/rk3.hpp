@@ -14,6 +14,10 @@
 // WRF's comms/compute overlap.  Tile geometry and order are a pure
 // function of the range (Range3::interior / Range3::shell), and cells
 // write only their own tendency, so both modes are bitwise identical.
+// The bin tendency kernel computes each face flux once and carries it
+// to the neighbour within a slab tile; both neighbours of a face would
+// compute the same doubles, so the sub-ranges of either mode yield the
+// same tendencies as one full-range sweep.
 //
 // Only live bins are advected.  Rk3 keeps, per species, a live-bin
 // hull [lo, hi] covering every bin that holds a non-zero bit pattern

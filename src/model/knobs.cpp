@@ -111,14 +111,31 @@ const std::vector<Knob>& knobs() {
   return table;
 }
 
-const Knob& knob(const std::string& key) {
-  std::vector<std::string> keys;
+namespace {
+
+const Knob* find_knob(const std::string& key) {
   for (const Knob& k : knobs()) {
-    if (k.key == key) return k;
-    keys.push_back(k.key);
+    if (k.key == key) return &k;
   }
-  throw ConfigError("unknown knob '" + key + "' (knobs: " +
-                    joined(keys, " ") + ")");
+  return nullptr;
+}
+
+/// Names every key the caller accepts: the rows, then `own_keys`.
+ConfigError unknown_knob(const std::string& key,
+                         const std::vector<std::string>& own_keys) {
+  std::vector<std::string> keys;
+  for (const Knob& k : knobs()) keys.push_back(k.key);
+  std::string msg = "unknown knob '" + key + "' (knobs: " + joined(keys, " ");
+  if (!own_keys.empty()) msg += "; program keys: " + joined(own_keys, " ");
+  return ConfigError(msg + ")");
+}
+
+}  // namespace
+
+const Knob& knob(const std::string& key) {
+  const Knob* k = find_knob(key);
+  if (k == nullptr) throw unknown_knob(key, {});
+  return *k;
 }
 
 std::map<std::string, std::string> apply_knob_args(
@@ -136,8 +153,10 @@ std::map<std::string, std::string> apply_knob_args(
     }
     if (std::find(own_keys.begin(), own_keys.end(), key) != own_keys.end()) {
       own[key] = token.substr(eq + 1);
+    } else if (const Knob* k = find_knob(key)) {
+      k->set(cfg, token.substr(eq + 1));
     } else {
-      knob(key).set(cfg, token.substr(eq + 1));
+      throw unknown_knob(key, own_keys);
     }
   }
   return own;

@@ -60,8 +60,9 @@ const std::string& knob_name(const std::string& key, E value) {
 
 /// Apply the `key=value` tokens of argv[1..argc) to cfg.  Each key must
 /// be a row or one of the caller's `own_keys` (e.g. out=, lanes=), at
-/// most once, else ConfigError.  Tokens without '=' are left to the
-/// caller.  Returns the given own keys' values.
+/// most once, else ConfigError; an unknown key's error lists the rows
+/// and `own_keys`.  Tokens without '=' are left to the caller.  Returns
+/// the given own keys' values.
 std::map<std::string, std::string> apply_knob_args(
     RunConfig& cfg, int argc, char** argv,
     const std::vector<std::string>& own_keys = {});

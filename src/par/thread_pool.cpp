@@ -67,20 +67,28 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   }
   // Dynamic scheduling via a shared cursor: each worker grabs the next
   // chunk when it finishes its current one.
-  auto cursor = std::make_shared<std::atomic<std::int64_t>>(begin);
+  // The call joins on its own tasks only (`pending`, guarded by mu_),
+  // so a caller sharing the pool never waits behind another caller's
+  // work.  Both live on this frame, which outlives every task: the last
+  // task touches them under mu_, before this thread can see zero.
+  std::atomic<std::int64_t> cursor{begin};
   const int nworkers =
       static_cast<int>(std::min<std::int64_t>(size(), (n + chunk - 1) / chunk));
+  int pending = nworkers;
   for (int w = 0; w < nworkers; ++w) {
-    submit([cursor, end, chunk, &fn] {
+    submit([this, &cursor, &pending, end, chunk, &fn] {
       for (;;) {
-        const std::int64_t lo = cursor->fetch_add(chunk);
-        if (lo >= end) return;
+        const std::int64_t lo = cursor.fetch_add(chunk);
+        if (lo >= end) break;
         const std::int64_t hi = std::min(end, lo + chunk);
         for (std::int64_t i = lo; i < hi; ++i) fn(i);
       }
+      std::lock_guard<std::mutex> lk(mu_);
+      if (--pending == 0) cv_idle_.notify_all();
     });
   }
-  wait_idle();
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_idle_.wait(lk, [&pending] { return pending == 0; });
 }
 
 ThreadPool& shared_pool() {

@@ -32,7 +32,8 @@ class ThreadPool {
 
   /// Run fn(i) for i in [begin, end) across the pool and block until all
   /// iterations complete.  `chunk` <= 0 picks a chunk size that yields
-  /// about 8 chunks per worker (dynamic-schedule flavor).
+  /// about 8 chunks per worker (dynamic-schedule flavor).  Waits for this
+  /// call's own tasks only, not for other callers' work on the pool.
   void parallel_for(std::int64_t begin, std::int64_t end,
                     const std::function<void(std::int64_t)>& fn,
                     std::int64_t chunk = 0);

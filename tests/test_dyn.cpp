@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <algorithm>
 #include <array>
 #include <functional>
@@ -19,6 +20,7 @@
 #include "model/knobs.hpp"
 #include "obs/export.hpp"
 #include "par/simpi.hpp"
+#include "util/rng.hpp"
 
 namespace wrf::dyn {
 namespace {
@@ -208,6 +210,145 @@ TEST(Advection, BinsVariantMatchesScalarPerBin) {
       for (const double w_max : {2.0, -2.0}) {
         for (const bool split : {false, true}) {
           expect_bins_match_scalar(nb, w_max, split, bins);
+        }
+      }
+    }
+  }
+}
+
+// Per-cell reference for rk_scalar_tend_bins: each cell evaluates all
+// six of its face fluxes from its own stencil (the kernel computes each
+// face once and hands it to the neighbour), with WRF's formulas and the
+// kernel's operation order.
+double oracle_flux5(double vel, const double q[6]) {
+  const double f_c = (37.0 * (q[2] + q[3]) - 8.0 * (q[1] + q[4]) +
+                      (q[0] + q[5])) /
+                     60.0;
+  const double f_u = ((q[5] - q[0]) - 5.0 * (q[4] - q[1]) +
+                      10.0 * (q[3] - q[2])) /
+                     60.0;
+  return vel * f_c - std::abs(vel) * f_u;
+}
+
+double oracle_flux3(double vel, const double q[4]) {
+  const double f_c = (7.0 * (q[1] + q[2]) - (q[0] + q[3])) / 12.0;
+  const double f_u = ((q[3] - q[0]) - 3.0 * (q[2] - q[1])) / 12.0;
+  return vel * f_c - std::abs(vel) * f_u;
+}
+
+void oracle_tend_bins(const grid::Patch& p, const exec::Range3& r,
+                      const Range& bins, const Field4D<float>& q,
+                      const WindTable& winds, const AdvConfig& cfg,
+                      Field4D<float>& tend) {
+  const int klo = p.k.lo;
+  const int khi = p.k.hi;
+  for (int j = r.j.lo; j <= r.j.hi; ++j) {
+    for (int k = r.k.lo; k <= r.k.hi; ++k) {
+      for (int i = r.i.lo; i <= r.i.hi; ++i) {
+        for (int b = bins.lo; b <= bins.hi; ++b) {
+          const auto at = [&](int ii, int kk, int jj) -> double {
+            return q(b, ii, kk, jj);
+          };
+          double s[6];
+          for (int m = 0; m < 6; ++m) s[m] = at(i - 3 + m, k, j);
+          const double fxm = oracle_flux5(winds.u(i, k, j), s);
+          for (int m = 0; m < 6; ++m) s[m] = at(i - 2 + m, k, j);
+          const double fxp = oracle_flux5(winds.u(i, k, j), s);
+          for (int m = 0; m < 6; ++m) s[m] = at(i, k, j - 3 + m);
+          const double fym = oracle_flux5(winds.v(i, k, j), s);
+          for (int m = 0; m < 6; ++m) s[m] = at(i, k, j - 2 + m);
+          const double fyp = oracle_flux5(winds.v(i, k, j), s);
+          const double wm = winds.w(i, k, j);
+          const double wp = winds.w(i, k + 1, j);
+          double fzm = 0.0, fzp = 0.0;
+          if (k > klo + 1 && k < khi - 1) {
+            double t[4];
+            for (int m = 0; m < 4; ++m) t[m] = at(i, k - 2 + m, j);
+            fzm = oracle_flux3(wm, t);
+            for (int m = 0; m < 4; ++m) t[m] = at(i, k - 1 + m, j);
+            fzp = oracle_flux3(wp, t);
+          } else if (k > klo && k < khi) {
+            fzm = wm > 0 ? wm * at(i, k - 1, j) : wm * at(i, k, j);
+            fzp = wp > 0 ? wp * at(i, k, j) : wp * at(i, k + 1, j);
+          }
+          const double ht = -(fxp - fxm) / cfg.dx - (fyp - fym) / cfg.dy;
+          tend(b, i, k, j) = static_cast<float>(ht - (fzp - fzm) / cfg.dz);
+        }
+      }
+    }
+  }
+}
+
+/// Describes a range for a failure message.
+std::string range_text(const exec::Range3& r) {
+  return "i=[" + std::to_string(r.i.lo) + "," + std::to_string(r.i.hi) +
+         "] k=[" + std::to_string(r.k.lo) + "," + std::to_string(r.k.hi) +
+         "] j=[" + std::to_string(r.j.lo) + "," + std::to_string(r.j.hi) +
+         "]";
+}
+
+// The face-once kernel against the per-cell oracle, by memcmp of the
+// whole tendency field (halo and bins outside the sub-range must keep
+// the sentinel), on a seeded random field holding +0.0, -0.0 and both
+// signs.  nz = 7 puts every vertical-flux case in the column (zero flux
+// at k = 1, 7; 1st order at 2, 6; 3rd order at 3..5, two of them
+// carried), and ny = 13 leaves a short last slab tile.  The ranges
+// cover the full range, interior(3) and each shell(3) piece, 1-cell
+// i and j ranges, and k ranges starting, ending and consisting at each
+// level.  w takes both signs and is zero outside the updraft core.
+TEST(Advection, FaceOnceTendMatchesPerCellOracleBitwise) {
+  const grid::Patch p = make_patch(11, 7, 13);
+  const int nb = 9;
+  Field4D<float> q(nb, p.im, p.k, p.jm);
+  Rng rng(20241119);
+  for (std::size_t n = 0; n < q.size(); ++n) {
+    const std::uint64_t pick = rng.bounded(8);
+    float v = static_cast<float>(rng.uniform(-1.0e-3, 4.0e-3));
+    if (pick == 0) v = 0.0f;
+    if (pick == 1) v = -0.0f;
+    q.data()[n] = v;
+  }
+  const exec::Range3 comp{p.ip, p.k, p.jp};
+  std::vector<exec::Range3> ranges = {comp, comp.interior(kStencilWidth)};
+  for (const auto& piece : comp.shell(kStencilWidth)) ranges.push_back(piece);
+  for (const int i : {p.ip.lo, p.ip.lo + 4, p.ip.hi}) {
+    ranges.push_back(exec::Range3{Range{i, i}, p.k, p.jp});
+  }
+  for (const int j : {p.jp.lo, p.jp.lo + 5, p.jp.hi}) {
+    ranges.push_back(exec::Range3{p.ip, p.k, Range{j, j}});
+  }
+  ranges.push_back(exec::Range3{Range{5, 5}, p.k, Range{6, 6}});
+  for (int k = p.k.lo; k <= p.k.hi; ++k) {
+    ranges.push_back(exec::Range3{p.ip, Range{k, k}, p.jp});
+    ranges.push_back(exec::Range3{p.ip, Range{k, p.k.hi}, p.jp});
+    ranges.push_back(exec::Range3{p.ip, Range{p.k.lo, k}, p.jp});
+  }
+  exec::ThreadedSpace threads(3);
+  const std::vector<Range> bin_ranges = {Range{0, nb - 1}, Range{2, 6}};
+  AdvConfig cfg;
+  for (const double w_max : {5.0, -5.0}) {
+    AnalyticWinds winds = uniform_winds(p, 7.0, -3.0, w_max);
+    winds.radius = 0.3;
+    const WindTable table(winds, p);
+    for (exec::ExecSpace* ex : {&exec::serial(),
+                                static_cast<exec::ExecSpace*>(&threads)}) {
+      for (const Range& bins : bin_ranges) {
+        for (const exec::Range3& r : ranges) {
+          SCOPED_TRACE(std::string(ex->name()) + " w_max=" +
+                       std::to_string(w_max) + " bins=[" +
+                       std::to_string(bins.lo) + "," +
+                       std::to_string(bins.hi) + "] " + range_text(r));
+          Field4D<float> got(nb, p.im, p.k, p.jm, kSentinel);
+          Field4D<float> want(nb, p.im, p.k, p.jm, kSentinel);
+          const AdvStats st =
+              rk_scalar_tend_bins(*ex, p, r, bins, q, table, cfg, got);
+          oracle_tend_bins(p, r, bins, q, table, cfg, want);
+          EXPECT_EQ(st.cells,
+                    static_cast<std::uint64_t>(r.size()) * bins.size());
+          EXPECT_EQ(st.flops, static_cast<double>(st.cells) * 66.0);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0);
         }
       }
     }

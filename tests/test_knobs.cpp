@@ -560,6 +560,17 @@ TEST(KnobTable, ArgvRejectsDuplicateUnknownAndRetiredKeys) {
                       "unknown knob 'sed'");  // retired
   expect_config_error([&] { apply_args(cfg, {"lanes=2"}); },
                       "unknown knob 'lanes'");  // not this caller's
+  // The message lists every key this caller takes, its own ones too.
+  expect_config_error(
+      [&] { apply_args(cfg, {"claimz=smoke"}); },
+      "unknown knob 'claimz' (knobs: exec halo phys res fuse obs tune)");
+  expect_config_error(
+      [&] { apply_args(cfg, {"claimz=smoke"}, {"claims"}); },
+      "unknown knob 'claimz' (knobs: exec halo phys res fuse obs tune; "
+      "program keys: claims)");
+  expect_config_error(
+      [&] { apply_args(cfg, {"lane=2"}, {"lanes", "out"}); },
+      "; program keys: lanes out)");
   expect_config_error([&] { apply_args(cfg, {"=bulk"}); }, "unknown knob ''");
 }
 

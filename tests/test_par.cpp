@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "par/simpi.hpp"
@@ -44,6 +48,42 @@ TEST(ThreadPool, SubmitAndWaitIdle) {
   }
   pool.wait_idle();
   EXPECT_EQ(done.load(), 20);
+}
+
+TEST(ThreadPool, ParallelForWaitsForItsOwnTasksOnly) {
+  // Two callers share a 2-worker pool.  The slow caller's one task holds
+  // a worker until the trivial caller's parallel_for has returned (or a
+  // 5 s timeout), so the trivial call must not wait for the whole pool
+  // to go idle.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool slow_started = false;
+  bool fast_returned = false;
+  bool fast_returned_first = false;
+  std::thread slow([&] {
+    pool.parallel_for(0, 1, [&](std::int64_t) {
+      std::unique_lock<std::mutex> lk(mu);
+      slow_started = true;
+      cv.notify_all();
+      fast_returned_first = cv.wait_for(lk, std::chrono::seconds(5),
+                                        [&] { return fast_returned; });
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return slow_started; });
+  }
+  std::atomic<int> n{0};
+  pool.parallel_for(0, 4, [&](std::int64_t) { n.fetch_add(1); }, 1);
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    fast_returned = true;
+  }
+  cv.notify_all();
+  slow.join();
+  EXPECT_EQ(n.load(), 4);
+  EXPECT_TRUE(fast_returned_first);
 }
 
 TEST(ThreadPool, SizeDefaultsToHardware) {
