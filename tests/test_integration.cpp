@@ -173,5 +173,60 @@ TEST(Integration, StormStateHashesArePinned) {
   }
 }
 
+TEST(Integration, CoalPathStateHashesArePinned) {
+  // Every other route into the collision code keeps its final state bit
+  // for bit too: v2's collapse(2) rows, the exec=hetero device shard,
+  // the fused cond+coal launch (fuse=auto with offloaded condensation)
+  // and the v1 host pass.  A smaller storm than the benchmark's keeps
+  // this fast; the seed is the benchmark's seed-1 case seed.  The three
+  // offloaded paths run the same device arithmetic, so they share a hash;
+  // the host pass interpolates kernels without the device FMA.
+  struct Case {
+    const char* label;
+    fsbm::Version version;
+    exec::ExecKind exec;
+    bool fuse;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"v2 collapse(2)", fsbm::Version::kV2Offload2, exec::ExecKind::kSerial,
+       false, 0x40ae41f290d7ea43ull},
+      {"v3 exec=hetero:2", fsbm::Version::kV3Offload3,
+       exec::ExecKind::kHetero, false, 0x40ae41f290d7ea43ull},
+      {"v3 fuse=auto cond+coal", fsbm::Version::kV3Offload3,
+       exec::ExecKind::kSerial, true, 0x40ae41f290d7ea43ull},
+      {"v1 host", fsbm::Version::kV1LookupOnDemand, exec::ExecKind::kSerial,
+       false, 0x20c61dcaa62f81ebull},
+  };
+  for (const Case& c : cases) {
+    RunConfig cfg;
+    cfg.nx = 24;
+    cfg.ny = 16;
+    cfg.nz = 16;
+    cfg.version = c.version;
+    cfg.exec.kind = c.exec;
+    cfg.exec.nthreads = c.exec == exec::ExecKind::kHetero ? 2 : 0;
+    if (c.fuse) {
+      cfg.fsbm_params.offload_condensation = true;
+      cfg.fuse = exec::FuseMode::kAuto;
+    }
+    cfg.npx = 2;
+    cfg.npy = 1;
+    cfg.nsteps = 8;
+    cfg.seed = derive_seed(1, 0);
+    const RunResult res = run_simulation(cfg);
+    // The run took the path it names, and collided.
+    EXPECT_GT(res.totals.fsbm.coal_interactions, 0u) << c.label;
+    if (c.fuse) {
+      ASSERT_TRUE(res.last_coal_kernel.has_value()) << c.label;
+      EXPECT_EQ(res.last_coal_kernel->fused_passes, 2) << c.label;
+    }
+    if (c.exec == exec::ExecKind::kHetero) {
+      EXPECT_GT(res.totals.fsbm.shard_cells_device, 0u) << c.label;
+    }
+    EXPECT_EQ(state_hash(res), c.hash) << c.label;
+  }
+}
+
 }  // namespace
 }  // namespace wrf::model
