@@ -68,9 +68,12 @@ void BM_CollectPairLL(benchmark::State& state) {
   for (auto _ : state) {
     auto g = base;
     const fsbm::KernelSource ks(tables33(), 70000.0);
-    benchmark::DoNotOptimize(
-        fsbm::collect_pair(bins33(), fsbm::CollisionPair::kLL, ks, g.data(),
-                           g.data(), g.data(), cfg));
+    fsbm::PairLane lane{&ks, g.data(), g.data(), g.data(), {}};
+    fsbm::collect_pair_lanes(bins33(), fsbm::CollisionPair::kLL,
+                             std::span<fsbm::PairLane>(&lane, 1), cfg);
+    benchmark::DoNotOptimize(lane.stats);
+    benchmark::DoNotOptimize(g.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_CollectPairLL);

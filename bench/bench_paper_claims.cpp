@@ -786,8 +786,9 @@ void fig2(Table& t) {
     const fsbm::KernelSource ks(tables, pres);
     fsbm::CoalConfig kcfg;
     kcfg.dt = dt;
-    fsbm::collect_pair(bins, fsbm::CollisionPair::kLL, ks, w.fl1, w.fl1,
-                       w.fl1, kcfg);
+    fsbm::PairLane lane{&ks, w.fl1, w.fl1, w.fl1, {}};
+    fsbm::collect_pair_lanes(bins, fsbm::CollisionPair::kLL,
+                             std::span<fsbm::PairLane>(&lane, 1), kcfg);
     bulk::kessler_cell(t_blk, qv_blk, pres, cell, dt);
   }
   t.add("fig2.bin_rain_onset_s", a, Clock::kCount,

@@ -13,7 +13,9 @@
 # failures.
 #
 # Release additionally checks that the advection bin loops still
-# vectorize (run_vec_check).
+# vectorize (run_vec_check) and that the coal sweeps' FMA clone still
+# uses the hardware FMA without contracting anything else
+# (run_fma_check).
 #
 # Every configuration first runs check_prof_fence (see below).  The
 # matrix's ctest includes paper_claims_smoke (the paper's modeled and
@@ -91,6 +93,49 @@ run_vec_check() {
     fi
   done
   echo "vec check: all $(wc -w <<< "${loops}") bin loops vectorized"
+}
+
+run_fma_check() {
+  # The device kernel's lerp_fma must reach the hardware FMA: the
+  # lockstep coal sweeps have an FMA-target clone (sweep_fma, chosen at
+  # run time when the CPU has FMA), and a later edit could silently fall
+  # back to calling fmaf through the PLT, or let GCC contract other
+  # expressions there (which would change their bits).  Compile the file
+  # with the Release build's flags and require, inside the FMA clones:
+  # no fmaf call, a vfmadd in the device-kernel clone, and no
+  # double-precision FMA (the only FMA the code asks for is single
+  # precision, so a *sd/*pd one is a contraction leak).
+  echo "=== coal FMA clone ==="
+  local src="src/fsbm/coal_bott.cpp"
+  local obj
+  obj="$(mktemp --suffix=.o)"
+  "${CXX:-g++}" -std=c++20 -O3 -DNDEBUG -Wall -Wextra -Werror -Isrc \
+    -c "${src}" -o "${obj}"
+  local clones
+  clones="$(objdump -dr --no-show-raw-insn -C "${obj}" | awk '
+    /^[0-9a-f]+ <.*>:$/ { in_clone = index($0, "sweep_fma<") > 0;
+                          device = index($0, "FmaKernel") > 0; next }
+    in_clone { print (device ? "device " : "other ") $0 }')"
+  rm -f "${obj}"
+  if [ -z "${clones}" ]; then
+    echo "fma check: no sweep_fma clone in ${src}"
+    return 1
+  fi
+  if grep -q 'fmaf' <<< "${clones}"; then
+    echo "fma check: an FMA clone calls fmaf:"
+    grep 'fmaf' <<< "${clones}"
+    return 1
+  fi
+  if ! grep -q '^device .*vfmadd[0-9]*ss' <<< "${clones}"; then
+    echo "fma check: the device-kernel FMA clone has no vfmadd"
+    return 1
+  fi
+  if grep -qE 'vf(n)?m(add|sub)[0-9]*(sd|pd)' <<< "${clones}"; then
+    echo "fma check: double-precision FMA in an FMA clone (contraction):"
+    grep -E 'vf(n)?m(add|sub)[0-9]*(sd|pd)' <<< "${clones}"
+    return 1
+  fi
+  echo "fma check: FMA clones use vfmadd, no fmaf call, no contraction"
 }
 
 run_tsan() {
@@ -259,6 +304,7 @@ if [ $# -eq 0 ]; then
   run_matrix_config Debug
   run_matrix_config Release
   run_vec_check
+  run_fma_check
   run_bench_smoke
   run_obs_smoke
   run_tune_smoke
@@ -269,6 +315,7 @@ elif [ "${1}" = "asan" ]; then
 elif [ "${1}" = "bench" ]; then
   run_matrix_config Release
   run_vec_check
+  run_fma_check
   run_bench_smoke
   run_obs_smoke
   run_tune_smoke
@@ -276,5 +323,6 @@ else
   run_matrix_config "${1}"
   if [ "${1}" = "Release" ]; then
     run_vec_check
+    run_fma_check
   fi
 fi

@@ -56,6 +56,8 @@ class BinGrid {
 
   /// Particle mass of bin k, kg.
   double mass(int k) const { return mass_.at(static_cast<std::size_t>(k)); }
+  /// All nkr bin masses, mass(0) first (unchecked reads for hot loops).
+  const double* masses() const noexcept { return mass_.data(); }
   /// Radius of bin k for species s, m.
   double radius(Species s, int k) const {
     return radius_[static_cast<std::size_t>(s)][static_cast<std::size_t>(k)];

@@ -21,8 +21,24 @@
 //
 // Kernel values come through `KernelSource`, which hides the v0
 // (precomputed CollisionArrays) vs v1+ (on-demand get_cw) strategies.
+//
+// Cells run in lockstep, as the device runs them.  The paper's v3 gives
+// each cell its own device thread (collapse(3)), so a warp advances 32
+// cells' serial bin-update chains side by side.  `coal_bott_lanes` does
+// the same for up to kCoalLanes cells on one host core: it interleaves
+// their sweeps per (collector j, collected i) pair, each lane with its
+// own row mask for the sweep's early exits, its own kernel source and
+// its own statistics.  Every lane therefore executes exactly the
+// floating-point operations, in exactly the order, of the cell run on
+// its own — only independent chains are interleaved, so results are
+// bitwise those of a one-cell call.  The sweeps run as an FMA-target
+// clone with contraction off when the CPU has FMA (the device kernel's
+// std::fma becomes one instruction; no other expression fuses), and as
+// a portable clone otherwise; fmaf is correctly rounded, so both give
+// the same bits.
 
 #include <cstdint>
+#include <span>
 
 #include "fsbm/bins.hpp"
 #include "fsbm/kernels.hpp"
@@ -33,12 +49,20 @@ namespace wrf::fsbm {
 /// discusses extending 33 bins to "a few hundred").
 inline constexpr int kMaxNkr = 264;
 
-/// Abstraction over where kernel values come from.
+/// Most cells one lockstep call advances together.  Four independent
+/// chains cover the latency of the divisions in each interaction; more
+/// lanes only add register pressure.
+inline constexpr int kCoalLanes = 4;
+
+/// Abstraction over where kernel values come from.  The pressure
+/// weight is computed once, here, per cell.
 class KernelSource {
  public:
+  /// An empty source, to be assigned a real one before any lookup.
+  KernelSource() = default;
+
   /// v0: read from arrays precomputed by kernals_ks for this cell.
-  explicit KernelSource(const CollisionArrays& pre)
-      : pre_(&pre), tables_(nullptr), pres_pa_(0.0) {}
+  explicit KernelSource(const CollisionArrays& pre) : pre_(&pre) {}
 
   /// v1+: compute entries on demand at cell pressure `pres_pa`.
   /// `device_fma` selects the FMA-contracted device arithmetic used by
@@ -46,25 +70,32 @@ class KernelSource {
   /// CPU-vs-GPU differences).
   KernelSource(const KernelTables& tables, double pres_pa,
                bool device_fma = false)
-      : pre_(nullptr), tables_(&tables), pres_pa_(pres_pa),
+      : tables_(&tables), w_(KernelTables::pressure_weight(pres_pa)),
         device_fma_(device_fma) {}
 
+  /// The kernel value of pair `p` at (i, j) — the definition the
+  /// lockstep sweep computes.
   float k(CollisionPair p, int i, int j) const {
-    ++lookups_;
     if (pre_ != nullptr) return pre_->at(p, i, j);
-    return device_fma_ ? tables_->get_cw_device(p, i, j, pres_pa_)
-                       : tables_->get_cw(p, i, j, pres_pa_);
+    const float c750 = tables_->table(p, i, j, /*level_750mb=*/true);
+    const float c500 = tables_->table(p, i, j, /*level_750mb=*/false);
+    return device_fma_ ? KernelTables::lerp_fma(c750, c500, w_)
+                       : KernelTables::lerp(c750, c500, w_);
   }
 
-  bool on_demand() const noexcept { return tables_ != nullptr; }
-  std::uint64_t lookups() const noexcept { return lookups_; }
+  /// v0's arrays, or null for an on-demand source.
+  const CollisionArrays* precomputed() const noexcept { return pre_; }
+  /// The tables an on-demand source reads, or null for v0.
+  const KernelTables* tables() const noexcept { return tables_; }
+  /// KernelTables::pressure_weight at the cell's pressure.
+  float weight() const noexcept { return w_; }
+  bool device_fma() const noexcept { return device_fma_; }
 
  private:
-  const CollisionArrays* pre_;
-  const KernelTables* tables_;
-  double pres_pa_;
+  const CollisionArrays* pre_ = nullptr;
+  const KernelTables* tables_ = nullptr;
+  float w_ = 0.0f;
   bool device_fma_ = false;
-  mutable std::uint64_t lookups_ = 0;
 };
 
 /// Per-cell bin workspace, FSBM naming: fl1 = liquid, g2 = ice crystals
@@ -97,20 +128,47 @@ struct CoalConfig {
   double max_frac = 0.9;    ///< max fraction of a bin consumed per step
 };
 
-/// Run collision-coalescence on the workspace distributions for a cell
-/// at temperature `temp_k`.  Interactions are gated exactly as FSBM
-/// gates them: liquid-liquid always (the caller guarantees TT > 223.15
-/// per Listing 1), ice-phase interactions only below freezing.
+/// One cell of a lockstep coal_bott_lanes call.  `stats` accumulates
+/// (the call adds to it).
+struct CoalLane {
+  double temp_k = 0.0;
+  KernelSource ks;
+  CoalWorkspace w;
+  CoalStats stats;
+};
+
+/// One lane of a lockstep pairwise sweep: distribution `ga` collected by
+/// `gb`, coalesced mass deposited into `gd`.  `ga`, `gb`, `gd` may alias
+/// for self-collection (ga == gb).  `stats` accumulates.
+struct PairLane {
+  const KernelSource* ks = nullptr;
+  float* ga = nullptr;
+  float* gb = nullptr;
+  float* gd = nullptr;
+  CoalStats stats;
+};
+
+/// Run collision-coalescence on 1..kCoalLanes cells in lockstep, each
+/// on its own workspace (workspaces of different lanes must not
+/// overlap).  Per cell, interactions are gated exactly as FSBM gates
+/// them: liquid-liquid always (the caller guarantees TT > 223.15 per
+/// Listing 1), ice-phase interactions only below freezing — so warm and
+/// cold cells may share a call.  Every lane's kernel source must be of
+/// the same kind (v0 arrays, v1 get_cw, or device FMA).
+void coal_bott_lanes(const BinGrid& bins, std::span<CoalLane> lanes,
+                     const CoalConfig& cfg);
+
+/// One-cell coal_bott_lanes: the paper's `coal_bott_new` for a cell at
+/// temperature `temp_k`.
 CoalStats coal_bott_new(const BinGrid& bins, double temp_k,
                         const KernelSource& ks, const CoalWorkspace& w,
                         const CoalConfig& cfg);
 
-/// One pairwise collection sweep: distribution `ga` (species `sa`)
-/// collected by `gb` (species `sb`), coalesced mass deposited into `gd`
-/// (species `sd`).  `ga`, `gb`, `gd` may alias for self-collection.
-/// Exposed for unit testing of conservation properties.
-CoalStats collect_pair(const BinGrid& bins, CollisionPair pair,
-                       const KernelSource& ks, float* ga, float* gb,
-                       float* gd, const CoalConfig& cfg);
+/// One pairwise collection sweep of pair `pair` over 1..kCoalLanes
+/// lanes in lockstep — the building block of coal_bott_lanes, exposed
+/// for unit tests of single-pair laws.  All lanes self-collect
+/// (ga == gb) or none does, and their kernel sources share one kind.
+void collect_pair_lanes(const BinGrid& bins, CollisionPair pair,
+                        std::span<PairLane> lanes, const CoalConfig& cfg);
 
 }  // namespace wrf::fsbm

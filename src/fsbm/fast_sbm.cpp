@@ -54,6 +54,13 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Cells one device batch spans (KernelDesc::batch_grain is this over
+/// the cells per iteration): enough for the coal lane to fill whole
+/// lockstep groups from the ~40% of storm cells that collide, few
+/// enough to leave a 16x24x16 rank patch 24 batches for the pool.
+/// 256 measured ~4% less coal wall than 64 on that patch.
+constexpr int kBatchCells = 256;
+
 /// Stack-resident workspace buffer: the C++ analogue of the Fortran
 /// automatic arrays fl1(33), g2(33,icemax), g3(33), ... of Listing 7.
 struct StackWorkspace {
@@ -326,7 +333,7 @@ FastSbm::PassChain FastSbm::declare_passes(const grid::Patch& patch, int nkr,
       impl.lane = {
           .stem = "onecond",
           .regs_per_thread = params.cond_regs_per_thread,
-          .run = &FastSbm::cond_run_cell,
+          .run = &FastSbm::cond_run_cells,
           .trace = &FastSbm::emit_cond_trace,
           .flops =
               [](const LaneCounters& c) {
@@ -375,7 +382,7 @@ FastSbm::PassChain FastSbm::declare_passes(const grid::Patch& patch, int nkr,
                 ? 0
                 : static_cast<std::uint64_t>(params.automatic_array_count) *
                       static_cast<std::uint64_t>(nkr) * sizeof(float),
-        .run = &FastSbm::coal_run_cell,
+        .run = &FastSbm::coal_run_cells,
         .trace = &FastSbm::emit_coal_trace,
         // 24 flops per interaction + 4 per kernel lookup.
         .flops =
@@ -449,39 +456,61 @@ void FastSbm::store_workspace(MicroState& s, int i, int k, int j,
   std::memcpy(s.ff[6].slice(i, k, j), w.g5, sz);
 }
 
-void FastSbm::coal_cell(MicroState& state, int i, int k, int j,
-                        const KernelSource& ks, CoalStats& cst) {
-  StackWorkspace sw;
-  CoalWorkspace w;
-  if (pool_fl1_ != nullptr) {
-    // Listing 8: pointers into pooled slabs indexed by the grid point.
-    w.fl1 = pool_fl1_->slice(i, k, j);
-    w.g2 = pool_g2_->slice(i, k, j);
-    w.g3 = pool_g3_->slice(i, k, j);
-    w.g4 = pool_g4_->slice(i, k, j);
-    w.g5 = pool_g5_->slice(i, k, j);
-  } else {
-    w = sw.view(bins_.nkr());
+void FastSbm::coal_cells(MicroState& state, std::span<const Cell> cells,
+                         std::span<CoalLane> lanes) {
+  StackWorkspace sw[kCoalLanes];
+  for (std::size_t l = 0; l < cells.size(); ++l) {
+    const Cell& c = cells[l];
+    CoalWorkspace& w = lanes[l].w;
+    if (pool_fl1_ != nullptr) {
+      // Listing 8: pointers into pooled slabs indexed by the grid point.
+      w.fl1 = pool_fl1_->slice(c.i, c.k, c.j);
+      w.g2 = pool_g2_->slice(c.i, c.k, c.j);
+      w.g3 = pool_g3_->slice(c.i, c.k, c.j);
+      w.g4 = pool_g4_->slice(c.i, c.k, c.j);
+      w.g5 = pool_g5_->slice(c.i, c.k, c.j);
+    } else {
+      w = sw[l].view(bins_.nkr());
+    }
+    lanes[l].temp_k = state.temp(c.i, c.k, c.j);
+    load_workspace(state, c.i, c.k, c.j, w);
   }
-  load_workspace(state, i, k, j, w);
-  const CoalStats one =
-      coal_bott_new(bins_, state.temp(i, k, j), ks, w, coal_cfg_);
-  store_workspace(state, i, k, j, w);
-  cst.kernel_lookups += one.kernel_lookups;
-  cst.interactions += one.interactions;
-  cst.pairs_active += one.pairs_active;
-  cst.flops += one.flops;
+  coal_bott_lanes(bins_, lanes.first(cells.size()), coal_cfg_);
+  for (std::size_t l = 0; l < cells.size(); ++l) {
+    store_workspace(state, cells[l].i, cells[l].k, cells[l].j, lanes[l].w);
+  }
 }
 
-void FastSbm::coal_run_cell(MicroState& state, int i, int k, int j,
-                            LaneCounters& c) {
-  if (call_coal_(i, k, j) == 0) return;
-  // Device code path: nvfortran-style FMA contraction (see get_cw_device).
-  const KernelSource ks(tables_, state.pres(i, k, j), /*device_fma=*/true);
-  CoalStats cst;
-  coal_cell(state, i, k, j, ks, cst);
-  c.interactions.fetch_add(cst.interactions, std::memory_order_relaxed);
-  c.lookups.fetch_add(cst.kernel_lookups, std::memory_order_relaxed);
+void FastSbm::coal_run_cells(MicroState& state, std::span<const Cell> cells,
+                             LaneCounters& c) {
+  std::uint64_t interactions = 0;
+  std::uint64_t lookups = 0;
+  gpu::gather_lanes<kCoalLanes>(
+      0, static_cast<std::int64_t>(cells.size()),
+      [&](std::int64_t n) {
+        const Cell& x = cells[static_cast<std::size_t>(n)];
+        return call_coal_(x.i, x.k, x.j) != 0;
+      },
+      [&](const std::int64_t* idx, int n) {
+        Cell group[kCoalLanes];
+        CoalLane lanes[kCoalLanes];
+        for (int l = 0; l < n; ++l) {
+          group[l] = cells[static_cast<std::size_t>(idx[l])];
+          // Device code path: nvfortran-style FMA contraction (see
+          // get_cw_device).
+          lanes[l].ks = KernelSource(
+              tables_, state.pres(group[l].i, group[l].k, group[l].j),
+              /*device_fma=*/true);
+        }
+        coal_cells(state, std::span<const Cell>(group, n),
+                   std::span<CoalLane>(lanes, n));
+        for (int l = 0; l < n; ++l) {
+          interactions += lanes[l].stats.interactions;
+          lookups += lanes[l].stats.kernel_lookups;
+        }
+      });
+  c.interactions.fetch_add(interactions, std::memory_order_relaxed);
+  c.lookups.fetch_add(lookups, std::memory_order_relaxed);
 }
 
 std::vector<mem::FieldId> FastSbm::fields_of(
@@ -697,6 +726,11 @@ void FastSbm::pass_fidelity(MicroState& state, FsbmStats& st) {
   }
 }
 
+void FastSbm::cond_run_cells(MicroState& state, std::span<const Cell> cells,
+                             LaneCounters& cnt) {
+  for (const Cell& c : cells) cond_run_cell(state, c.i, c.k, c.j, cnt);
+}
+
 void FastSbm::cond_run_cell(MicroState& state, int i, int k, int j,
                             LaneCounters& cnt) {
   call_coal_(i, k, j) = 0;
@@ -809,7 +843,8 @@ void FastSbm::pass_physics(MicroState& state, FsbmStats& st) {
           // No per-cell span (one per cell would swamp the trace): coal
           // wall time goes into the per-tile partials instead.
           const auto t0 = Clock::now();
-          CoalStats cst;
+          const Cell cell{i, k, j};
+          CoalLane lane;
           if (version_ == Version::kV0Baseline) {
             // kernals_ks refills the collision arrays for this cell;
             // every entry of all 20 arrays is interpolated whether used
@@ -823,11 +858,15 @@ void FastSbm::pass_physics(MicroState& state, FsbmStats& st) {
             }
             pt.kernel_entries += tables_.kernals_ks(pres, *cw);
             ++pt.kernel_table_fills;
-            const KernelSource ks(*cw);
-            coal_cell(state, i, k, j, ks, cst);
+            lane.ks = KernelSource(*cw);
           } else {
-            const KernelSource ks(tables_, pres);
-            coal_cell(state, i, k, j, ks, cst);
+            lane.ks = KernelSource(tables_, pres);
+          }
+          // The same lockstep kernel as the device lanes, one lane wide.
+          coal_cells(state, std::span<const Cell>(&cell, 1),
+                     std::span<CoalLane>(&lane, 1));
+          const CoalStats& cst = lane.stats;
+          if (version_ != Version::kV0Baseline) {
             pt.kernel_entries += cst.kernel_lookups;
           }
           pt.coal_interactions += cst.interactions;
@@ -956,6 +995,46 @@ void FastSbm::emit_coal_trace(const MicroState& state, int i, int k, int j,
   }
 }
 
+template <class FirstCell>
+void FastSbm::bind_lanes(gpu::KernelDesc& desc, MicroState& state,
+                         const std::vector<const Lane*>& lanes,
+                         std::vector<LaneCounters>& cnt, int per_iter,
+                         FirstCell first_cell) {
+  const auto cells_of = [per_iter, first_cell](std::int64_t it,
+                                               std::vector<Cell>& out) {
+    const Cell c = first_cell(it);
+    for (int d = 0; d < per_iter; ++d) out.push_back({c.i + d, c.k, c.j});
+  };
+  desc.batch_grain = std::max(1, kBatchCells / per_iter);
+  desc.batch = [this, &state, &lanes, &cnt, cells_of](std::int64_t lo,
+                                                      std::int64_t hi) {
+    std::vector<Cell> cells;
+    cells.reserve(static_cast<std::size_t>(hi - lo) *
+                  static_cast<std::size_t>(kBatchCells));
+    for (std::int64_t it = lo; it < hi; ++it) cells_of(it, cells);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      (this->*lanes[l]->run)(state, cells, cnt[l]);
+    }
+  };
+  desc.trace = [this, &state, &lanes, cells_of](
+                   std::int64_t it, std::vector<gpu::AccessEvent>& out) {
+    std::vector<Cell> cells;
+    cells_of(it, cells);
+    for (const Cell& c : cells) {
+      for (const Lane* lane : lanes) {
+        (this->*lane->trace)(state, c.i, c.k, c.j, out);
+      }
+    }
+  };
+  desc.flops_total = [&lanes, &cnt]() {
+    double flops = 0.0;
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      flops += lanes[l]->flops(cnt[l]);
+    }
+    return flops;
+  };
+}
+
 void FastSbm::run_device_group(const std::vector<std::size_t>& group,
                                MicroState& state, FsbmStats& st) {
   const auto has = [](const std::vector<mem::FieldId>& set, mem::FieldId f) {
@@ -1013,35 +1092,10 @@ void FastSbm::run_device_group(const std::vector<std::size_t>& group,
   const exec::Range3& r = head.range;
   const exec::Range3 lane_range =
       head.collapse == 3 ? r : exec::Range3{Range{r.i.lo, r.i.lo}, r.k, r.j};
-  const auto each_cell = [&](std::int64_t it, const auto& fn) {
-    const exec::Range3::Cell c = lane_range.cell(it);
-    if (head.collapse == 3) {
-      fn(c.i, c.k, c.j);
-    } else {
-      for (int i = r.i.lo; i <= r.i.hi; ++i) fn(i, c.k, c.j);
-    }
-  };
   std::vector<LaneCounters> cnt(lanes.size());
   desc.iterations = lane_range.size();
-  desc.body = [&](std::int64_t it) {
-    each_cell(it, [&](int i, int k, int j) {
-      for (std::size_t l = 0; l < lanes.size(); ++l) {
-        (this->*lanes[l]->run)(state, i, k, j, cnt[l]);
-      }
-    });
-  };
-  desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-    each_cell(it, [&](int i, int k, int j) {
-      for (const Lane* lane : lanes) (this->*lane->trace)(state, i, k, j, out);
-    });
-  };
-  desc.flops_total = [&]() {
-    double flops = 0.0;
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      flops += lanes[l]->flops(cnt[l]);
-    }
-    return flops;
-  };
+  bind_lanes(desc, state, lanes, cnt, head.collapse == 3 ? 1 : r.i.size(),
+             [lane_range](std::int64_t it) { return lane_range.cell(it); });
   (collision ? st.coal_kernel : st.cond_kernel) = device_space_->launch(desc);
 
   // Epilogue: close the per-launch region (res=step), or advance the
@@ -1156,7 +1210,8 @@ void FastSbm::pass_coal_hetero(std::size_t id, MicroState& state,
     host_wall = seconds_since(h0);
   });
 
-  LaneCounters cnt;
+  const std::vector<const Lane*> lanes{&lane};
+  std::vector<LaneCounters> cnt(1);
   const auto d0 = Clock::now();
   try {
     if (!sp.device_tiles.empty()) {
@@ -1183,18 +1238,6 @@ void FastSbm::pass_coal_hetero(std::size_t id, MicroState& state,
         st.charge_transfer_delta(tx0, device_->transfers());
       }
 
-      // Device-shard lanes: collapse(3) runs one lane per shard cell,
-      // collapse(2) one per shard (k, j) row with i inside.
-      const auto each_cell = [&](std::int64_t it, const auto& fn) {
-        if (collapse3) {
-          const exec::Range3::Cell c = range.cell(sp.device_flat(it));
-          fn(c.i, c.k, c.j);
-          return;
-        }
-        const std::int64_t t = sp.device_tiles[static_cast<std::size_t>(it)];
-        const exec::Range3::Cell c = range.cell(sp.plan.tile_begin(t));
-        for (int i = range.i.lo; i <= range.i.hi; ++i) fn(i, c.k, c.j);
-      };
       gpu::KernelDesc desc;
       desc.name = node.name;
       desc.collapse = node.collapse;
@@ -1203,17 +1246,17 @@ void FastSbm::pass_coal_hetero(std::size_t id, MicroState& state,
       desc.iterations =
           collapse3 ? sp.device_cells
                     : static_cast<std::int64_t>(sp.device_tiles.size());
-      desc.body = [&](std::int64_t it) {
-        each_cell(it, [&](int i, int k, int j) {
-          (this->*lane.run)(state, i, k, j, cnt);
-        });
-      };
-      desc.trace = [&](std::int64_t it, std::vector<gpu::AccessEvent>& out) {
-        each_cell(it, [&](int i, int k, int j) {
-          (this->*lane.trace)(state, i, k, j, out);
-        });
-      };
-      desc.flops_total = [&]() { return lane.flops(cnt); };
+      // Device-shard lanes: collapse(3) runs one lane per shard cell,
+      // collapse(2) one per shard row tile (a (k, j) row, i inside).
+      bind_lanes(desc, state, lanes, cnt, collapse3 ? 1 : range.i.size(),
+                 [&sp, &range, collapse3](std::int64_t it) {
+                   return range.cell(
+                       collapse3
+                           ? sp.device_flat(it)
+                           : sp.plan.tile_begin(
+                                 sp.device_tiles[static_cast<std::size_t>(
+                                     it)]));
+                 });
       st.coal_kernel = device_space_->launch(desc);
 
       // d2h: the kernel's writes at bin-slice granularity through the
@@ -1244,7 +1287,7 @@ void FastSbm::pass_coal_hetero(std::size_t id, MicroState& state,
                 "host shard");
   }
 
-  lane.fold(cnt, lane.flops(cnt), st);
+  lane.fold(cnt[0], lane.flops(cnt[0]), st);
   st.wall_coal_sec += seconds_since(t0);
 }
 

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "exec/exec.hpp"
 #include "exec/passgraph.hpp"
@@ -315,16 +316,20 @@ class FastSbm {
     std::atomic<std::uint64_t> bulk_flops_milli{0};
   };
 
+  using Cell = exec::Range3::Cell;
+
   /// A device pass's lane descriptor, declared next to its PassNode:
-  /// what one lane runs and traces per cell, the kernel resources it
-  /// needs, its flop model, and how its counters fold into FsbmStats.
-  /// run_device_group composes these lane-wise for a fused group;
-  /// pass_coal_hetero launches the collision lane over its shard.
+  /// what the lane runs over a batch of cells and traces per cell, the
+  /// kernel resources it needs, its flop model, and how its counters
+  /// fold into FsbmStats.  run_device_group composes these lane-wise for
+  /// a fused group; pass_coal_hetero launches the collision lane over
+  /// its shard; both through bind_lanes.
   struct Lane {
     const char* stem = "";  ///< fused kernel name part (onecond_coal_fused)
     int regs_per_thread = 0;
     std::uint64_t workspace_bytes_per_thread = 0;
-    void (FastSbm::*run)(MicroState&, int, int, int, LaneCounters&) = nullptr;
+    void (FastSbm::*run)(MicroState&, std::span<const Cell>,
+                         LaneCounters&) = nullptr;
     void (FastSbm::*trace)(const MicroState&, int, int, int,
                            std::vector<gpu::AccessEvent>&) const = nullptr;
     /// The launch's flop model, and the fold of the counters (and that
@@ -393,15 +398,35 @@ class FastSbm {
   void shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
                   std::vector<mem::ByteRange>* cell_rows) const;
 
+  /// The functional half of both collision launch sites: a batched body
+  /// whose every batch decodes its iterations into cells — iteration
+  /// `it` is the `per_iter` cells from `first_cell(it)` up along i (1
+  /// for a collapse(3) lane, the i-row for collapse(2)) — and runs each
+  /// of `lanes` over all of them in chain order, so a fused group's
+  /// cond lane finishes the batch before its coal lane gathers the
+  /// batch's predicate-set cells.  Batches span about kBatchCells
+  /// cells.  Also binds the per-iteration trace and the flop total.
+  template <class FirstCell>
+  void bind_lanes(gpu::KernelDesc& desc, MicroState& state,
+                  const std::vector<const Lane*>& lanes,
+                  std::vector<LaneCounters>& cnt, int per_iter,
+                  FirstCell first_cell);
+
   void pass_sedimentation(MicroState& state, FsbmStats& st);
 
-  /// The collision lane (Listing 6's body): predicate gate, device-FMA
-  /// kernel source, pooled (v3) or stack workspace.
-  void coal_run_cell(MicroState& state, int i, int k, int j,
-                     LaneCounters& c);
+  /// The collision lane (Listing 6's body) over a batch: the
+  /// predicate-set cells, gathered kCoalLanes at a time in batch order,
+  /// each group run in lockstep with device-FMA kernel sources on
+  /// pooled (v3) or stack workspaces.
+  void coal_run_cells(MicroState& state, std::span<const Cell> cells,
+                      LaneCounters& c);
 
-  /// The condensation lane (the §VIII body): predicate refill, activity
-  /// gate, nucleation + condensation, writeback.
+  /// The condensation lane (the §VIII body) over a batch, cell by cell.
+  void cond_run_cells(MicroState& state, std::span<const Cell> cells,
+                      LaneCounters& c);
+
+  /// One condensation cell: predicate refill, activity gate,
+  /// nucleation + condensation, writeback.
   void cond_run_cell(MicroState& state, int i, int k, int j,
                      LaneCounters& c);
 
@@ -409,10 +434,12 @@ class FastSbm {
   void emit_cond_trace(const MicroState& state, int i, int k, int j,
                        std::vector<gpu::AccessEvent>& out) const;
 
-  /// Run collisions for one cell: v3 uses its pooled workspace slices,
-  /// every other version a stack workspace.
-  void coal_cell(MicroState& state, int i, int k, int j,
-                 const KernelSource& ks, CoalStats& cst);
+  /// Run collisions for 1..kCoalLanes cells in lockstep, lane l on
+  /// cells[l] with the kernel source the caller put in lanes[l].ks: v3
+  /// uses its pooled workspace slices, every other version stack
+  /// workspaces.  Adds each cell's statistics into lanes[l].stats.
+  void coal_cells(MicroState& state, std::span<const Cell> cells,
+                  std::span<CoalLane> lanes);
 
   /// Copy state bins into a workspace / back.
   static void load_workspace(const MicroState& s, int i, int k, int j,

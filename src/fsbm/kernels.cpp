@@ -103,6 +103,7 @@ std::uint64_t KernelTables::kernals_ks(double pres_pa,
   // Listing 3: the doubly nested loop over all nkr x nkr entries of all
   // 20 arrays, re-run for every grid cell in the baseline code.
   const auto n = static_cast<std::size_t>(nkr_);
+  const float w = pressure_weight(pres_pa);
   for (int p = 0; p < kNumPairs; ++p) {
     const auto& t750 = yw750_[static_cast<std::size_t>(p)];
     const auto& t500 = yw500_[static_cast<std::size_t>(p)];
@@ -111,7 +112,7 @@ std::uint64_t KernelTables::kernals_ks(double pres_pa,
       for (std::size_t i = 0; i < n; ++i) {
         const float ckern_1 = t750[i * n + j];
         const float ckern_2 = t500[i * n + j];
-        cw[i * n + j] = interp(ckern_1, ckern_2, pres_pa);
+        cw[i * n + j] = lerp(ckern_1, ckern_2, w);
       }
     }
   }

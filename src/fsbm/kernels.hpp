@@ -100,9 +100,9 @@ class KernelTables {
   /// v1: one interpolated entry, computed on demand.  Pure; safe to call
   /// concurrently from any thread / simulated device lane.
   float get_cw(CollisionPair p, int i, int j, double pres_pa) const {
-    const float ckern_1 = table(p, i, j, /*level_750mb=*/true);
-    const float ckern_2 = table(p, i, j, /*level_750mb=*/false);
-    return interp(ckern_1, ckern_2, pres_pa);
+    return lerp(table(p, i, j, /*level_750mb=*/true),
+                table(p, i, j, /*level_750mb=*/false),
+                pressure_weight(pres_pa));
   }
 
   /// Device-code flavor of get_cw: nvfortran contracts the interpolation
@@ -110,21 +110,37 @@ class KernelTables {
   /// "only" 3-6 digits (Section VII-B).  We reproduce that exact
   /// numerical difference with std::fma.
   float get_cw_device(CollisionPair p, int i, int j, double pres_pa) const {
-    const float ckern_1 = table(p, i, j, /*level_750mb=*/true);
-    const float ckern_2 = table(p, i, j, /*level_750mb=*/false);
+    return lerp_fma(table(p, i, j, /*level_750mb=*/true),
+                    table(p, i, j, /*level_750mb=*/false),
+                    pressure_weight(pres_pa));
+  }
+
+  /// The interpolation weight of the 750 mb table at cell pressure
+  /// `pres_pa`, clamped to [0, 1].  A cell's pressure is fixed for a
+  /// step, so callers compute it once per cell (KernelSource, kernals_ks)
+  /// and reuse it for every entry.
+  static float pressure_weight(double pres_pa) {
     double w = (pres_pa - kTableP500) / (kTableP750 - kTableP500);
     if (w < 0.0) w = 0.0;
     if (w > 1.0) w = 1.0;
-    return std::fma(static_cast<float>(w), ckern_1 - ckern_2, ckern_2);
+    return static_cast<float>(w);
   }
 
   /// Pressure interpolation shared by both strategies (Listing 3's
-  /// `(ckern_2 + (ckern_1 - ckern_2) * ...)` expression).
+  /// `(ckern_2 + (ckern_1 - ckern_2) * ...)` expression), at weight `w`
+  /// of pressure_weight.
+  static float lerp(float ckern_750, float ckern_500, float w) {
+    return ckern_500 + w * (ckern_750 - ckern_500);
+  }
+
+  /// The same interpolation as one fused multiply-add (device code).
+  static float lerp_fma(float ckern_750, float ckern_500, float w) {
+    return std::fma(w, ckern_750 - ckern_500, ckern_500);
+  }
+
+  /// lerp at cell pressure `pres_pa`.
   static float interp(float ckern_750, float ckern_500, double pres_pa) {
-    double w = (pres_pa - kTableP500) / (kTableP750 - kTableP500);
-    if (w < 0.0) w = 0.0;
-    if (w > 1.0) w = 1.0;
-    return ckern_500 + static_cast<float>(w) * (ckern_750 - ckern_500);
+    return lerp(ckern_750, ckern_500, pressure_weight(pres_pa));
   }
 
   /// Base address of one table's storage; used by the device cache model

@@ -105,9 +105,20 @@ struct KernelDesc {
   std::uint64_t workspace_bytes_per_thread = 0;
   bool double_precision = false;
 
-  /// Functional body, called once per iteration (may be empty for
-  /// perf-model-only launches).
+  /// Functional body, called once per iteration on the device's host
+  /// pool (may be empty for perf-model-only launches).  Ignored when
+  /// `batch` is set.
   std::function<void(std::int64_t)> body;
+
+  /// Optional batched body, called instead of `body` with iteration
+  /// ranges [lo, hi) that cover [0, iterations) exactly once: the
+  /// consecutive blocks of `batch_grain` iterations (the last one
+  /// short).  The cut depends only on `iterations` and `batch_grain`,
+  /// never on the pool's size; blocks run concurrently in any order.  A
+  /// batch lets one host core advance several lanes in lockstep, as a
+  /// warp does (see gather_lanes).
+  std::function<void(std::int64_t lo, std::int64_t hi)> batch;
+  std::int64_t batch_grain = 64;
 
   /// Average floating-point operations per iteration (for the roofline).
   double flops_per_iter = 0.0;
@@ -131,6 +142,26 @@ struct KernelDesc {
   /// launch-count accounting; 1 for ordinary launches.
   int fused_passes = 1;
 };
+
+/// A batched body's lockstep gather: walk [lo, hi) in order, collect
+/// the iterations `pick(it)` accepts, and hand them to `run(its, n)` in
+/// groups of n <= W (only the last group may be short).  The grouping
+/// is a pure function of the range and the predicate, so it is the same
+/// on any pool.
+template <int W, class Pick, class Run>
+void gather_lanes(std::int64_t lo, std::int64_t hi, Pick&& pick, Run&& run) {
+  std::int64_t its[W];
+  int n = 0;
+  for (std::int64_t it = lo; it < hi; ++it) {
+    if (!pick(it)) continue;
+    its[n++] = it;
+    if (n == W) {
+      run(static_cast<const std::int64_t*>(its), n);
+      n = 0;
+    }
+  }
+  if (n > 0) run(static_cast<const std::int64_t*>(its), n);
+}
 
 /// Nsight-Compute-style metrics for one launch (paper Table VI).
 struct KernelStats {

@@ -1,16 +1,161 @@
-// Property + unit tests: coal_bott_new and collect_pair conservation.
+// Property + unit tests: coal_bott_new and pairwise-sweep conservation,
+// and the lockstep kernel against the per-cell oracle, bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "fsbm/coal_bott.hpp"
+#include "util/constants.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace wrf::fsbm {
 namespace {
+
+/// The one-lane production sweep under the per-cell signature the
+/// property tests below are written against.
+CoalStats collect_pair(const BinGrid& bins, CollisionPair pair,
+                       const KernelSource& ks, float* ga, float* gb,
+                       float* gd, const CoalConfig& cfg) {
+  PairLane lane{&ks, ga, gb, gd, {}};
+  collect_pair_lanes(bins, pair, std::span<PairLane>(&lane, 1), cfg);
+  return lane.stats;
+}
+
+// ------------------------------------------------- the per-cell oracle
+//
+// The scalar sweep and coal_bott_new exactly as they ran before the
+// lockstep kernel: one cell at a time, one KernelSource::k per lookup.
+// They also count which of the sweep's branches fired, so the oracle
+// test can show its data reaches every one of them.
+
+struct OracleCoverage {
+  std::uint64_t empty_rows = 0;      ///< `continue` on an empty collector
+  std::uint64_t drained_rows = 0;    ///< `break` on a drained collector
+  std::uint64_t limited = 0;         ///< the max_frac limiter fired
+  std::uint64_t self_same_bin = 0;   ///< self-collection at i == j
+  std::uint64_t top_overflow = 0;    ///< kd >= nkr-1 lands in the top bin
+};
+
+CoalStats oracle_collect_pair(const BinGrid& bins, CollisionPair pair,
+                              const KernelSource& ks, float* ga, float* gb,
+                              float* gd, const CoalConfig& cfg,
+                              OracleCoverage& cov) {
+  CoalStats st;
+  const int nkr = bins.nkr();
+  const bool self = (ga == gb);
+  const auto gmin = static_cast<float>(cfg.gmin);
+  for (int j = 0; j < nkr; ++j) {
+    if (gb[j] <= gmin) {
+      ++cov.empty_rows;
+      continue;
+    }
+    const double mj = bins.mass(j);
+    const int imax = self ? j : nkr - 1;
+    for (int i = 0; i <= imax; ++i) {
+      const float gbj = gb[j];
+      if (gbj <= gmin) {
+        ++cov.drained_rows;
+        break;
+      }
+      const float gai = ga[i];
+      if (gai <= gmin) continue;
+      const double nb = gbj / mj;
+      const double mi = bins.mass(i);
+      const double na = gai / mi;
+      const double kv = ks.k(pair, i, j);
+      ++st.kernel_lookups;
+      double dn = kv * na * nb * cfg.dt;
+      if (self && i == j) dn *= 0.5;
+      if (dn <= 0.0) continue;
+
+      double dma = dn * mi;
+      double dmb = dn * mj;
+      double scale = 1.0;
+      if (self && i == j) {
+        ++cov.self_same_bin;
+        const double avail = cfg.max_frac * gai;
+        if (dma + dmb > avail) scale = avail / (dma + dmb);
+      } else {
+        if (dma > cfg.max_frac * gai) scale = cfg.max_frac * gai / dma;
+        if (dmb > cfg.max_frac * gbj) {
+          scale = std::min(scale, cfg.max_frac * gbj / dmb);
+        }
+      }
+      if (scale < 1.0) ++cov.limited;
+      dma *= scale;
+      dmb *= scale;
+      dn *= scale;
+
+      ga[i] = static_cast<float>(ga[i] - dma);
+      gb[j] = static_cast<float>(gb[j] - dmb);
+
+      const BinGrid::CoalDest& dest = bins.coal_dest(i, j);
+      const int kd = dest.kd;
+      if (kd >= nkr - 1) {
+        ++cov.top_overflow;
+        gd[nkr - 1] = static_cast<float>(gd[nkr - 1] + dma + dmb);
+      } else {
+        const double mk = bins.mass(kd);
+        const double mk1 = bins.mass(kd + 1);
+        const double f = dest.f;
+        const double n_new = dn;
+        gd[kd] = static_cast<float>(gd[kd] + n_new * (1.0 - f) * mk);
+        gd[kd + 1] = static_cast<float>(gd[kd + 1] + n_new * f * mk1);
+      }
+      ++st.interactions;
+      st.flops += 24.0;
+    }
+  }
+  ++st.pairs_active;
+  return st;
+}
+
+CoalStats oracle_coal_bott_new(const BinGrid& bins, double temp_k,
+                               const KernelSource& ks, const CoalWorkspace& w,
+                               const CoalConfig& cfg, OracleCoverage& cov) {
+  CoalStats st;
+  const int nkr = bins.nkr();
+  float* ice1 = w.g2;
+  float* ice2 = w.g2 + nkr;
+  float* ice3 = w.g2 + 2 * nkr;
+  const auto run = [&](CollisionPair p, float* ga, float* gb, float* gd) {
+    const CoalStats s = oracle_collect_pair(bins, p, ks, ga, gb, gd, cfg, cov);
+    st.kernel_lookups += s.kernel_lookups;
+    st.interactions += s.interactions;
+    st.pairs_active += s.pairs_active;
+    st.flops += s.flops;
+  };
+  run(CollisionPair::kLL, w.fl1, w.fl1, w.fl1);
+  if (temp_k < constants::kT0) {
+    run(CollisionPair::kLS, w.fl1, w.g3, w.g3);
+    run(CollisionPair::kLG, w.fl1, w.g4, w.g4);
+    run(CollisionPair::kLH, w.fl1, w.g5, w.g5);
+    run(CollisionPair::kLI1, w.fl1, ice1, w.g4);
+    run(CollisionPair::kLI2, w.fl1, ice2, w.g4);
+    run(CollisionPair::kLI3, w.fl1, ice3, w.g4);
+    run(CollisionPair::kSS, w.g3, w.g3, w.g3);
+    run(CollisionPair::kSI1, ice1, w.g3, w.g3);
+    run(CollisionPair::kSI2, ice2, w.g3, w.g3);
+    run(CollisionPair::kSI3, ice3, w.g3, w.g3);
+    run(CollisionPair::kII1, ice1, ice1, w.g3);
+    run(CollisionPair::kII2, ice2, ice2, w.g3);
+    run(CollisionPair::kII3, ice3, ice3, w.g3);
+    run(CollisionPair::kSG, w.g3, w.g4, w.g4);
+    run(CollisionPair::kSH, w.g3, w.g5, w.g5);
+    run(CollisionPair::kGG, w.g4, w.g4, w.g4);
+    run(CollisionPair::kGH, w.g4, w.g5, w.g5);
+    run(CollisionPair::kHH, w.g5, w.g5, w.g5);
+    run(CollisionPair::kIG, ice1, w.g4, w.g4);
+  }
+  return st;
+}
 
 class CoalTest : public ::testing::Test {
  protected:
@@ -233,6 +378,204 @@ TEST_F(CoalTest, LongerTimestepCollectsMore) {
   collect_pair(bins_, CollisionPair::kLL, ks, g2v.data(), g2v.data(),
                g2v.data(), slow);
   EXPECT_GT(mean_mass(bins_, g2v), mean_mass(bins_, g1));
+}
+
+// ------------------------------------- lockstep vs the per-cell oracle
+
+constexpr int kNkr = 33;
+constexpr int kSlots = (4 + kIceMax) * kNkr;
+
+/// One randomized cell: temperature, pressure and the seven workspace
+/// distributions, laid out as one (4 + kIceMax) * nkr buffer.
+struct OracleCell {
+  double temp_k = 0.0;
+  double pres_pa = 0.0;
+  std::vector<float> buf;
+
+  CoalWorkspace view(std::vector<float>& b) const {
+    CoalWorkspace w;
+    w.fl1 = b.data();
+    w.g2 = b.data() + kNkr;
+    w.g3 = b.data() + kNkr * (1 + kIceMax);
+    w.g4 = b.data() + kNkr * (2 + kIceMax);
+    w.g5 = b.data() + kNkr * (3 + kIceMax);
+    return w;
+  }
+};
+
+/// Cells covering the sweep's branches: warm and cold cells alternate
+/// irregularly; each distribution is a random band of bins (empty rows
+/// around it), some species are empty outright, some bands reach the top
+/// bins (kd >= nkr-1 overflow), and dense bands feed the limiter.
+std::vector<OracleCell> oracle_cells(int count, std::uint64_t seed) {
+  Rng rng(seed);
+  const double temps[] = {285.0, 258.0, 250.0, 290.0, 262.0, 271.0,
+                          240.0, 300.0, 255.0, 268.0, 245.0};
+  std::vector<OracleCell> cells(static_cast<std::size_t>(count));
+  for (int c = 0; c < count; ++c) {
+    OracleCell& cell = cells[static_cast<std::size_t>(c)];
+    cell.temp_k = temps[c % 11];
+    cell.pres_pa = rng.uniform(42000.0, 82000.0);  // both weight clamps
+    cell.buf.assign(kSlots, 0.0f);
+    for (int slot = 0; slot < 7; ++slot) {
+      if (rng.uniform() < 0.2) continue;  // an empty species
+      float* g = cell.buf.data() + slot * kNkr;
+      const int lo = static_cast<int>(rng.uniform(0.0, 30.0));
+      const int hi = std::min(kNkr - 1,
+                              lo + 2 + static_cast<int>(rng.uniform(0.0, 12.0)));
+      const double q = std::pow(10.0, rng.uniform(-6.0, -2.5));
+      for (int k = lo; k <= hi; ++k) {
+        g[k] = static_cast<float>(q * rng.uniform(0.1, 1.0));
+      }
+      if (rng.uniform() < 0.3) g[(lo + hi) / 2] = 0.0f;  // a hole
+    }
+  }
+  return cells;
+}
+
+enum class SourceKind { kPrecomputed, kGetCw, kDeviceFma };
+
+class CoalLockstepTest : public CoalTest {
+ protected:
+  /// Run `cells` through the oracle one by one and through
+  /// coal_bott_lanes in consecutive groups of `width` (a partial last
+  /// group when width does not divide the count), then compare every
+  /// workspace byte and every CoalStats field.
+  void expect_lockstep_matches(const std::vector<OracleCell>& cells,
+                               SourceKind kind, int width,
+                               const CoalConfig& cfg, OracleCoverage& cov) {
+    SCOPED_TRACE("width " + std::to_string(width) + " kind " +
+                 std::to_string(static_cast<int>(kind)));
+    const std::size_t n = cells.size();
+    std::vector<std::unique_ptr<CollisionArrays>> arrays(n);
+    std::vector<KernelSource> sources(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      const double pres = cells[c].pres_pa;
+      if (kind == SourceKind::kPrecomputed) {
+        arrays[c] = std::make_unique<CollisionArrays>(kNkr);
+        tables_.kernals_ks(pres, *arrays[c]);
+        sources[c] = KernelSource(*arrays[c]);
+      } else {
+        sources[c] = KernelSource(tables_, pres,
+                                  kind == SourceKind::kDeviceFma);
+      }
+    }
+
+    std::vector<std::vector<float>> want(n), got(n);
+    std::vector<CoalStats> want_st(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      want[c] = got[c] = cells[c].buf;
+      want_st[c] = oracle_coal_bott_new(bins_, cells[c].temp_k, sources[c],
+                                        cells[c].view(want[c]), cfg, cov);
+    }
+    std::vector<CoalLane> lanes(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      lanes[c].temp_k = cells[c].temp_k;
+      lanes[c].ks = sources[c];
+      lanes[c].w = cells[c].view(got[c]);
+    }
+    for (std::size_t g = 0; g < n; g += static_cast<std::size_t>(width)) {
+      const std::size_t m = std::min<std::size_t>(width, n - g);
+      coal_bott_lanes(bins_, std::span<CoalLane>(lanes.data() + g, m), cfg);
+    }
+
+    for (std::size_t c = 0; c < n; ++c) {
+      SCOPED_TRACE("cell " + std::to_string(c));
+      EXPECT_EQ(std::memcmp(got[c].data(), want[c].data(),
+                            kSlots * sizeof(float)),
+                0);
+      EXPECT_EQ(lanes[c].stats.kernel_lookups, want_st[c].kernel_lookups);
+      EXPECT_EQ(lanes[c].stats.interactions, want_st[c].interactions);
+      EXPECT_EQ(lanes[c].stats.pairs_active, want_st[c].pairs_active);
+      EXPECT_EQ(std::memcmp(&lanes[c].stats.flops, &want_st[c].flops,
+                            sizeof(double)),
+                0);
+    }
+  }
+};
+
+TEST_F(CoalLockstepTest, LockstepMatchesPerCellOracleBitwise) {
+  // 11 cells: widths 2, 3 and 4 each end on a partial group, and the
+  // irregular warm/cold pattern mixes both in most groups.
+  const std::vector<OracleCell> cells = oracle_cells(11, 12);
+  CoalConfig rough = cfg_;
+  rough.dt = 120.0;  // long step: the max_frac limiter fires often
+  OracleCoverage cov;
+  for (const SourceKind kind : {SourceKind::kPrecomputed, SourceKind::kGetCw,
+                                SourceKind::kDeviceFma}) {
+    for (int width = 1; width <= kCoalLanes; ++width) {
+      expect_lockstep_matches(cells, kind, width, cfg_, cov);
+      expect_lockstep_matches(cells, kind, width, rough, cov);
+    }
+  }
+  // The data reached every branch of the sweep.
+  EXPECT_GT(cov.empty_rows, 0u);
+  EXPECT_GT(cov.drained_rows, 0u);
+  EXPECT_GT(cov.limited, 0u);
+  EXPECT_GT(cov.self_same_bin, 0u);
+  EXPECT_GT(cov.top_overflow, 0u);
+}
+
+TEST_F(CoalLockstepTest, WarmAndColdLanesShareAGroup) {
+  // One group of four: two warm lanes run only liquid-liquid while the
+  // cold ones run all twenty sweeps, each lane's stats its own.
+  std::vector<OracleCell> cells = oracle_cells(4, 13);
+  const double temps[] = {290.0, 250.0, 280.0, 260.0};
+  for (std::size_t c = 0; c < cells.size(); ++c) cells[c].temp_k = temps[c];
+  OracleCoverage cov;
+  expect_lockstep_matches(cells, SourceKind::kDeviceFma, 4, cfg_, cov);
+  std::vector<CoalLane> lanes(4);
+  for (std::size_t c = 0; c < 4; ++c) {
+    lanes[c].temp_k = cells[c].temp_k;
+    lanes[c].ks = KernelSource(tables_, cells[c].pres_pa, true);
+    lanes[c].w = cells[c].view(cells[c].buf);
+  }
+  coal_bott_lanes(bins_, lanes, cfg_);
+  EXPECT_EQ(lanes[0].stats.pairs_active, 1u);
+  EXPECT_EQ(lanes[1].stats.pairs_active, 20u);
+  EXPECT_EQ(lanes[2].stats.pairs_active, 1u);
+  EXPECT_EQ(lanes[3].stats.pairs_active, 20u);
+}
+
+TEST_F(CoalLockstepTest, AllEmptyLanesDoNoWork) {
+  // Empty collector rows in every lane: no lookups, no interactions.
+  std::vector<OracleCell> cells = oracle_cells(3, 14);
+  for (OracleCell& c : cells) std::fill(c.buf.begin(), c.buf.end(), 0.0f);
+  OracleCoverage cov;
+  expect_lockstep_matches(cells, SourceKind::kGetCw, 3, cfg_, cov);
+  std::vector<CoalLane> lanes(3);
+  for (std::size_t c = 0; c < 3; ++c) {
+    lanes[c].temp_k = 250.0;
+    lanes[c].ks = KernelSource(tables_, 60000.0);
+    lanes[c].w = cells[c].view(cells[c].buf);
+  }
+  coal_bott_lanes(bins_, lanes, cfg_);
+  for (const CoalLane& l : lanes) {
+    EXPECT_EQ(l.stats.kernel_lookups, 0u);
+    EXPECT_EQ(l.stats.interactions, 0u);
+  }
+}
+
+TEST_F(CoalLockstepTest, RejectsBadLaneSets) {
+  std::vector<OracleCell> cells = oracle_cells(kCoalLanes + 1, 15);
+  std::vector<CoalLane> lanes(cells.size());
+  CollisionArrays arrays(kNkr);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    lanes[c].temp_k = 250.0;
+    lanes[c].ks = KernelSource(tables_, 60000.0, true);
+    lanes[c].w = cells[c].view(cells[c].buf);
+  }
+  EXPECT_THROW(coal_bott_lanes(bins_, lanes, cfg_), ConfigError);
+  EXPECT_THROW(coal_bott_lanes(bins_, std::span<CoalLane>(), cfg_),
+               ConfigError);
+  lanes[1].ks = KernelSource(tables_, 60000.0, false);  // mixed kinds
+  EXPECT_THROW(
+      coal_bott_lanes(bins_, std::span<CoalLane>(lanes.data(), 2), cfg_),
+      ConfigError);
+  lanes[1].ks = KernelSource(arrays);
+  EXPECT_THROW(
+      coal_bott_lanes(bins_, std::span<CoalLane>(lanes.data(), 2), cfg_),
+      ConfigError);
 }
 
 }  // namespace

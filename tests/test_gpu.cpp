@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "gpu/cache.hpp"
 #include "gpu/device.hpp"
+#include "par/thread_pool.hpp"
 
 namespace wrf::gpu {
 namespace {
@@ -169,6 +174,104 @@ TEST(Device, FunctionalExecutionCoversGrid) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(ks.iterations, 500);
   EXPECT_GT(ks.modeled_time_ms, 0.0);
+}
+
+/// What a batched launch did: the ranges the body saw and the groups
+/// gather_lanes formed in them, both sorted so runs compare as sets.
+struct BatchLog {
+  std::mutex mu;
+  std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+  std::vector<std::vector<std::int64_t>> groups;
+  std::vector<int> seen;  ///< per iteration: times gathered
+};
+
+void run_batched(int pool_threads, std::int64_t iterations, BatchLog& log) {
+  par::ThreadPool pool(pool_threads);
+  Device dev(DeviceSpec::test_device(), &pool);
+  log.seen.assign(static_cast<std::size_t>(iterations), 0);
+  KernelDesc k;
+  k.name = "lockstep";
+  k.iterations = iterations;
+  k.batch_grain = 10;
+  k.body = [](std::int64_t) { ADD_FAILURE() << "per-iteration body ran"; };
+  k.batch = [&](std::int64_t lo, std::int64_t hi) {
+    // Flag about 40% of iterations in an irregular pattern, as the coal
+    // predicate flags storm cells.
+    std::vector<std::vector<std::int64_t>> mine;
+    gather_lanes<4>(
+        lo, hi, [](std::int64_t it) { return (it * 7) % 5 < 2; },
+        [&](const std::int64_t* its, int n) {
+          mine.emplace_back(its, its + n);
+        });
+    std::lock_guard<std::mutex> lk(log.mu);
+    log.ranges.emplace_back(lo, hi);
+    for (auto& g : mine) {
+      for (const std::int64_t it : g) ++log.seen[static_cast<std::size_t>(it)];
+      log.groups.push_back(std::move(g));
+    }
+  };
+  dev.launch(k);
+  std::sort(log.ranges.begin(), log.ranges.end());
+  std::sort(log.groups.begin(), log.groups.end());
+}
+
+TEST(Device, BatchedBodyCoversGridInPoolIndependentGroups) {
+  constexpr std::int64_t kIters = 97;  // 10 ranges, the last one short
+  BatchLog one, three;
+  run_batched(1, kIters, one);
+  run_batched(3, kIters, three);
+
+  // The ranges tile [0, iterations) once, in blocks of batch_grain.
+  ASSERT_EQ(one.ranges.size(), 10u);
+  for (std::size_t b = 0; b < one.ranges.size(); ++b) {
+    EXPECT_EQ(one.ranges[b].first, static_cast<std::int64_t>(b) * 10);
+    EXPECT_EQ(one.ranges[b].second,
+              std::min<std::int64_t>(kIters, (b + 1) * 10));
+  }
+  // Every flagged iteration is gathered exactly once, the rest never,
+  // in groups of at most 4 lanes drawn from one range.
+  for (std::int64_t it = 0; it < kIters; ++it) {
+    EXPECT_EQ(one.seen[static_cast<std::size_t>(it)],
+              (it * 7) % 5 < 2 ? 1 : 0)
+        << "iteration " << it;
+  }
+  for (const auto& g : one.groups) {
+    ASSERT_FALSE(g.empty());
+    EXPECT_LE(g.size(), 4u);
+    EXPECT_EQ(g.front() / 10, g.back() / 10) << "group spans two ranges";
+  }
+  // The cut and the grouping do not depend on the pool.
+  EXPECT_EQ(one.ranges, three.ranges);
+  EXPECT_EQ(one.groups, three.groups);
+  EXPECT_EQ(one.seen, three.seen);
+}
+
+TEST(Device, BatchingLeavesTheModelUnchanged) {
+  // The same launch run per iteration and batched: every iteration
+  // runs once either way, and the modeled numbers are identical.
+  Device dev(DeviceSpec::test_device());
+  std::vector<std::atomic<int>> hits(300);
+  KernelDesc k;
+  k.name = "per_iteration";
+  k.iterations = 300;
+  k.flops_per_iter = 10;
+  k.bytes_per_iter = 64;
+  k.body = [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; };
+  const KernelStats a = dev.launch(k);
+  k.name = "batched";
+  k.batch_grain = 7;
+  k.batch = [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+  };
+  const KernelStats b = dev.launch(k);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
+  EXPECT_EQ(a.modeled_time_ms, b.modeled_time_ms);
+  EXPECT_EQ(a.flops, b.flops);
+  EXPECT_EQ(a.dram_read_gb, b.dram_read_gb);
+  EXPECT_EQ(a.occupancy.achieved, b.occupancy.achieved);
+
+  k.batch_grain = 0;
+  EXPECT_THROW(dev.launch(k), ConfigError);
 }
 
 TEST(Device, StackOverflowRaisesDeviceError) {
