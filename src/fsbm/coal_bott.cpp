@@ -180,7 +180,9 @@ void run_sweep(const BinGrid& bins, bool self, std::span<PairLane> lanes,
     return sweep_fma<kCoalLanes>(bins, self, lanes.data(), n, kernel, cfg);
   }
 #endif
-  if (n == 1) return sweep_portable<1>(bins, self, lanes.data(), n, kernel, cfg);
+  if (n == 1) {
+    return sweep_portable<1>(bins, self, lanes.data(), n, kernel, cfg);
+  }
   sweep_portable<kCoalLanes>(bins, self, lanes.data(), n, kernel, cfg);
 }
 
@@ -292,10 +294,9 @@ void coal_bott_lanes(const BinGrid& bins, std::span<CoalLane> lanes,
       if (call.pair != CollisionPair::kLL && !(c.temp_k < constants::kT0)) {
         continue;  // warm cell: liquid-liquid only
       }
-      float* const slot[kNumSlots] = {c.w.fl1,           c.w.g2,
-                                      c.w.g2 + nkr,      c.w.g2 + 2 * nkr,
-                                      c.w.g3,            c.w.g4,
-                                      c.w.g5};
+      float* const slot[kNumSlots] = {
+          c.w.fl1, c.w.g2, c.w.g2 + nkr, c.w.g2 + 2 * nkr,
+          c.w.g3,  c.w.g4, c.w.g5};
       pl[n].ks = &c.ks;
       pl[n].ga = slot[call.a];
       pl[n].gb = slot[call.b];
@@ -304,7 +305,9 @@ void coal_bott_lanes(const BinGrid& bins, std::span<CoalLane> lanes,
     }
     if (n == 0) continue;
     collect_pair_lanes(bins, call.pair, std::span<PairLane>(pl, n), cfg);
-    for (std::size_t l = 0; l < n; ++l) accumulate(owner[l]->stats, pl[l].stats);
+    for (std::size_t l = 0; l < n; ++l) {
+      accumulate(owner[l]->stats, pl[l].stats);
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
-// Collision-coalescence for one grid cell: the paper's `coal_bott_new`.
+// Collision-coalescence per grid cell, the paper's `coal_bott_new`, run
+// on one cell or on up to kCoalLanes cells in lockstep.
 //
 // A Bott-style flux method on the mass-doubling bin grid: for every
 // active (collected bin i, collector bin j) pair of every
@@ -72,16 +73,6 @@ class KernelSource {
                bool device_fma = false)
       : tables_(&tables), w_(KernelTables::pressure_weight(pres_pa)),
         device_fma_(device_fma) {}
-
-  /// The kernel value of pair `p` at (i, j) — the definition the
-  /// lockstep sweep computes.
-  float k(CollisionPair p, int i, int j) const {
-    if (pre_ != nullptr) return pre_->at(p, i, j);
-    const float c750 = tables_->table(p, i, j, /*level_750mb=*/true);
-    const float c500 = tables_->table(p, i, j, /*level_750mb=*/false);
-    return device_fma_ ? KernelTables::lerp_fma(c750, c500, w_)
-                       : KernelTables::lerp(c750, c500, w_);
-  }
 
   /// v0's arrays, or null for an on-demand source.
   const CollisionArrays* precomputed() const noexcept { return pre_; }

@@ -1006,11 +1006,11 @@ void FastSbm::bind_lanes(gpu::KernelDesc& desc, MicroState& state,
     for (int d = 0; d < per_iter; ++d) out.push_back({c.i + d, c.k, c.j});
   };
   desc.batch_grain = std::max(1, kBatchCells / per_iter);
-  desc.batch = [this, &state, &lanes, &cnt, cells_of](std::int64_t lo,
-                                                      std::int64_t hi) {
+  desc.batch = [this, &state, &lanes, &cnt, per_iter, cells_of](
+                   std::int64_t lo, std::int64_t hi) {
     std::vector<Cell> cells;
     cells.reserve(static_cast<std::size_t>(hi - lo) *
-                  static_cast<std::size_t>(kBatchCells));
+                  static_cast<std::size_t>(per_iter));
     for (std::int64_t it = lo; it < hi; ++it) cells_of(it, cells);
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       (this->*lanes[l]->run)(state, cells, cnt[l]);

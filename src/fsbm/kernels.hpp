@@ -138,11 +138,6 @@ class KernelTables {
     return std::fma(w, ckern_750 - ckern_500, ckern_500);
   }
 
-  /// lerp at cell pressure `pres_pa`.
-  static float interp(float ckern_750, float ckern_500, double pres_pa) {
-    return lerp(ckern_750, ckern_500, pressure_weight(pres_pa));
-  }
-
   /// Base address of one table's storage; used by the device cache model
   /// to replay table reads at their true host addresses.
   const float* table_ptr(CollisionPair p, bool level_750mb) const {

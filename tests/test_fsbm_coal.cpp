@@ -43,6 +43,15 @@ struct OracleCoverage {
   std::uint64_t top_overflow = 0;    ///< kd >= nkr-1 lands in the top bin
 };
 
+/// The kernel value of pair `p` at (i, j) from `ks`, one entry at a time.
+float oracle_k(const KernelSource& ks, CollisionPair p, int i, int j) {
+  if (ks.precomputed() != nullptr) return ks.precomputed()->at(p, i, j);
+  const float c750 = ks.tables()->table(p, i, j, /*level_750mb=*/true);
+  const float c500 = ks.tables()->table(p, i, j, /*level_750mb=*/false);
+  return ks.device_fma() ? KernelTables::lerp_fma(c750, c500, ks.weight())
+                         : KernelTables::lerp(c750, c500, ks.weight());
+}
+
 CoalStats oracle_collect_pair(const BinGrid& bins, CollisionPair pair,
                               const KernelSource& ks, float* ga, float* gb,
                               float* gd, const CoalConfig& cfg,
@@ -69,7 +78,7 @@ CoalStats oracle_collect_pair(const BinGrid& bins, CollisionPair pair,
       const double nb = gbj / mj;
       const double mi = bins.mass(i);
       const double na = gai / mi;
-      const double kv = ks.k(pair, i, j);
+      const double kv = oracle_k(ks, pair, i, j);
       ++st.kernel_lookups;
       double dn = kv * na * nb * cfg.dt;
       if (self && i == j) dn *= 0.5;
@@ -421,8 +430,8 @@ std::vector<OracleCell> oracle_cells(int count, std::uint64_t seed) {
       if (rng.uniform() < 0.2) continue;  // an empty species
       float* g = cell.buf.data() + slot * kNkr;
       const int lo = static_cast<int>(rng.uniform(0.0, 30.0));
-      const int hi = std::min(kNkr - 1,
-                              lo + 2 + static_cast<int>(rng.uniform(0.0, 12.0)));
+      const int width = 2 + static_cast<int>(rng.uniform(0.0, 12.0));
+      const int hi = std::min(kNkr - 1, lo + width);
       const double q = std::pow(10.0, rng.uniform(-6.0, -2.5));
       for (int k = lo; k <= hi; ++k) {
         g[k] = static_cast<float>(q * rng.uniform(0.1, 1.0));

@@ -61,12 +61,22 @@ TEST_F(KernelTablesTest, ThinnerAirStrongerKernel) {
 }
 
 TEST_F(KernelTablesTest, InterpEndpointsAndClamp) {
-  EXPECT_FLOAT_EQ(KernelTables::interp(2.0f, 1.0f, kTableP750), 2.0f);
-  EXPECT_FLOAT_EQ(KernelTables::interp(2.0f, 1.0f, kTableP500), 1.0f);
-  EXPECT_FLOAT_EQ(KernelTables::interp(2.0f, 1.0f, 62500.0), 1.5f);
+  // The pressure weight of the 750 mb table, clamped to [0, 1] ...
+  EXPECT_EQ(KernelTables::pressure_weight(kTableP750), 1.0f);
+  EXPECT_EQ(KernelTables::pressure_weight(kTableP500), 0.0f);
+  EXPECT_EQ(KernelTables::pressure_weight(101325.0), 1.0f);
+  EXPECT_EQ(KernelTables::pressure_weight(20000.0), 0.0f);
+  // ... and the interpolation at it.
+  const auto interp = [](float c750, float c500, double pres_pa) {
+    return KernelTables::lerp(c750, c500,
+                              KernelTables::pressure_weight(pres_pa));
+  };
+  EXPECT_FLOAT_EQ(interp(2.0f, 1.0f, kTableP750), 2.0f);
+  EXPECT_FLOAT_EQ(interp(2.0f, 1.0f, kTableP500), 1.0f);
+  EXPECT_FLOAT_EQ(interp(2.0f, 1.0f, 62500.0), 1.5f);
   // Out-of-range pressures clamp to the nearest table.
-  EXPECT_FLOAT_EQ(KernelTables::interp(2.0f, 1.0f, 101325.0), 2.0f);
-  EXPECT_FLOAT_EQ(KernelTables::interp(2.0f, 1.0f, 20000.0), 1.0f);
+  EXPECT_FLOAT_EQ(interp(2.0f, 1.0f, 101325.0), 2.0f);
+  EXPECT_FLOAT_EQ(interp(2.0f, 1.0f, 20000.0), 1.0f);
 }
 
 TEST_F(KernelTablesTest, GetCwMatchesKernalsKsEntrywise) {
