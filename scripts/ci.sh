@@ -102,9 +102,10 @@ run_fma_check() {
   # back to calling fmaf through the PLT, or let GCC contract other
   # expressions there (which would change their bits).  Compile the file
   # with the Release build's flags and require, inside the FMA clones:
-  # no fmaf call, a vfmadd in the device-kernel clone, and no
-  # double-precision FMA (the only FMA the code asks for is single
-  # precision, so a *sd/*pd one is a contraction leak).
+  # no fmaf call, a vfmadd in the device-kernel clone, and no other FMA.
+  # Only the device-kernel clone asks for an FMA, and only a single
+  # precision one; any FMA in the other clones, or a double-precision
+  # one anywhere, is a contraction leak.
   echo "=== coal FMA clone ==="
   local src="src/fsbm/coal_bott.cpp"
   local obj
@@ -130,9 +131,10 @@ run_fma_check() {
     echo "fma check: the device-kernel FMA clone has no vfmadd"
     return 1
   fi
-  if grep -qE 'vf(n)?m(add|sub)[0-9]*(sd|pd)' <<< "${clones}"; then
-    echo "fma check: double-precision FMA in an FMA clone (contraction):"
-    grep -E 'vf(n)?m(add|sub)[0-9]*(sd|pd)' <<< "${clones}"
+  local leak='^other .*vf(n)?m(add|sub)[0-9]*(ss|sd|ps|pd)|vf(n)?m(add|sub)[0-9]*(sd|pd)'
+  if grep -qE "${leak}" <<< "${clones}"; then
+    echo "fma check: FMA the code does not ask for (contraction):"
+    grep -E "${leak}" <<< "${clones}"
     return 1
   fi
   echo "fma check: FMA clones use vfmadd, no fmaf call, no contraction"

@@ -54,7 +54,7 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Cells one device batch spans (KernelDesc::batch_grain is this over
+/// Cells one device range spans (KernelDesc::grain is this over
 /// the cells per iteration): enough for the coal lane to fill whole
 /// lockstep groups from the ~40% of storm cells that collide, few
 /// enough to leave a 16x24x16 rank patch 24 batches for the pool.
@@ -1005,9 +1005,9 @@ void FastSbm::bind_lanes(gpu::KernelDesc& desc, MicroState& state,
     const Cell c = first_cell(it);
     for (int d = 0; d < per_iter; ++d) out.push_back({c.i + d, c.k, c.j});
   };
-  desc.batch_grain = std::max(1, kBatchCells / per_iter);
-  desc.batch = [this, &state, &lanes, &cnt, per_iter, cells_of](
-                   std::int64_t lo, std::int64_t hi) {
+  desc.grain = std::max(1, kBatchCells / per_iter);
+  desc.body = [this, &state, &lanes, &cnt, per_iter, cells_of](
+                  std::int64_t lo, std::int64_t hi) {
     std::vector<Cell> cells;
     cells.reserve(static_cast<std::size_t>(hi - lo) *
                   static_cast<std::size_t>(per_iter));

@@ -398,8 +398,8 @@ class FastSbm {
   void shard_rows(const exec::SplitPlan& sp, const exec::Range3& range,
                   std::vector<mem::ByteRange>* cell_rows) const;
 
-  /// The functional half of both collision launch sites: a batched body
-  /// whose every batch decodes its iterations into cells — iteration
+  /// The functional half of both collision launch sites: a body whose
+  /// every range (batch) decodes its iterations into cells — iteration
   /// `it` is the `per_iter` cells from `first_cell(it)` up along i (1
   /// for a collapse(3) lane, the i-row for collapse(2)) — and runs each
   /// of `lanes` over all of them in chain order, so a fused group's

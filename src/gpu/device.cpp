@@ -250,8 +250,8 @@ double Device::model_time_ms(const KernelDesc& desc, const Occupancy& occ,
 
 KernelStats Device::launch(const KernelDesc& desc) {
   if (desc.iterations < 0) throw ConfigError("Device::launch: negative grid");
-  if (desc.batch && desc.batch_grain < 1) {
-    throw ConfigError("Device::launch: batch_grain must be >= 1");
+  if (desc.body && desc.grain < 1) {
+    throw ConfigError("Device::launch: grain must be >= 1");
   }
   if (desc.stack_bytes_per_thread > stack_limit_) {
     throw DeviceError(
@@ -305,15 +305,13 @@ KernelStats Device::launch(const KernelDesc& desc) {
 
   // --- functional execution on the host pool ---
   const auto t0 = std::chrono::steady_clock::now();
-  if (desc.batch && desc.iterations > 0) {
-    const std::int64_t grain = desc.batch_grain;
+  if (desc.body && desc.iterations > 0) {
+    const std::int64_t grain = desc.grain;
     pool_->parallel_for(0, (desc.iterations + grain - 1) / grain,
                         [&](std::int64_t b) {
-                          desc.batch(b * grain, std::min(desc.iterations,
-                                                         (b + 1) * grain));
+                          desc.body(b * grain, std::min(desc.iterations,
+                                                        (b + 1) * grain));
                         });
-  } else if (desc.body && desc.iterations > 0) {
-    pool_->parallel_for(0, desc.iterations, desc.body);
   }
   ks.wall_time_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -

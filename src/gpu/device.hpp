@@ -105,20 +105,16 @@ struct KernelDesc {
   std::uint64_t workspace_bytes_per_thread = 0;
   bool double_precision = false;
 
-  /// Functional body, called once per iteration on the device's host
-  /// pool (may be empty for perf-model-only launches).  Ignored when
-  /// `batch` is set.
-  std::function<void(std::int64_t)> body;
-
-  /// Optional batched body, called instead of `body` with iteration
-  /// ranges [lo, hi) that cover [0, iterations) exactly once: the
-  /// consecutive blocks of `batch_grain` iterations (the last one
-  /// short).  The cut depends only on `iterations` and `batch_grain`,
-  /// never on the pool's size; blocks run concurrently in any order.  A
-  /// batch lets one host core advance several lanes in lockstep, as a
-  /// warp does (see gather_lanes).
-  std::function<void(std::int64_t lo, std::int64_t hi)> batch;
-  std::int64_t batch_grain = 64;
+  /// Functional body (may be empty for perf-model-only launches), run
+  /// on the device's host pool with iteration ranges [lo, hi) that
+  /// cover [0, iterations) exactly once: the consecutive blocks of
+  /// `grain` iterations (the last one short).  The cut depends only on
+  /// `iterations` and `grain`, never on the pool's size; blocks run
+  /// concurrently in any order.  A range lets one host core advance
+  /// several lanes in lockstep, as a warp does (see gather_lanes).
+  std::function<void(std::int64_t lo, std::int64_t hi)> body;
+  /// Iterations per range; must be >= 1 when `body` is set.
+  std::int64_t grain = 0;
 
   /// Average floating-point operations per iteration (for the roofline).
   double flops_per_iter = 0.0;
@@ -143,7 +139,7 @@ struct KernelDesc {
   int fused_passes = 1;
 };
 
-/// A batched body's lockstep gather: walk [lo, hi) in order, collect
+/// A body's lockstep gather: walk [lo, hi) in order, collect
 /// the iterations `pick(it)` accepts, and hand them to `run(its, n)` in
 /// groups of n <= W (only the last group may be short).  The grouping
 /// is a pure function of the range and the predicate, so it is the same

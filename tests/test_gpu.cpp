@@ -168,7 +168,12 @@ TEST(Device, FunctionalExecutionCoversGrid) {
   KernelDesc k;
   k.name = "touch";
   k.iterations = 500;
-  k.body = [&](std::int64_t i) { hits[static_cast<std::size_t>(i)].fetch_add(1); };
+  k.grain = 1;
+  k.body = [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    }
+  };
   k.flops_per_iter = 10;
   const KernelStats ks = dev.launch(k);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -176,25 +181,24 @@ TEST(Device, FunctionalExecutionCoversGrid) {
   EXPECT_GT(ks.modeled_time_ms, 0.0);
 }
 
-/// What a batched launch did: the ranges the body saw and the groups
+/// What a ranged launch did: the ranges the body saw and the groups
 /// gather_lanes formed in them, both sorted so runs compare as sets.
-struct BatchLog {
+struct RangeLog {
   std::mutex mu;
   std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
   std::vector<std::vector<std::int64_t>> groups;
   std::vector<int> seen;  ///< per iteration: times gathered
 };
 
-void run_batched(int pool_threads, std::int64_t iterations, BatchLog& log) {
+void run_ranged(int pool_threads, std::int64_t iterations, RangeLog& log) {
   par::ThreadPool pool(pool_threads);
   Device dev(DeviceSpec::test_device(), &pool);
   log.seen.assign(static_cast<std::size_t>(iterations), 0);
   KernelDesc k;
   k.name = "lockstep";
   k.iterations = iterations;
-  k.batch_grain = 10;
-  k.body = [](std::int64_t) { ADD_FAILURE() << "per-iteration body ran"; };
-  k.batch = [&](std::int64_t lo, std::int64_t hi) {
+  k.grain = 10;
+  k.body = [&](std::int64_t lo, std::int64_t hi) {
     // Flag about 40% of iterations in an irregular pattern, as the coal
     // predicate flags storm cells.
     std::vector<std::vector<std::int64_t>> mine;
@@ -215,13 +219,13 @@ void run_batched(int pool_threads, std::int64_t iterations, BatchLog& log) {
   std::sort(log.groups.begin(), log.groups.end());
 }
 
-TEST(Device, BatchedBodyCoversGridInPoolIndependentGroups) {
+TEST(Device, RangedBodyCoversGridInPoolIndependentGroups) {
   constexpr std::int64_t kIters = 97;  // 10 ranges, the last one short
-  BatchLog one, three;
-  run_batched(1, kIters, one);
-  run_batched(3, kIters, three);
+  RangeLog one, three;
+  run_ranged(1, kIters, one);
+  run_ranged(3, kIters, three);
 
-  // The ranges tile [0, iterations) once, in blocks of batch_grain.
+  // The ranges tile [0, iterations) once, in blocks of grain.
   ASSERT_EQ(one.ranges.size(), 10u);
   for (std::size_t b = 0; b < one.ranges.size(); ++b) {
     EXPECT_EQ(one.ranges[b].first, static_cast<std::int64_t>(b) * 10);
@@ -246,9 +250,10 @@ TEST(Device, BatchedBodyCoversGridInPoolIndependentGroups) {
   EXPECT_EQ(one.seen, three.seen);
 }
 
-TEST(Device, BatchingLeavesTheModelUnchanged) {
-  // The same launch run per iteration and batched: every iteration
-  // runs once either way, and the modeled numbers are identical.
+TEST(Device, GrainLeavesTheModelUnchanged) {
+  // The same launch with one-iteration ranges and with ranges of 7:
+  // every iteration runs once either way, and the modeled numbers are
+  // identical.
   Device dev(DeviceSpec::test_device());
   std::vector<std::atomic<int>> hits(300);
   KernelDesc k;
@@ -256,13 +261,13 @@ TEST(Device, BatchingLeavesTheModelUnchanged) {
   k.iterations = 300;
   k.flops_per_iter = 10;
   k.bytes_per_iter = 64;
-  k.body = [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; };
-  const KernelStats a = dev.launch(k);
-  k.name = "batched";
-  k.batch_grain = 7;
-  k.batch = [&](std::int64_t lo, std::int64_t hi) {
+  k.grain = 1;
+  k.body = [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
   };
+  const KernelStats a = dev.launch(k);
+  k.name = "ranged";
+  k.grain = 7;
   const KernelStats b = dev.launch(k);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
   EXPECT_EQ(a.modeled_time_ms, b.modeled_time_ms);
@@ -270,8 +275,11 @@ TEST(Device, BatchingLeavesTheModelUnchanged) {
   EXPECT_EQ(a.dram_read_gb, b.dram_read_gb);
   EXPECT_EQ(a.occupancy.achieved, b.occupancy.achieved);
 
-  k.batch_grain = 0;
+  // A body needs a grain; a perf-model-only launch does not.
+  k.grain = 0;
   EXPECT_THROW(dev.launch(k), ConfigError);
+  k.body = nullptr;
+  EXPECT_NO_THROW(dev.launch(k));
 }
 
 TEST(Device, StackOverflowRaisesDeviceError) {
