@@ -1,35 +1,19 @@
 #pragma once
 // Shared helpers for the benches.
 //
-// Every bench prints (a) real wall-clock measurements of the functional
-// C++ implementation on this host and (b), where the paper's number
-// depends on Perlmutter hardware, modeled values clearly labeled
+// bench_paper_claims reports (a) real wall-clock measurements of the
+// functional C++ implementation on this host and (b), where the paper's
+// number depends on Perlmutter hardware, modeled values clearly labeled
 // `modeled`.  Reproduction targets are the *shapes* (who wins, by what
 // factor, where crossovers fall); bench_paper_claims gates them and
 // README's "Paper claims" section lists them.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
 
 #include "model/driver.hpp"
 #include "model/knobs.hpp"
-#include "tune/measure.hpp"
 
 namespace wrf::bench {
-
-// The statistical measurement primitives live in src/tune/measure.hpp
-// (the autotuner aggregates its rungs with exactly this code); the
-// benches keep their historical wrf::bench spelling via re-export.
-// RepAggregate: min / median / mean / CV over N reps — `min` is the
-// headline wall column, `cv` the stability gauge.  measure_reps has a
-// fixed-count overload and an adaptive MeasurePolicy overload (repeat
-// until CV <= target or the rep cap).
-using tune::aggregate_samples;
-using tune::MeasurePolicy;
-using tune::measure_reps;
-using tune::RepAggregate;
 
 /// Print the Table II configuration header every bench starts with.
 inline void print_config_header(const char* what) {
@@ -57,35 +41,6 @@ inline model::RunConfig conus_rank_patch(fsbm::Version v, int nsteps = 1) {
   cfg.nsteps = nsteps;
   cfg.version = v;
   return cfg;
-}
-
-/// The optional positional grid `nx ny nz nsteps` of the sweep benches:
-/// all four or none (then `grid` stands), each a model::parse_count.
-struct Grid {
-  int nx, ny, nz, nsteps;
-};
-
-inline Grid grid_args(int argc, char** argv, Grid grid) {
-  std::vector<std::string> pos;
-  for (int a = 1; a < argc; ++a) {
-    if (std::strchr(argv[a], '=') == nullptr) pos.emplace_back(argv[a]);
-  }
-  if (pos.empty()) return grid;
-  if (pos.size() != 4) {
-    throw ConfigError("want all four of nx ny nz nsteps (got " +
-                      std::to_string(pos.size()) + " positional args)");
-  }
-  return {model::parse_count("nx", pos[0]), model::parse_count("ny", pos[1]),
-          model::parse_count("nz", pos[2]),
-          model::parse_count("nsteps", pos[3])};
-}
-
-/// True when argv asks for the google-benchmark-style JSON records.
-inline bool json_format(int argc, char** argv) {
-  for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--benchmark_format=json") == 0) return true;
-  }
-  return false;
 }
 
 }  // namespace wrf::bench

@@ -12,22 +12,32 @@
 // when any claim is false) and PAPER_CLAIMS.json (in the working
 // directory) all derive from the table.
 //
+// After the paper's rows come the `ext.*` rows: the gates of this repo's
+// extensions (fusion, residency, hetero, hybrid, service, tuner), each on
+// its own small grid.
+//
 // Usage: bench_paper_claims [claims=smoke|paper]
-//   paper (default): every row, on the 107x75x50 CONUS rank patch.
-//   smoke: the modeled and count rows only, on a 32x24x50 patch (its 50
-//     levels still reach above the coal gate); run as a ctest case.
+//   paper (default): every row; the paper's on the 107x75x50 CONUS rank
+//     patch.
+//   smoke: the modeled and count rows only, the paper's on a 32x24x50
+//     patch (its 50 levels still reach above the coal gate); run as a
+//     ctest case.
 // A bad argument exits 2.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_common.hpp"
 #include "bulk/kessler.hpp"
@@ -36,6 +46,8 @@
 #include "fsbm/onecond.hpp"
 #include "obs/export.hpp"
 #include "perfmodel/scaling.hpp"
+#include "svc/scheduler.hpp"
+#include "tune/tuner.hpp"
 #include "util/constants.hpp"
 
 using namespace wrf;
@@ -231,7 +243,7 @@ template <class Reps, class Fn>
 double wall_min(const Reps& reps, Fn&& fn) {
   std::vector<double> samples;
   for (const auto& r : reps) samples.push_back(fn(r));
-  return bench::aggregate_samples(std::move(samples)).min;
+  return tune::aggregate_samples(std::move(samples)).min;
 }
 
 /// The scaled-down CONUS case (64x48x24 on 2x2 ranks) of the
@@ -894,7 +906,7 @@ void ablation_nkr(Table& t) {
   double wall[5];
   for (int i = 0; i < 5; ++i) {
     const int reps = std::max(2, 2000000 / (nkrs[i] * nkrs[i]));
-    wall[i] = bench::measure_reps(kWallReps, [&] {
+    wall[i] = tune::measure_reps(kWallReps, [&] {
       return coal_wall_per_cell(nkrs[i], reps);
     }).min;
     t.add("nkr.wall_us_" + std::to_string(nkrs[i]), a, Clock::kWall,
@@ -905,6 +917,432 @@ void ablation_nkr(Table& t) {
         "wall exponent in nkr, 17 -> 264", 2.0,
         std::log(wall[4] / wall[0]) / std::log(264.0 / 17.0),
         {{">", 1.5}, {"<", 2.6}});
+}
+
+// ------------------------------------------------ extension benches
+//
+// The gates of this repo's extensions to the paper's code: pass fusion,
+// device residency, heterogeneous dispatch, hybrid microphysics, the
+// forecast service and the autotuner.  Each runs on the small grid its
+// gates have always been checked on.  The modeled kernel times here are
+// figures only: they follow host addresses, so no gate rests on them.
+
+/// One rank of nx x ny x nz at version `v`, `nsteps` steps.
+model::RunConfig ext_case(fsbm::Version v, int nx, int ny, int nz,
+                          int nsteps) {
+  model::RunConfig cfg;
+  cfg.nx = nx;
+  cfg.ny = ny;
+  cfg.nz = nz;
+  cfg.npx = cfg.npy = 1;
+  cfg.nsteps = nsteps;
+  cfg.version = v;
+  return cfg;
+}
+
+/// Device counters of one rank stepped by hand, per steady-state step
+/// (every step after the first, which pays the one-time uploads).
+struct Steady {
+  double launches = 0;   ///< kernel launches per step
+  double bytes = 0;      ///< h2d + d2h bytes per step
+  double kernel_ms = 0;  ///< modeled kernel ms per step, over all steps
+};
+
+Steady step_rank(const model::RunConfig& cfg) {
+  const auto patches = grid::decompose(cfg.domain(), 1, 1, cfg.halo);
+  model::RankModel rank(cfg, patches[0], nullptr);
+  rank.init();
+  std::uint64_t launches = 0;
+  gpu::TransferStats first;
+  for (int s = 0; s < cfg.nsteps; ++s) {
+    const model::StepStats st = rank.step();
+    if (s == 0) {
+      first = rank.device()->transfers();
+    } else {
+      launches += st.fsbm.kernel_launches;
+    }
+  }
+  const gpu::TransferStats& last = rank.device()->transfers();
+  const double steady = cfg.nsteps - 1;
+  return {static_cast<double>(launches) / steady,
+          static_cast<double>(last.h2d_bytes - first.h2d_bytes +
+                              last.d2h_bytes - first.d2h_bytes) /
+              steady,
+          rank.device()->total_kernel_ms() / cfg.nsteps};
+}
+
+/// Fusion: fuse=auto (the analyzer-verified cond+coal fusion) against
+/// one launch per pass, v3 with offloaded condensation on exec=device.
+void ext_fusion(Table& t) {
+  const char* a = "Ext: fusion";
+  double launches[2][2], mb[2][2];  // [fuse off|auto][res step|persist]
+  for (const exec::FuseMode fuse :
+       {exec::FuseMode::kOff, exec::FuseMode::kAuto}) {
+    for (const mem::ResidencyMode res :
+         {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
+      model::RunConfig cfg = ext_case(kV3, 24, 16, 10, 3);
+      cfg.fsbm_params.offload_condensation = true;
+      cfg.res = res;
+      cfg.fuse = fuse;
+      cfg.exec.kind = exec::ExecKind::kDevice;
+      const std::string cell = "fuse=" + model::knob_name("fuse", fuse) +
+                               " res=" + model::knob_name("res", res);
+      const std::string id = "ext.fusion." + model::knob_name("fuse", fuse) +
+                             "_" + model::knob_name("res", res);
+      const Steady s = step_rank(cfg);
+      const int f = static_cast<int>(fuse), r = static_cast<int>(res);
+      launches[f][r] = s.launches;
+      mb[f][r] = s.bytes / 1e6;
+      t.add(id + "_launches", a, Clock::kCount, cell + ": launches per step",
+            kNoPaper, s.launches);
+      t.add(id + "_mb", a, Clock::kCount, cell + ": h2d+d2h MB per step",
+            kNoPaper, mb[f][r]);
+      if (t.wants(Clock::kWall) && res == mem::ResidencyMode::kStep) {
+        t.add(id + "_wall_s", a, Clock::kWall, cell + ": run wall s",
+              kNoPaper, tune::measure_reps(kWallReps, [&] {
+                          return model::run_single(cfg).wall_sec;
+                        }).min);
+      }
+    }
+  }
+  t.add("ext.fusion.fewer_launches", a, Clock::kCount,
+        "min over res of launches per step, off - auto", kNoPaper,
+        std::min(launches[0][0] - launches[1][0],
+                 launches[0][1] - launches[1][1]),
+        {{">", 0}});
+  t.add("ext.fusion.less_step_traffic", a, Clock::kCount,
+        "res=step h2d+d2h MB per step, off - auto", kNoPaper,
+        mb[0][0] - mb[1][0], {{">", 0}});
+}
+
+/// Residency: per-launch re-maps (res=step) against device-resident
+/// fields with dirty tracking (res=persist), on exec=device.  A single
+/// rank has no neighbours, so persist's steady state is about zero.
+void ext_residency(Table& t) {
+  const char* a = "Ext: residency";
+  double bytes[2] = {0, 0};  // v3 [step, persist]
+  for (const auto& [v, key] : {std::pair{kV2, "v2"}, std::pair{kV3, "v3"}}) {
+    for (const mem::ResidencyMode res :
+         {mem::ResidencyMode::kStep, mem::ResidencyMode::kPersist}) {
+      model::RunConfig cfg = ext_case(v, 24, 16, 10, 3);
+      cfg.res = res;
+      cfg.exec.kind = exec::ExecKind::kDevice;
+      const std::string cell =
+          std::string(key) + " res=" + model::knob_name("res", res);
+      const std::string id = std::string("ext.residency.") + key + "_" +
+                             model::knob_name("res", res);
+      const Steady s = step_rank(cfg);
+      if (v == kV3) bytes[static_cast<int>(res)] = s.bytes;
+      t.add(id + "_mb", a, Clock::kCount, cell + ": h2d+d2h MB per step",
+            kNoPaper, s.bytes / 1e6);
+      t.add(id + "_kernel_ms", a, Clock::kModeled,
+            cell + ": kernel ms per step", kNoPaper, s.kernel_ms);
+    }
+  }
+  t.add("ext.residency.v3_reduction", a, Clock::kCount,
+        "v3 h2d+d2h per step, step / persist (0 B counts as 1 B)", kNoPaper,
+        bytes[0] / (bytes[1] > 0 ? bytes[1] : 1.0), {{">=", 5}});
+}
+
+/// Heterogeneous dispatch: exec=hetero splits the collision pass by its
+/// predicate; 40 levels of 400 m reach above the 223.15 K coal gate, so
+/// the split is two-sided.  The device shard uploads each of its cells'
+/// footprint (predicate byte, temp + pres, seven bin slices) exactly
+/// once; the full-pass baseline re-maps whole buffers, halo included.
+void ext_hetero(Table& t) {
+  const char* a = "Ext: hetero";
+  const std::uint64_t cell_bytes =
+      1 + 2 * sizeof(float) +
+      static_cast<std::uint64_t>(fsbm::kNumSpecies) *
+          static_cast<std::uint64_t>(model::RunConfig{}.nkr) * sizeof(float);
+  for (const auto& [v, key] : {std::pair{kV2, "v2"}, std::pair{kV3, "v3"}}) {
+    model::RunConfig cfg = ext_case(v, 16, 12, 40, 1);
+    const model::RunResult base = model::run_single(cfg);
+    cfg.exec.kind = exec::ExecKind::kHetero;
+    const model::RunResult het = model::run_single(cfg);
+    const fsbm::FsbmStats &h = het.totals.fsbm, &b = base.totals.fsbm;
+    const std::string id = std::string("ext.hetero.") + key;
+    const std::string ver = key;
+    t.add(id + "_split_fraction", a, Clock::kCount,
+          ver + " device-shard cells / all", kNoPaper,
+          het.device_shard_fraction());
+    t.add(id + "_two_sided", a, Clock::kCount,
+          ver + " min(device, host) shard cells", kNoPaper,
+          static_cast<double>(
+              std::min(h.shard_cells_device, h.shard_cells_host)),
+          {{">", 0}});
+    t.add(id + "_h2d_exact", a, Clock::kCount,
+          ver + " shard h2d - footprint x shard cells (B)", kNoPaper,
+          static_cast<double>(static_cast<std::int64_t>(h.h2d_bytes) -
+                              static_cast<std::int64_t>(
+                                  h.shard_cells_device * cell_bytes)),
+          {{">=", 0}, {"<=", 0}});
+    t.add(id + "_d2h_within_full", a, Clock::kCount,
+          ver + " full-pass d2h - hetero d2h (B)", kNoPaper,
+          static_cast<double>(b.d2h_bytes) - static_cast<double>(h.d2h_bytes),
+          {{">=", 0}});
+    t.add(id + "_kernel_ms", a, Clock::kModeled, ver + " hetero kernel ms",
+          kNoPaper, het.last_coal_kernel ? het.last_coal_kernel->modeled_time_ms
+                                         : 0.0);
+    t.add(id + "_full_kernel_ms", a, Clock::kModeled,
+          ver + " full-pass kernel ms", kNoPaper,
+          base.last_coal_kernel ? base.last_coal_kernel->modeled_time_ms
+                                : 0.0);
+    if (!t.wants(Clock::kWall)) continue;
+    std::vector<double> dev{h.shard_wall_device_sec};
+    std::vector<double> host{h.shard_wall_host_sec};
+    for (int r = 1; r < kWallReps; ++r) {
+      const fsbm::FsbmStats f = model::run_single(cfg).totals.fsbm;
+      dev.push_back(f.shard_wall_device_sec);
+      host.push_back(f.shard_wall_host_sec);
+    }
+    t.add(id + "_device_shard_s", a, Clock::kWall, ver + " device shard wall s",
+          kNoPaper, tune::aggregate_samples(std::move(dev)).min);
+    t.add(id + "_host_shard_s", a, Clock::kWall, ver + " host shard wall s",
+          kNoPaper, tune::aggregate_samples(std::move(host)).min);
+  }
+}
+
+/// Hybrid microphysics on the v1 host bin chain: phys=hybrid's
+/// throughput must land strictly between pure bulk and pure bin, with
+/// both fidelity populations live.  The three modes are measured in
+/// interleaved reps, rotating which goes first, so host drift lands on
+/// all three; reps adapt as tune::MeasurePolicy does (3-8, until every
+/// mode's CV is at most 0.1).
+void ext_hybrid(Table& t) {
+  const char* a = "Ext: hybrid";
+  const model::RunConfig cfg = ext_case(kV1, 24, 16, 10, 3);
+  const fsbm::PhysScheme phys[3] = {fsbm::PhysScheme::kBulk,
+                                    fsbm::PhysScheme::kHybrid,
+                                    fsbm::PhysScheme::kBin};
+  model::RunConfig cfgs[3] = {cfg, cfg, cfg};
+  for (int m = 0; m < 3; ++m) cfgs[m].phys = phys[m];
+  std::vector<double> walls[3];
+  model::RunResult hybrid;
+  if (t.wants(Clock::kWall)) {
+    tune::MeasurePolicy policy;
+    policy.max_reps = 8;
+    for (int rep = 0; rep < policy.max_reps; ++rep) {
+      for (int r = 0; r < 3; ++r) {
+        const int m = (rep + r) % 3;
+        model::RunResult res = model::run_single(cfgs[m]);
+        walls[m].push_back(res.wall_sec);
+        if (m == 1) hybrid = std::move(res);
+      }
+      if (rep + 1 >= policy.min_reps &&
+          std::all_of(std::begin(walls), std::end(walls), [&](const auto& w) {
+            return tune::aggregate_samples(w).cv <= policy.target_cv;
+          })) {
+        break;
+      }
+    }
+  } else {
+    hybrid = model::run_single(cfgs[1]);
+  }
+  const fsbm::FsbmStats& st = hybrid.totals.fsbm;
+  const double census = static_cast<double>(st.cells_bin + st.cells_bulk);
+  t.add("ext.hybrid.bin_fraction", a, Clock::kCount,
+        "hybrid cell-steps at bin fidelity / all", kNoPaper,
+        census > 0 ? static_cast<double>(st.cells_bin) / census : 1.0,
+        {{">", 0}, {"<", 1}});
+  if (!t.wants(Clock::kWall)) return;
+  double rate[3];
+  for (int m = 0; m < 3; ++m) {
+    rate[m] = static_cast<double>(cfg.domain().cells()) * cfg.nsteps /
+              tune::aggregate_samples(walls[m]).min;
+    const std::string name = model::knob_name("phys", phys[m]);
+    t.add("ext.hybrid." + name + "_cellsteps_per_s", a, Clock::kWall,
+          "phys=" + name + " cell-steps per s (min wall, " +
+              std::to_string(walls[m].size()) + " reps)",
+          kNoPaper, rate[m]);
+  }
+  t.add("ext.hybrid.ordered", a, Clock::kWall,
+        "min(bulk - hybrid, hybrid - bin) cell-steps per s", kNoPaper,
+        std::min(rate[0] - rate[1], rate[1] - rate[2]), {{">", 0}});
+}
+
+/// One pass of the service's fixed stream through a `lanes`-wide pool.
+struct Stream {
+  double jobs_per_s = 0, wait_p50 = 0, parallelism = 0;
+  double class_wait[svc::kNumClasses] = {0, 0, 0};  ///< mean per class
+  bool clean = false;         ///< every job completed
+  std::uint64_t batches = 0;  ///< multi-job dispatches
+};
+
+/// `per_class` jobs of each class, submitted paused so the dispatch
+/// order is a function of the queue alone: v3 persist nowcasts with a
+/// deadline, same-shape v2 ensemble members, and host-only v1 batch.
+Stream run_stream(int lanes, int per_class) {
+  svc::SchedulerConfig sc;
+  sc.lanes = lanes;
+  sc.batch_max = 4;
+  sc.start_paused = true;
+  svc::Scheduler sched(sc);
+  const auto submit = [&](svc::JobClass cls, model::RunConfig cfg,
+                          std::uint64_t seed, double deadline) {
+    svc::Job job;
+    job.cls = cls;
+    job.deadline_sec = deadline;
+    cfg.seed = seed;
+    job.config = cfg;
+    sched.submit(job);
+  };
+  model::RunConfig nowcast = ext_case(kV3, 24, 16, 10, 2);
+  nowcast.res = mem::ResidencyMode::kPersist;
+  for (int n = 0; n < per_class; ++n) {
+    submit(svc::JobClass::kInteractive, nowcast, 100 + n, 600.0);
+  }
+  for (int n = 0; n < per_class; ++n) {
+    submit(svc::JobClass::kEnsemble, ext_case(kV2, 20, 14, 8, 2), 200 + n,
+           svc::Job{}.deadline_sec);
+  }
+  for (int n = 0; n < per_class; ++n) {
+    submit(svc::JobClass::kBatch, ext_case(kV1, 16, 12, 8, 3), 300 + n,
+           svc::Job{}.deadline_sec);
+  }
+  sched.drain();
+  const svc::ServiceStats stats = sched.stats();
+  sched.shutdown();
+
+  Stream s;
+  std::vector<double> waits;
+  double sum[svc::kNumClasses] = {0, 0, 0};
+  int count[svc::kNumClasses] = {0, 0, 0};
+  for (const svc::JobResult& r : sched.take_results()) {
+    if (r.outcome != svc::JobOutcome::kCompleted) continue;
+    waits.push_back(r.wait_sec());
+    sum[static_cast<int>(r.cls)] += r.wait_sec();
+    ++count[static_cast<int>(r.cls)];
+  }
+  std::sort(waits.begin(), waits.end());
+  if (!waits.empty()) s.wait_p50 = waits[waits.size() / 2];
+  for (int c = 0; c < svc::kNumClasses; ++c) {
+    s.class_wait[c] = count[c] > 0 ? sum[c] / count[c] : 0.0;
+  }
+  const double span = stats.makespan_sec();
+  s.jobs_per_s =
+      span > 0.0 ? static_cast<double>(stats.completed()) / span : 0.0;
+  s.parallelism = stats.pool_parallelism();
+  s.clean = stats.failed() == 0 && stats.rejected() == 0 &&
+            stats.completed() == static_cast<std::uint64_t>(3 * per_class);
+  s.batches = stats.batches;
+  return s;
+}
+
+/// The forecast service: one stream of 3 jobs per class (class weights
+/// 8/3/1, batch_max 4) over 1, 2 and 4 lanes, kWallReps streams per
+/// width.  Wall gates read the rep medians.
+void ext_service(Table& t) {
+  const char* a = "Ext: service";
+  const int reps = t.wants(Clock::kWall) ? kWallReps : 1;
+  const int widths[3] = {1, 2, 4};
+  double unclean = 0;
+  std::uint64_t fewest_batches = ~std::uint64_t{0};
+  double p50[3], jobs_per_s[3], class_wait[svc::kNumClasses];
+  for (int w = 0; w < 3; ++w) {
+    std::vector<double> jps, wait, par, cls[svc::kNumClasses];
+    for (int r = 0; r < reps; ++r) {
+      const Stream s = run_stream(widths[w], 3);
+      unclean += !s.clean;
+      fewest_batches = std::min(fewest_batches, s.batches);
+      jps.push_back(s.jobs_per_s);
+      wait.push_back(s.wait_p50);
+      par.push_back(s.parallelism);
+      for (int c = 0; c < svc::kNumClasses; ++c) {
+        cls[c].push_back(s.class_wait[c]);
+      }
+    }
+    jobs_per_s[w] = tune::aggregate_samples(jps).median;
+    p50[w] = tune::aggregate_samples(wait).median;
+    if (w == 0) {
+      for (int c = 0; c < svc::kNumClasses; ++c) {
+        class_wait[c] = tune::aggregate_samples(cls[c]).median;
+      }
+    }
+    const std::string lanes = std::to_string(widths[w]);
+    t.add("ext.service.lanes" + lanes + "_jobs_per_s", a, Clock::kWall,
+          "lanes=" + lanes + ": jobs per s", kNoPaper, jobs_per_s[w]);
+    t.add("ext.service.lanes" + lanes + "_parallelism", a, Clock::kWall,
+          "lanes=" + lanes + ": pool parallelism / lanes", kNoPaper,
+          tune::aggregate_samples(par).median / widths[w], {{">=", 0.5}});
+  }
+  t.add("ext.service.clean", a, Clock::kCount,
+        "streams with a failed, rejected or missing job", kNoPaper, unclean,
+        {{"<=", 0}});
+  t.add("ext.service.batches", a, Clock::kCount,
+        "fewest multi-job dispatches in one stream", kNoPaper,
+        static_cast<double>(fewest_batches), {{">", 0}});
+  t.add("ext.service.wait_shrinks", a, Clock::kWall,
+        "p50 wait s, 4 lanes - 1 lane", kNoPaper, p50[2] - p50[0],
+        {{"<", 0}});
+  t.add("ext.service.fair_share", a, Clock::kWall,
+        "1 lane: max(I - E, E - B) mean wait s", kNoPaper,
+        std::max(class_wait[0] - class_wait[1], class_wait[1] - class_wait[2]),
+        {{"<=", 0}});
+  t.add("ext.service.throughput_holds", a, Clock::kWall,
+        "jobs per s, 4 lanes / 1 lane", kNoPaper, jobs_per_s[2] / jobs_per_s[0],
+        {{">=", 0.8}});
+}
+
+/// The autotuner on v1 at 24x16x10 (4 candidates past the prior, CV
+/// target 0.5, at most 8 reps).  The tuned side loads the written
+/// artifact through tune=file:, the round trip users run; it must be
+/// bitwise the run with the winning knobs set by hand.  Throughput
+/// allows 2% for the case where the winner is the default knobs, i.e.
+/// the same config measured twice.
+void ext_tuner(Table& t) {
+  const char* a = "Ext: tuner";
+  const model::RunConfig base = ext_case(kV1, 24, 16, 10, 2);
+  tune::TunerOptions opts;
+  opts.prior_keep = 4;
+  opts.policy.max_reps = 8;
+  opts.policy.target_cv = 0.5;
+  const tune::TuneReport rep = tune::Tuner(opts).tune(base);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("claims_tuned_" + std::to_string(::getpid()) + ".json"))
+          .string();
+  const struct Removed {
+    const std::string& path;
+    ~Removed() { std::remove(path.c_str()); }
+  } removed{path};
+  tune::write_artifact(path, rep.artifact);
+  model::RunConfig tuned = base;
+  tuned.tune = tune::TuneSpec::parse("file:" + path);
+
+  model::RunResult last;
+  const auto side = [&](const model::RunConfig& cfg) {
+    const tune::RepAggregate wall = tune::measure_reps(opts.policy, [&] {
+      last = model::run_single(cfg);
+      return last.wall_sec;
+    });
+    return static_cast<double>(cfg.domain().cells()) * cfg.nsteps / wall.min;
+  };
+  double untuned_rate = 0, tuned_rate = 0;
+  if (t.wants(Clock::kWall)) {
+    untuned_rate = side(base);
+    tuned_rate = side(tuned);
+  } else {
+    last = model::run_single(tuned);
+  }
+  model::RunConfig by_hand = rep.winner;
+  by_hand.nsteps = base.nsteps;
+  const bool same = model::state_hash(last) ==
+                    model::state_hash(model::run_single(by_hand));
+  t.add("ext.tuner.bitwise", a, Clock::kCount,
+        "tune=file: state hash differs from the winner's knobs set by hand",
+        kNoPaper, same ? 0.0 : 1.0, {{"<=", 0}});
+  t.add("ext.tuner.deciding_cv", a, Clock::kWall,
+        "CV of the deciding rung's winner", kNoPaper, rep.entry.wall.cv,
+        {{"<=", opts.policy.target_cv}});
+  t.add("ext.tuner.untuned_cellsteps_per_s", a, Clock::kWall,
+        "untuned cell-steps per s", kNoPaper, untuned_rate);
+  t.add("ext.tuner.tuned_cellsteps_per_s", a, Clock::kWall,
+        "tuned cell-steps per s (" + rep.entry.knobs + ")", kNoPaper,
+        tuned_rate);
+  t.add("ext.tuner.not_slower", a, Clock::kWall,
+        "tuned x 1.02 / untuned cell-steps per s", kNoPaper,
+        tuned_rate * 1.02 / untuned_rate, {{">=", 1}});
 }
 
 int run(int argc, char** argv) {
@@ -940,6 +1378,12 @@ int run(int argc, char** argv) {
   fig2(t);
   ablation_launch(t);
   ablation_nkr(t);
+  ext_fusion(t);
+  ext_residency(t);
+  ext_hetero(t);
+  ext_hybrid(t);
+  ext_service(t);
+  ext_tuner(t);
 
   t.print();
   t.write_json("PAPER_CLAIMS.json");

@@ -3,12 +3,13 @@
 //   diffstate_cli <a.bin> <b.bin> [noise_floor]
 //
 // Prints per-variable digits of agreement between two miniWRF snapshots
-// and exits 0 when bitwise identical, 1 otherwise.
+// and exits 0 when bitwise identical, 1 otherwise.  A noise floor that
+// is not a finite number >= 0 exits 2, an unreadable snapshot 3.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "io/snapshot.hpp"
+#include "model/knobs.hpp"
 
 int main(int argc, char** argv) {
   if (argc < 3) {
@@ -16,10 +17,16 @@ int main(int argc, char** argv) {
                  "usage: diffstate_cli <a.bin> <b.bin> [noise_floor]\n");
     return 2;
   }
+  double floor = 0.0;
+  try {
+    if (argc > 3) floor = wrf::model::parse_real("noise_floor", argv[3]);
+  } catch (const wrf::ConfigError& e) {
+    std::fprintf(stderr, "diffstate: %s\n", e.what());
+    return 2;
+  }
   try {
     const wrf::io::Snapshot a = wrf::io::Snapshot::read(argv[1]);
     const wrf::io::Snapshot b = wrf::io::Snapshot::read(argv[2]);
-    const double floor = argc > 3 ? std::atof(argv[3]) : 0.0;
     const wrf::io::DiffReport rep = wrf::io::diffstate(a, b, floor);
     std::printf("%s", rep.format().c_str());
     std::printf("%s (worst agreement: %.2f digits)\n",

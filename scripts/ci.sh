@@ -18,9 +18,10 @@
 # (run_fma_check).
 #
 # Every configuration first runs check_prof_fence (see below).  The
-# matrix's ctest includes paper_claims_smoke (the paper's modeled and
-# count claims on a small patch); the bench smoke runs every claim,
-# wall-clock ones included, on the paper-scale patch.
+# matrix's ctest includes paper_claims_smoke (the modeled and count
+# claims: the paper's on a small patch, the ext.* ones on their own
+# grids); the bench smoke runs every claim, wall-clock ones included,
+# the paper's on the paper-scale patch.
 #
 # Usage: scripts/ci.sh [Debug|Release|tsan|asan|bench]
 #        (no argument = Debug+Release plus the bench, obs and tune smokes)
@@ -231,74 +232,70 @@ EOF
 }
 
 run_bench_smoke() {
-  # Smoke the bench harness on tiny grids: asserts the res=persist >=5x
-  # steady-state traffic reduction, the exec=hetero exact shard-scaling
-  # gate (device-shard h2d == per-cell footprint x predicate-true shard
-  # cells on a column tall enough that the split is two-sided), the
-  # fuse=auto gates (strictly fewer kernel launches under both res
-  # modes, less res=step inter-pass traffic), the forecast-service
-  # gates (pool multiplexing, shrinking waits, fair-share wait
-  # ordering, ensemble batching, clean completions), the phys=hybrid
-  # gates (strict bulk > hybrid > bin throughput ordering with a
-  # two-sided fidelity census), every claim of the paper
-  # (bench_paper_claims claims=paper: wall, modeled and count rows on
-  # the full CONUS rank patch; PAPER_CLAIMS.json must parse and hold a
-  # passing verdict for every claim), and that the JSON distillation
-  # pipeline stays runnable.
+  # Every row of bench_paper_claims claims=paper: the paper's claims on
+  # the full CONUS rank patch and the ext.* gates of the fusion,
+  # residency, hetero, hybrid, service and tuner extensions, wall rows
+  # included.  PAPER_CLAIMS.json must parse, hold a passing verdict for
+  # every claim, and carry the same row ids as the committed copy, so a
+  # dropped or renamed row fails here.
   echo "=== paper claims ==="
   local build_dir="build-ci-release"
   (cd "${build_dir}" && ./bench_paper_claims claims=paper > /dev/null) \
-    || { echo "paper claims: a claim of the paper no longer holds"; return 1; }
+    || { echo "paper claims: a claim no longer holds"; return 1; }
   python3 -m json.tool "${build_dir}/PAPER_CLAIMS.json" > /dev/null
-  python3 - "${build_dir}/PAPER_CLAIMS.json" <<'EOF'
+  python3 - "${build_dir}/PAPER_CLAIMS.json" PAPER_CLAIMS.json <<'EOF'
 import json, sys
-claims = json.load(open(sys.argv[1]))["claims"]
+fresh, committed = (json.load(open(p)) for p in sys.argv[1:3])
+claims = fresh["claims"]
 failed = [c["id"] for c in claims if c["pass"] is not True]
 assert claims and not failed, f"claims not passing: {failed}"
-print(f"paper claims: all {len(claims)} hold")
+ids = lambda doc: {r["id"] for k in ("claims", "figures") for r in doc[k]}
+gone, new = ids(committed) - ids(fresh), ids(fresh) - ids(committed)
+assert not gone and not new, (f"row ids differ from the committed "
+                              f"PAPER_CLAIMS.json: gone {sorted(gone)}, "
+                              f"new {sorted(new)}")
+print(f"paper claims: all {len(claims)} hold; row ids match the committed "
+      "PAPER_CLAIMS.json")
 EOF
-  echo "=== bench_json smoke ==="
-  BENCH_SMOKE=1 BUILD=build-ci-release \
-    OUT=build-ci-release/BENCH_residency_smoke.json \
-    OUT_HETERO=build-ci-release/BENCH_hetero_smoke.json \
-    OUT_FUSION=build-ci-release/BENCH_fusion_smoke.json \
-    OUT_SERVICE=build-ci-release/BENCH_service_smoke.json \
-    OUT_HYBRID=build-ci-release/BENCH_hybrid_smoke.json \
-    OUT_TUNER=build-ci-release/BENCH_tuner_smoke.json \
-    scripts/bench_json.sh
 }
 
 run_tune_smoke() {
   # Smoke the autotuner end to end on a tiny grid with a pruned space
   # and a loose CV target: the successive-halving ladder must converge,
   # the tuned.json artifact must parse as JSON (the real parser, not
-  # the tuner's own writer/reader pair), the winner knob string must be
-  # a valid knob set (asserted by bench_tuner's own bitwise gate), and
-  # tune=file: must load the artifact into a real run (quickstart).
+  # the tuner's own writer/reader pair), and tune=file: must load the
+  # artifact into a real run (quickstart).  The tuner's gates are the
+  # ext.tuner rows of the bench smoke.
   echo "=== tune smoke ==="
   local build_dir="build-ci-release"
   local artifact="${build_dir}/tune_ci_smoke.json"
-  "${build_dir}/bench_tuner" 24 16 10 2 version=v1 keep=4 target_cv=0.5 \
+  "${build_dir}/tune_cli" 24 16 10 2 version=v1 keep=4 target_cv=0.5 \
     "artifact=${artifact}" > /dev/null \
-    || { echo "tune smoke: bench_tuner gates failed"; return 1; }
+    || { echo "tune smoke: tune_cli failed"; return 1; }
   python3 -m json.tool "${artifact}" > /dev/null
   (cd "${build_dir}" && ./quickstart \
     tune="file:$(basename "${artifact}")" > /dev/null)
-  # Knobs come from one table: a bad value or a misspelled key exits 2
-  # with the key on stderr, and every example reads every knob.
-  local knob err rc
-  for knob in exec=warp9 phsy=bulk; do
+  # A bad argument exits 2 naming it: knobs come from one table (a bad
+  # value or a misspelled key), every example reads every knob, and
+  # reals are parsed whole, never as atof's silent 0.
+  local bad want err rc
+  for bad in "exec|quickstart exec=warp9" "phsy|quickstart phsy=bulk" \
+      "noise_floor|diffstate_cli a.bin b.bin abc" \
+      "target_cv|tune_cli target_cv=abc"; do
+    want="${bad%%|*}"
     rc=0
-    err="$("${build_dir}/quickstart" "${knob}" 2>&1 > /dev/null)" || rc=$?
-    if [ "${rc}" -ne 2 ] || [[ "${err}" != *"${knob%%=*}"* ]]; then
-      echo "tune smoke: quickstart ${knob} exited ${rc}: ${err}"
+    # The program and its arguments are meant to split into words.
+    # shellcheck disable=SC2086
+    err="$("${build_dir}"/${bad#*|} 2>&1 > /dev/null)" || rc=$?
+    if [ "${rc}" -ne 2 ] || [[ "${err}" != *"${want}"* ]]; then
+      echo "tune smoke: ${bad#*|} exited ${rc}: ${err}"
       return 1
     fi
   done
   [[ "$("${build_dir}/scaling_study" phys=bulk)" == *"phys=bulk"* ]] \
     || { echo "tune smoke: scaling_study dropped phys=bulk"; return 1; }
-  echo "tune smoke: artifact parses, gates pass, tune=file: loads," \
-    "bad knobs exit 2"
+  echo "tune smoke: artifact parses, tune=file: loads, bad arguments" \
+    "exit 2"
 }
 
 check_prof_fence

@@ -1,6 +1,8 @@
 #include "model/knobs.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <type_traits>
@@ -174,6 +176,17 @@ int parse_count(const std::string& name, const std::string& text, int max) {
                       std::to_string(max));
   }
   return static_cast<int>(std::stoll(text));
+}
+
+double parse_real(const std::string& name, const std::string& text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(v) ||
+      v < 0.0) {
+    throw ConfigError(name + " '" + text + "': want a finite number >= 0");
+  }
+  return v;
 }
 
 int run_main(int (*body)(int, char**), int argc, char** argv) {

@@ -73,6 +73,11 @@ std::map<std::string, std::string> apply_knob_args(
 int parse_count(const std::string& name, const std::string& text,
                 int max = std::numeric_limits<int>::max());
 
+/// Parse a command-line real (a CV target, a noise floor): the whole
+/// text is one finite decimal number >= 0, else a ConfigError naming
+/// `name` and the text.
+double parse_real(const std::string& name, const std::string& text);
+
 /// Run a command-line main: a ConfigError or IoError from `body` is
 /// printed to stderr and exits 2.
 int run_main(int (*body)(int, char**), int argc, char** argv);

@@ -1,7 +1,10 @@
 #include "tune/artifact.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -125,8 +128,8 @@ namespace {
 
 /// Minimal JSON value for the artifact's known schema (objects, arrays,
 /// strings, numbers, bools).  A hand-rolled parser keeps the loader
-/// dependency-free; it accepts exactly standard JSON and reports the
-/// byte offset of the first violation.
+/// dependency-free; it reports the byte offset of the first violation
+/// and, inside the document, the node's key path (`/entries/0/steps`).
 struct Json {
   enum Kind { kNull, kBool, kNum, kStr, kArr, kObj };
   Kind kind = kNull;
@@ -157,8 +160,9 @@ class JsonParser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw ConfigError("tuned artifact: " + what + " at byte " +
-                      std::to_string(pos_));
+    throw ConfigError("tuned artifact: " +
+                      (node_.empty() ? "" : "node " + node_ + ": ") + what +
+                      " at byte " + std::to_string(pos_));
   }
 
   void skip_ws() {
@@ -225,7 +229,10 @@ class JsonParser {
       if (peek() != '"') fail("expected object key string");
       std::string key = string();
       expect(':');
+      const std::size_t mark = node_.size();
+      node_.append("/").append(key);
       v.obj.emplace_back(std::move(key), value());
+      node_.resize(mark);
       const char c = peek();
       ++pos_;
       if (c == '}') return v;
@@ -242,7 +249,10 @@ class JsonParser {
       return v;
     }
     while (true) {
+      const std::size_t mark = node_.size();
+      node_.append("/").append(std::to_string(v.arr.size()));
       v.arr.push_back(value());
+      node_.resize(mark);
       const char c = peek();
       ++pos_;
       if (c == ']') return v;
@@ -284,95 +294,119 @@ class JsonParser {
     if (pos_ == start) fail("expected a value");
     Json v;
     v.kind = Json::kNum;
-    try {
-      v.num = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed number '" + text_.substr(start, pos_ - start) + "'");
+    // The whole token must be one finite number: "4-7" is not 4.
+    const char* end = text_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(text_.data() + start, end, v.num);
+    if (ec != std::errc() || ptr != end) {
+      const std::string token = text_.substr(start, pos_ - start);
+      pos_ = start;
+      fail("malformed number '" + token + "'");
     }
     return v;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::string node_;  ///< key path of the value being parsed
 };
 
-const Json& require(const Json& obj, const std::string& key,
-                    Json::Kind kind, const char* where) {
-  const Json* v = obj.kind == Json::kObj ? obj.get(key) : nullptr;
+const char* kind_name(Json::Kind kind) {
+  constexpr const char* names[] = {"null",   "bool",  "number",
+                                   "string", "array", "object"};
+  return names[kind];
+}
+
+/// The member `key` of the object at key path `node`, of type `kind`.
+const Json& require(const Json& obj, const std::string& node,
+                    const std::string& key, Json::Kind kind) {
+  const Json* v = obj.get(key);
   if (v == nullptr || v->kind != kind) {
-    throw ConfigError("tuned artifact: missing or mistyped '" + key +
-                      "' in " + where);
+    throw ConfigError("tuned artifact: node " + node + "/" + key +
+                      (v == nullptr ? " is missing" : " has invalid type") +
+                      ": expected " + kind_name(kind) +
+                      (v == nullptr ? "" : std::string(", actual ") +
+                                               kind_name(v->kind)));
   }
   return *v;
 }
 
-RepAggregate aggregate_of(const Json& obj, const char* where) {
+/// An integer member: integral and within int range, never a cast of
+/// whatever double the document holds.
+int integer(const Json& obj, const std::string& node, const std::string& key) {
+  const double v = require(obj, node, key, Json::kNum).num;
+  if (v != std::trunc(v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    throw ConfigError("tuned artifact: node " + node + "/" + key +
+                      " has invalid value " + buf +
+                      ": expected an integer in int range");
+  }
+  return static_cast<int>(v);
+}
+
+RepAggregate aggregate_of(const Json& obj, const std::string& node) {
   RepAggregate a;
-  a.min = require(obj, "wall_min_s", Json::kNum, where).num;
-  a.median = require(obj, "wall_median_s", Json::kNum, where).num;
-  a.cv = require(obj, "wall_cv", Json::kNum, where).num;
-  a.reps = static_cast<int>(require(obj, "reps", Json::kNum, where).num);
+  a.min = require(obj, node, "wall_min_s", Json::kNum).num;
+  a.median = require(obj, node, "wall_median_s", Json::kNum).num;
+  a.cv = require(obj, node, "wall_cv", Json::kNum).num;
+  a.reps = integer(obj, node, "reps");
   a.mean = a.median;  // mean is not persisted; median is the fallback
   return a;
 }
 
-}  // namespace
-
-Artifact load_artifact(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("tuned artifact: cannot read '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
+/// The artifact in `text`; a ConfigError names the node at fault.
+Artifact parse_artifact(const std::string& text) {
   const Json root = JsonParser(text).parse();
   if (root.kind != Json::kObj) {
     throw ConfigError("tuned artifact: document is not an object");
   }
   Artifact art;
-  art.schema_version = static_cast<int>(
-      require(root, "schema_version", Json::kNum, "document").num);
+  art.schema_version = integer(root, "", "schema_version");
   if (art.schema_version != kArtifactSchemaVersion) {
-    throw ConfigError(
-        "tuned artifact: schema_version " +
-        std::to_string(art.schema_version) + " in '" + path +
-        "' (this build reads version " +
-        std::to_string(kArtifactSchemaVersion) + ")");
+    throw ConfigError("tuned artifact: schema_version " +
+                      std::to_string(art.schema_version) +
+                      " (this build reads version " +
+                      std::to_string(kArtifactSchemaVersion) + ")");
   }
-  const Json& machine = require(root, "machine", Json::kObj, "document");
-  art.machine.hw_threads = static_cast<int>(
-      require(machine, "hw_threads", Json::kNum, "machine").num);
-  art.machine.device = require(machine, "device", Json::kStr, "machine").str;
+  const Json& machine = require(root, "", "machine", Json::kObj);
+  art.machine.hw_threads = integer(machine, "/machine", "hw_threads");
+  art.machine.device = require(machine, "/machine", "device", Json::kStr).str;
 
   const std::vector<Json>& entries =
-      require(root, "entries", Json::kArr, "document").arr;
+      require(root, "", "entries", Json::kArr).arr;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Json& je = entries[i];
+    const std::string en = "/entries/" + std::to_string(i);
     TunedEntry e;
-    e.shape = require(je, "shape", Json::kStr, "entry").str;
-    e.knobs = require(je, "knobs", Json::kStr, "entry").str;
-    e.steps = static_cast<int>(require(je, "steps", Json::kNum, "entry").num);
-    e.wall = aggregate_of(je, "entry");
-    e.cellsteps_per_s =
-        require(je, "cellsteps_per_s", Json::kNum, "entry").num;
+    e.shape = require(je, en, "shape", Json::kStr).str;
+    e.knobs = require(je, en, "knobs", Json::kStr).str;
+    e.steps = integer(je, en, "steps");
+    e.wall = aggregate_of(je, en);
+    e.cellsteps_per_s = require(je, en, "cellsteps_per_s", Json::kNum).num;
     e.baseline_cellsteps_per_s =
-        require(je, "baseline_cellsteps_per_s", Json::kNum, "entry").num;
-    for (const Json& jr : require(je, "ladder", Json::kArr, "entry").arr) {
+        require(je, en, "baseline_cellsteps_per_s", Json::kNum).num;
+    const std::vector<Json>& ladder =
+        require(je, en, "ladder", Json::kArr).arr;
+    for (std::size_t r = 0; r < ladder.size(); ++r) {
+      const Json& jr = ladder[r];
+      const std::string rn = en + "/ladder/" + std::to_string(r);
       Rung rung;
-      rung.rung = static_cast<int>(require(jr, "rung", Json::kNum, "rung").num);
-      rung.steps =
-          static_cast<int>(require(jr, "steps", Json::kNum, "rung").num);
-      rung.target_cv = require(jr, "target_cv", Json::kNum, "rung").num;
-      for (const Json& jp :
-           require(jr, "points", Json::kArr, "rung").arr) {
+      rung.rung = integer(jr, rn, "rung");
+      rung.steps = integer(jr, rn, "steps");
+      rung.target_cv = require(jr, rn, "target_cv", Json::kNum).num;
+      const std::vector<Json>& points =
+          require(jr, rn, "points", Json::kArr).arr;
+      for (std::size_t p = 0; p < points.size(); ++p) {
+        const Json& jp = points[p];
+        const std::string pn = rn + "/points/" + std::to_string(p);
         RungPoint pt;
-        pt.knobs = require(jp, "knobs", Json::kStr, "point").str;
-        pt.wall = aggregate_of(jp, "point");
-        pt.cellsteps_per_s =
-            require(jp, "cellsteps_per_s", Json::kNum, "point").num;
+        pt.knobs = require(jp, pn, "knobs", Json::kStr).str;
+        pt.wall = aggregate_of(jp, pn);
+        pt.cellsteps_per_s = require(jp, pn, "cellsteps_per_s", Json::kNum).num;
         pt.prior_ms_per_step =
-            require(jp, "prior_ms_per_step", Json::kNum, "point").num;
-        pt.survived = require(jp, "survived", Json::kBool, "point").b;
+            require(jp, pn, "prior_ms_per_step", Json::kNum).num;
+        pt.survived = require(jp, pn, "survived", Json::kBool).b;
         rung.points.push_back(std::move(pt));
       }
       e.ladder.push_back(std::move(rung));
@@ -383,12 +417,26 @@ Artifact load_artifact(const std::string& path) {
     try {
       (void)KnobSet::parse(e.knobs);
     } catch (const ConfigError& err) {
-      throw ConfigError(path + ": entries[" + std::to_string(i) +
+      throw ConfigError("entries[" + std::to_string(i) +
                         "].knobs: " + err.what());
     }
     art.entries.push_back(std::move(e));
   }
   return art;
+}
+
+}  // namespace
+
+Artifact load_artifact(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw IoError("tuned artifact: cannot read '" + path + "'");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  try {
+    return parse_artifact(buf.str());
+  } catch (const ConfigError& e) {
+    throw ConfigError(path + ": " + e.what());
+  }
 }
 
 bool apply_artifact(model::RunConfig& cfg, const Artifact& artifact) {

@@ -88,7 +88,9 @@ struct Artifact {
 void write_artifact(const std::string& path, const Artifact& artifact);
 
 /// Load and validate an artifact.  Throws IoError when the file cannot
-/// be read, ConfigError on malformed JSON or a schema-version mismatch.
+/// be read, ConfigError on malformed JSON, a mistyped or non-integral
+/// value, or a schema-version mismatch; a ConfigError names the file
+/// and, for a bad value, its node (`node /entries/0/steps`).
 Artifact load_artifact(const std::string& path);
 
 /// Apply the artifact entry matching `cfg`'s shape: parse its knob

@@ -1,8 +1,7 @@
 #pragma once
-// Statistical measurement primitives shared by the bench harness
-// (bench/bench_common.hpp re-exports these under wrf::bench) and the
-// knob autotuner (tune::Tuner), so a committed BENCH_*.json point and a
-// tuned.json rung are aggregated by exactly the same code.
+// Statistical measurement primitives shared by bench_paper_claims and
+// the knob autotuner (tune::Tuner), so a PAPER_CLAIMS.json wall row and
+// a tuned.json rung are aggregated by exactly the same code.
 //
 // The unit of currency is the RepAggregate: min / median / mean / CV
 // over N repetitions of one measurement.  `min` is the headline number
@@ -28,7 +27,7 @@ struct RepAggregate {
 };
 
 /// Aggregate already-collected samples.  For callers whose rep loop
-/// yields several metrics at once (e.g. the hetero bench's device and
+/// yields several metrics at once (e.g. ext.hetero's device and
 /// host shard walls per run): collect each metric into its own vector
 /// and aggregate them separately.  `samples` must be non-empty.
 inline RepAggregate aggregate_samples(std::vector<double> samples) {
@@ -67,7 +66,7 @@ RepAggregate measure_reps(int reps, Fn&& fn) {
 /// costs `min_reps` runs; on a noisy one it spends up to `max_reps`
 /// driving the estimate down instead of committing a garbage winner.
 /// The caller can tell which happened from RepAggregate::cv vs the
-/// target (the tuner and bench_tuner gate on it explicitly).
+/// target (bench_paper_claims' ext.tuner.deciding_cv row gates on it).
 struct MeasurePolicy {
   int min_reps = 3;       ///< always collect at least this many
   int max_reps = 10;      ///< rep cap — never spend more than this

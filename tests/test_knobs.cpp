@@ -258,7 +258,7 @@ TEST(KnobPins, FullKnobProductDigest) {
   EXPECT_EQ(h, 14890180182750035357ull);
 }
 
-// Written by bench_tuner (16x12x8, version=v3, keep=3) before the knob
+// Written by the autotuner (16x12x8, version=v3, keep=3) before the knob
 // table existed, byte for byte.
 constexpr const char* kSchema2Artifact = R"json({
   "schema_version": 2,
@@ -593,7 +593,7 @@ TEST(KnobTable, ThreadCountCap) {
 
 TEST(KnobTable, CountArguments) {
   // Every positional count and count-valued key of the examples and
-  // benches (grids, nsteps, ngpus, lanes=, reps=, keep=) goes through
+  // tune_cli (grids, nsteps, ngpus, lanes=, keep=) goes through
   // parse_count: canonical decimal >= 1, nothing else.
   struct Case {
     const char* text;
@@ -636,6 +636,22 @@ TEST(KnobTable, CountArguments) {
       expect_config_error([&] { model::parse_count("lanes", c.text, c.max); },
                           std::string("lanes '") + c.text + "'");
     }
+  }
+}
+
+TEST(KnobTable, RealArguments) {
+  // tune_cli's target_cv= and diffstate_cli's noise floor: the whole
+  // text is one finite number >= 0, never atof's silent 0.
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0}, {"0.5", 0.5}, {"1e-12", 1e-12}, {"12", 12.0}};
+  for (const auto& [text, want] : good) {
+    EXPECT_EQ(model::parse_real("target_cv", text), want) << text;
+  }
+  for (const char* text : {"", "abc", "0.5x", " 0.5", "0.5 ", "-0.1", "+1",
+                           "inf", "nan", "1e999", "0x1p3", "2.9e"}) {
+    SCOPED_TRACE(std::string("'") + text + "'");
+    expect_config_error([&] { model::parse_real("target_cv", text); },
+                        std::string("target_cv '") + text + "'");
   }
 }
 

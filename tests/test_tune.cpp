@@ -277,6 +277,43 @@ TEST(TuneArtifact, LoadRejectsMalformed) {
             "\"wall_cv\": 0.0, \"reps\": 1, \"cellsteps_per_s\": 1.0, "
             "\"baseline_cellsteps_per_s\": 1.0, \"ladder\": []}]}");
   EXPECT_THROW(tune::load_artifact(path), ConfigError);
+
+  // Numbers are whole tokens, and integer fields are integers in int
+  // range: each error names the file and the node's key path.
+  const auto artifact = [](const std::string& schema,
+                           const std::string& hw_threads,
+                           const std::string& steps) {
+    return "{\"schema_version\": " + schema +
+           ", \"machine\": {\"hw_threads\": " + hw_threads +
+           ", \"device\": \"d\"}, \"entries\": [{\"shape\": \"s\", "
+           "\"knobs\": \"exec=serial\", \"steps\": " + steps +
+           ", \"wall_min_s\": 1.0, \"wall_median_s\": 1.0, "
+           "\"wall_cv\": 0.0, \"reps\": 1, \"cellsteps_per_s\": 1.0, "
+           "\"baseline_cellsteps_per_s\": 1.0, \"ladder\": []}]}";
+  };
+  write_raw(artifact("2", "1", "4"));
+  ASSERT_NO_THROW(tune::load_artifact(path));
+  const struct {
+    std::string text;
+    const char* node;
+  } bad[] = {
+      {artifact("2", "1", "4-7"), "node /entries/0/steps"},
+      {artifact("2.9e", "1", "4"), "node /schema_version"},
+      {artifact("2.5", "1", "4"), "node /schema_version"},
+      {artifact("2", "1e300", "4"), "node /machine/hw_threads"},
+  };
+  for (const auto& c : bad) {
+    SCOPED_TRACE(c.text);
+    write_raw(c.text);
+    try {
+      tune::load_artifact(path);
+      ADD_FAILURE() << "malformed artifact loaded";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path + ": "), std::string::npos) << what;
+      EXPECT_NE(what.find(c.node), std::string::npos) << what;
+    }
+  }
   std::remove(path.c_str());
 }
 
